@@ -65,6 +65,7 @@ from spectrune.spectral import (
 )
 from spectrune.store import (
     DatasetManifest,
+    EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
     iter_entries,
@@ -72,6 +73,7 @@ from spectrune.store import (
     load_entry,
     load_label_file,
     load_manifest,
+    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,

@@ -15,7 +15,10 @@ Subcommands chain the analysis end to end::
 
 All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
-identical bytes. Every subcommand draws randomness only from ``--seed``.
+identical bytes, and a failed command leaves no partial output behind.
+``accumulate``, ``project`` and ``activations`` read embedding dumps in
+blocks of rows, so their memory does not grow with the dump's size.
+Every subcommand draws randomness only from ``--seed``.
 Exit codes: 0 success, 1 numerical/precondition error, 2 I/O or format
 error. Set ``SPECTRUNE_LOG=DEBUG|INFO|WARNING`` for verbosity.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -61,6 +65,7 @@ from spectrune.evaluation import (
     synth_benchmark,
     zero_shot_topk,
 )
+from spectrune.npy import replace_on_success, write_npy_rows, write_text
 from spectrune.spectral import (
     NoiseThreshold,
     Spectrum,
@@ -72,11 +77,12 @@ from spectrune.spectral import (
 )
 from spectrune.store import (
     DatasetManifest,
+    EmbeddingDump,
     ManifestEntry,
     load_array_file,
-    load_entry,
     load_label_file,
     load_manifest,
+    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -108,18 +114,16 @@ SIGMA_FILES = {
 
 
 def _dump_json(doc: dict, path: Path) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     try:
-        path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replace_on_success(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -204,34 +208,31 @@ def cmd_synth(args) -> int:
 # --- accumulate ---
 
 
-def _accumulate_modality(
-    manifest: DatasetManifest, modality: str, kernel: bool, threads: int
-) -> CovarianceAccumulator | None:
-    entries = [e for e in manifest.entries if e.modality == modality]
-    if not entries:
-        return None
-
-    def one(entry: ManifestEntry) -> CovarianceAccumulator:
-        batch = load_entry(entry)
-        if kernel:
-            batch = normalize_rows(batch)
-        return accumulate(CovarianceAccumulator.empty(), batch)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, entries))
-    else:
-        parts = [one(e) for e in entries]
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = merge(acc, part)  # fixed manifest order: thread-count independent
-    return acc
+def _accumulate_entry(
+    entry: ManifestEntry, kernel: bool
+) -> tuple[CovarianceAccumulator, CovarianceAccumulator]:
+    """One pass over an entry's dump, block by block: each block folds into
+    the raw accumulator and, with ``kernel``, into the row-normalized one."""
+    raw = ker = CovarianceAccumulator.empty()
+    with open_entry(entry) as dump:
+        for block in dump.blocks():
+            raw = accumulate(raw, block)
+            if kernel:
+                ker = accumulate(ker, normalize_rows(block))
+    return raw, ker
 
 
 def cmd_accumulate(args) -> int:
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     written: dict[str, dict] = {}
+
+    one = functools.partial(_accumulate_entry, kernel=args.kernel)
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            parts = list(pool.map(one, manifest.entries))
+    else:
+        parts = [one(e) for e in manifest.entries]
 
     def store(cov: CovarianceMatrix, name: str) -> CovarianceMatrix:
         if args.trace_normalize:
@@ -244,10 +245,16 @@ def cmd_accumulate(args) -> int:
     for kernel in kernel_modes:
         finals: dict[str, CovarianceMatrix] = {}
         for modality in ("image", "text"):
-            acc = _accumulate_modality(manifest, modality, kernel, args.threads)
-            if acc is None:
+            accs = [
+                kern if kernel else raw
+                for entry, (raw, kern) in zip(manifest.entries, parts)
+                if entry.modality == modality
+            ]
+            if not accs:
                 logger.warning("manifest has no %s entries", modality)
                 continue
+            # fixed manifest order: thread-count independent
+            acc = functools.reduce(merge, accs)
             tag = f"kernel-{modality}" if kernel else modality
             finals[modality] = store(finalize(acc, modality=tag), tag)
         if len(finals) == 2:
@@ -407,8 +414,13 @@ def cmd_mscsa(args) -> int:
 def cmd_project(args) -> int:
     basis_path = Path(args.basis) if args.basis else Path(args.out) / "noise_basis.npy"
     subspace = load_subspace(basis_path)
-    matrix = load_array_file(args.input)
-    save_array_file(apply_removal(subspace, matrix), args.output)
+    with EmbeddingDump(args.input) as dump:
+        write_npy_rows(
+            args.output,
+            (dump.n, dump.d),
+            np.float64,
+            (apply_removal(subspace, block).data for block in dump.blocks()),
+        )
     logger.info(
         "projected %s away from %d dimensions -> %s",
         args.input,
@@ -567,14 +579,14 @@ def cmd_class_overlap(args) -> int:
 def cmd_activations(args) -> int:
     out = _out_dir(args)
     data_path = _default(args.embeddings, out, "img.npy")
-    m = load_array_file(data_path, modality="image")
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    ranked = rank_activations(m, basis, top=args.top)
+    with EmbeddingDump(data_path, modality="image") as dump:
+        ranked = rank_activations(dump, basis, top=args.top)
     _write_csv(
         out / "activations.csv",
         ["rank", "row_index", "score", "source"],
         (
-            (rank, act.row_index, _float_cell(act.norm), m.source)
+            (rank, act.row_index, _float_cell(act.norm), dump.source)
             for rank, act in enumerate(ranked)
         ),
     )
@@ -641,7 +653,7 @@ def cmd_plot_script(args) -> int:
     out = _out_dir(args)
     name = f"plot_{args.figure.replace('-', '_')}.gp"
     try:
-        (out / name).write_text(_GNUPLOT_TEMPLATES[args.figure], encoding="utf-8")
+        write_text(out / name, _GNUPLOT_TEMPLATES[args.figure])
     except OSError as exc:
         raise IoError(f"cannot write {out / name}: {exc}") from exc
     print(out / name)

@@ -32,10 +32,17 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
-from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy
+from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy, write_text
 from spectrune.store import EmbeddingMatrix, split_by_label
 
-COV_MODALITIES = ("image", "text", "average", "kernel-image", "kernel-text")
+COV_MODALITIES = (
+    "image",
+    "text",
+    "average",
+    "kernel-image",
+    "kernel-text",
+    "kernel-average",
+)
 
 # relative asymmetry allowed in stored matrices
 _SYM_TOL = 1e-12
@@ -82,7 +89,8 @@ class CovarianceMatrix:
     Attributes:
         sigma: symmetric float64 matrix (asymmetry <= 1e-12 relative).
         n_samples: rows that produced it.
-        modality: one of image, text, average, kernel-image, kernel-text.
+        modality: one of image, text, average, kernel-image, kernel-text,
+            kernel-average.
         trace_normalized: whether sigma was rescaled to unit trace.
     """
 
@@ -229,19 +237,28 @@ def normalize_trace(c: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def average(img: CovarianceMatrix, txt: CovarianceMatrix) -> CovarianceMatrix:
-    """Elementwise mean of two trace-normalized covariances.
+    """Elementwise mean of two trace-normalized covariances, tagged
+    ``kernel-average`` when both are kernel covariances and ``average``
+    when neither is.
 
     Raises:
-        PreconditionError: inputs not trace-normalized or widths differ.
+        PreconditionError: inputs not trace-normalized, widths differ, or
+            a kernel covariance meets a sample covariance.
     """
     if not (img.trace_normalized and txt.trace_normalized):
         raise PreconditionError("average requires trace-normalized inputs")
     if img.d != txt.d:
         raise PreconditionError(f"width mismatch: {img.d} vs {txt.d}")
+    kernel = img.modality.startswith("kernel-")
+    if kernel != txt.modality.startswith("kernel-"):
+        raise PreconditionError(
+            f"cannot average {img.modality!r} with {txt.modality!r}: "
+            "one is a kernel covariance and the other is not"
+        )
     return CovarianceMatrix(
         sigma=0.5 * (img.sigma + txt.sigma),
         n_samples=img.n_samples + txt.n_samples,
-        modality="average",
+        modality="kernel-average" if kernel else "average",
         trace_normalized=True,
     )
 
@@ -255,12 +272,15 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     norms = np.linalg.norm(m.data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DataError(f"zero-norm row {int(zero[0])} cannot be normalized")
+        raise DataError(f"zero-norm row {m.first_row + int(zero[0])} cannot be normalized")
+    unit = m.data / norms[:, None]
+    unit.flags.writeable = False  # a fresh array: the matrix may keep it uncopied
     return EmbeddingMatrix(
-        m.data / norms[:, None],
+        unit,
         modality=m.modality,
         labels=m.labels,
         source=m.source,
+        first_row=m.first_row,
     )
 
 
@@ -314,9 +334,7 @@ def save_covariance(c: CovarianceMatrix, npy_path: Path | str) -> None:
         "trace_normalized": c.trace_normalized,
     }
     try:
-        sidecar_path(npy_path).write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text(sidecar_path(npy_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write sidecar for {npy_path}: {exc}") from exc
 

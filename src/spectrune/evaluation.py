@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from spectrune.covariance import normalize_rows
 from spectrune.errors import (
-    DataError,
     DimError,
     PreconditionError,
 )
 from spectrune.spectral import Spectrum
-from spectrune.store import EmbeddingMatrix
+from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 
 # projected vectors shorter than this have no defined cosine
@@ -306,13 +306,14 @@ class Activation:
 
 
 def rank_activations(
-    m: EmbeddingMatrix, noise: Subspace, top: int
+    m: EmbeddingMatrix | EmbeddingDump, noise: Subspace, top: int
 ) -> list[Activation]:
     """Rows most activated inside a subspace.
 
     Rows are unit-normalized, scored by the norm of their component inside
     the span, and returned in descending score order (ties: ascending row
-    index).
+    index). A dump is scored one block at a time, so only the n scores
+    are held whole.
 
     Raises:
         DataError: a row has zero norm.
@@ -322,11 +323,12 @@ def rank_activations(
         raise PreconditionError(f"need 1 <= top <= {m.n}, got {top}")
     if m.d != noise.d:
         raise DimError(f"embedding width {m.d} != subspace width {noise.d}")
-    norms = np.linalg.norm(m.data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"zero-norm row {int(zero[0])} cannot be normalized")
-    scores = np.linalg.norm((m.data / norms[:, None]) @ noise.basis, axis=1)
+    scores = np.concatenate(
+        [
+            np.linalg.norm(normalize_rows(block).data @ noise.basis, axis=1)
+            for block in m.blocks()
+        ]
+    )
     order = np.lexsort((np.arange(m.n), -scores))
     return [Activation(int(i), float(scores[i])) for i in order[:top]]
 

@@ -14,13 +14,24 @@ The writer always emits little-endian payloads with the preamble padded to a
 64-byte boundary (what current tooling produces). The reader accepts any
 v1.0 file whose dtype is in the caller's allow-list; Fortran-ordered files
 and other format versions are rejected loudly rather than converted.
+
+Files can be read whole (``read_npy``) or in blocks of rows along the first
+axis (``NpyReader.row_blocks``), and written whole (``write_npy``) or from
+consecutive row blocks (``write_npy_rows``). Every output of the package,
+NPY or text, goes through ``replace_on_success``, so a failed write never
+leaves a truncated file behind.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import math
+import os
 import struct
+import threading
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +43,39 @@ HEADER_ALIGN = 64
 
 FLOAT_DESCRS = ("<f4", "<f8")
 INT_DESCRS = ("<i4", "<i8")
+
+# Rows per block when a file is read in blocks. A fixed grid keeps the
+# floating-point fold order, and so every output byte, independent of the
+# machine and of --threads. At d = 768 a float64 block is 12 MB, and the
+# per-block O(d^2) combine stays small next to the O(rows * d^2) product.
+BLOCK_ROWS = 2048
+
+
+@contextlib.contextmanager
+def replace_on_success(path: Path | str, mode: str = "wb", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing, and move it onto
+    ``path`` only when the block exits without an exception.
+
+    Readers see either the previous file or the complete new one; when the
+    block raises, the temporary file is removed and ``path`` keeps its
+    previous bytes, or stays absent. OSError propagates to the caller.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_text(path: Path | str, text: str) -> None:
+    """Write UTF-8 text through ``replace_on_success``."""
+    with replace_on_success(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def format_header(descr: str, shape: tuple[int, ...]) -> bytes:
@@ -53,18 +97,193 @@ def write_npy(path: Path | str, array: np.ndarray) -> None:
         IoError: destination cannot be written.
     """
     arr = np.ascontiguousarray(array)
-    if arr.dtype.byteorder == ">":
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
-    header = format_header(arr.dtype.str, arr.shape)
+    write_npy_rows(path, arr.shape, arr.dtype, [arr])
+
+
+def write_npy_rows(
+    path: Path | str,
+    shape: tuple[int, ...],
+    dtype: np.dtype | type,
+    blocks: Iterable[np.ndarray],
+) -> None:
+    """Write an NPY v1.0 file of ``shape`` from consecutive row blocks.
+
+    Each block is converted to little-endian ``dtype`` and written as it
+    arrives, so only one block is held at a time. The file appears at
+    ``path`` once every block is written; if ``blocks`` raises, the error
+    propagates and ``path`` keeps its previous bytes, or stays absent.
+
+    Raises:
+        IoError: destination cannot be written.
+        ShapeError: the blocks do not add up to ``shape``.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.byteorder == ">":
+        dtype = dtype.newbyteorder("<")
+    header = format_header(dtype.str, shape)
+    expected = math.prod(shape) * dtype.itemsize
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(VERSION)
-            fh.write(struct.pack("<H", len(header)))
-            fh.write(header)
-            fh.write(arr.tobytes(order="C"))
+        with replace_on_success(path) as fh:
+            fh.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header)
+            written = 0
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype=dtype)
+                fh.write(block.reshape(-1).view(np.uint8))
+                written += block.nbytes
+            if written != expected:
+                raise ShapeError(
+                    f"{path}: blocks hold {written} bytes, shape {tuple(shape)} "
+                    f"with dtype {dtype.str} needs {expected}"
+                )
     except OSError as exc:
         raise IoError(f"cannot write array file {path}: {exc}") from exc
+
+
+class NpyReader:
+    """An NPY v1.0 file open for reading, with its header parsed and checked.
+
+    Opening checks the magic, version, header keys, dtype allow-list,
+    order, shape and rank, and the payload size against the file size,
+    before any payload byte is read. ``read`` then returns the whole array;
+    ``row_blocks`` streams it in blocks of rows. Close the reader, or use
+    it as a context manager.
+
+    Raises (from the constructor):
+        IoError: file unreadable.
+        FormatError: bad magic/version/header/dtype or payload size mismatch.
+        ShapeError: rank differs from ``ndim``.
+    """
+
+    def __init__(
+        self,
+        path: Path | str,
+        allowed_descrs: tuple[str, ...],
+        ndim: int | None = None,
+    ) -> None:
+        self.path = path
+        try:
+            self._fh = open(path, "rb")
+        except OSError as exc:
+            raise IoError(f"cannot read array file {path}: {exc}") from exc
+        try:
+            self.dtype, self.shape = self._read_header(allowed_descrs, ndim)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._offset = self._fh.tell()
+
+    def _read_header(
+        self, allowed_descrs: tuple[str, ...], ndim: int | None
+    ) -> tuple[np.dtype, tuple[int, ...]]:
+        path = self.path
+        try:
+            preamble = self._fh.read(10)
+            if len(preamble) < 10 or preamble[:6] != MAGIC:
+                raise FormatError(f"{path}: not an NPY file (bad magic)")
+            if preamble[6:8] != VERSION:
+                raise FormatError(
+                    f"{path}: unsupported NPY version {preamble[6]}.{preamble[7]} (need 1.0)"
+                )
+            (header_len,) = struct.unpack("<H", preamble[8:10])
+            raw_header = self._fh.read(header_len)
+            file_size = os.fstat(self._fh.fileno()).st_size
+        except OSError as exc:
+            raise IoError(f"cannot read array file {path}: {exc}") from exc
+        if len(raw_header) < header_len:
+            raise FormatError(f"{path}: truncated NPY header")
+
+        try:
+            header = ast.literal_eval(raw_header.decode("latin1"))
+        except (ValueError, SyntaxError) as exc:
+            raise FormatError(f"{path}: malformed NPY header: {exc}") from exc
+        if not isinstance(header, dict) or set(header) != {
+            "descr",
+            "fortran_order",
+            "shape",
+        }:
+            raise FormatError(f"{path}: NPY header has wrong keys: {header!r}")
+
+        descr = header["descr"]
+        if descr not in allowed_descrs:
+            raise FormatError(
+                f"{path}: dtype {descr!r} not accepted (expected one of "
+                f"{list(allowed_descrs)}); refusing to cast"
+            )
+        if header["fortran_order"] is not False:
+            raise FormatError(f"{path}: fortran_order must be False")
+
+        shape = header["shape"]
+        if not isinstance(shape, tuple) or not all(
+            isinstance(s, int) and s >= 0 for s in shape
+        ):
+            raise FormatError(f"{path}: invalid shape {shape!r}")
+        if ndim is not None and len(shape) != ndim:
+            raise ShapeError(
+                f"{path}: expected a {ndim}-D array, file has shape {shape}"
+            )
+
+        dtype = np.dtype(descr)
+        payload = file_size - 10 - header_len
+        expected = math.prod(shape) * dtype.itemsize
+        if payload != expected:
+            raise FormatError(
+                f"{path}: payload is {payload} bytes, shape {shape} with "
+                f"dtype {descr} needs {expected}"
+            )
+        return dtype, shape
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Read the next ``out.nbytes`` payload bytes straight into ``out``."""
+        view = out.reshape(-1).view(np.uint8)
+        got = 0
+        try:
+            while got < view.size:
+                count = self._fh.readinto(view[got:])
+                if not count:
+                    break
+                got += count
+        except OSError as exc:
+            raise IoError(f"cannot read array file {self.path}: {exc}") from exc
+        if got < view.size:
+            raise FormatError(f"{self.path}: payload ended early (file shrank while read)")
+
+    def read(self) -> np.ndarray:
+        """The whole array: a fresh, writable ndarray in C order with the
+        file's exact values, read straight from the file into place."""
+        out = np.empty(self.shape, self.dtype)
+        self._fh.seek(self._offset)
+        self._fill(out)
+        return out
+
+    def row_blocks(self, block_rows: int = BLOCK_ROWS) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, rows)`` for consecutive blocks of at most
+        ``block_rows`` rows along the first axis, in file order.
+
+        ``rows`` is a view of one buffer that every block is read into:
+        it is overwritten by the next block, so copy what must outlive an
+        iteration step. The pass holds one block, whatever the file size.
+
+        Raises:
+            ShapeError: the array is 0-D and has no rows.
+        """
+        if not self.shape:
+            raise ShapeError(f"{self.path}: a 0-D array has no rows")
+        n = self.shape[0]
+        buffer = np.empty((min(block_rows, n),) + self.shape[1:], self.dtype)
+        self._fh.seek(self._offset)
+        for start in range(0, n, block_rows):
+            rows = buffer[: min(block_rows, n - start)]
+            self._fill(rows)
+            yield start, rows
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "NpyReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def read_npy(
@@ -88,62 +307,5 @@ def read_npy(
         FormatError: bad magic/version/header/dtype or payload size mismatch.
         ShapeError: rank differs from ``ndim``.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read array file {path}: {exc}") from exc
-
-    if len(raw) < 10 or raw[:6] != MAGIC:
-        raise FormatError(f"{path}: not an NPY file (bad magic)")
-    if raw[6:8] != VERSION:
-        raise FormatError(
-            f"{path}: unsupported NPY version {raw[6]}.{raw[7]} (need 1.0)"
-        )
-    (header_len,) = struct.unpack("<H", raw[8:10])
-    header_end = 10 + header_len
-    if len(raw) < header_end:
-        raise FormatError(f"{path}: truncated NPY header")
-
-    try:
-        header = ast.literal_eval(raw[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
-        raise FormatError(f"{path}: malformed NPY header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != {
-        "descr",
-        "fortran_order",
-        "shape",
-    }:
-        raise FormatError(f"{path}: NPY header has wrong keys: {header!r}")
-
-    descr = header["descr"]
-    if descr not in allowed_descrs:
-        raise FormatError(
-            f"{path}: dtype {descr!r} not accepted (expected one of "
-            f"{list(allowed_descrs)}); refusing to cast"
-        )
-    if header["fortran_order"] is not False:
-        raise FormatError(f"{path}: fortran_order must be False")
-
-    shape = header["shape"]
-    if not isinstance(shape, tuple) or not all(
-        isinstance(s, int) and s >= 0 for s in shape
-    ):
-        raise FormatError(f"{path}: invalid shape {shape!r}")
-    if ndim is not None and len(shape) != ndim:
-        raise ShapeError(
-            f"{path}: expected a {ndim}-D array, file has shape {shape}"
-        )
-
-    dtype = np.dtype(descr)
-    count = 1
-    for s in shape:
-        count *= s
-    payload = raw[header_end:]
-    expected = count * dtype.itemsize
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, shape {shape} with "
-            f"dtype {descr} needs {expected}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    with NpyReader(path, allowed_descrs, ndim) as reader:
+        return reader.read()

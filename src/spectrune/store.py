@@ -7,7 +7,8 @@ to float64 on load because downstream eigenvalues span many orders of
 magnitude and 32-bit accumulation is unsafe.
 
 Loaded matrices are immutable (read-only buffers) and safe to share across
-threads.
+threads. A dump too large to hold can be opened as an ``EmbeddingDump``,
+which yields the same checked matrices one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -28,12 +29,24 @@ from spectrune.errors import (
     ShapeError,
     SpectruneError,
 )
-from spectrune.npy import FLOAT_DESCRS, INT_DESCRS, read_npy, write_npy
+from spectrune.npy import (
+    FLOAT_DESCRS,
+    INT_DESCRS,
+    NpyReader,
+    read_npy,
+    write_npy,
+    write_text,
+)
 
 MODALITIES = ("image", "text")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered array with ``arr``'s values. An array that is
+    already read-only, C-ordered and owns its buffer is handed over as is;
+    anything else is copied, so no other view of it can change the result."""
+    if arr.flags.owndata and arr.flags.c_contiguous and not arr.flags.writeable:
+        return arr
     out = np.ascontiguousarray(arr)
     if out is arr or out.base is arr:
         out = out.copy()
@@ -50,12 +63,15 @@ class EmbeddingMatrix:
         modality: ``"image"`` or ``"text"``.
         labels: optional int64 class ids, one per row, all >= 0.
         source: free-form provenance string (file path, generator, ...).
+        first_row: index of the first row within ``source``, for a block
+            of a larger dump; error messages name rows by that index.
     """
 
     data: np.ndarray
     modality: str
     labels: np.ndarray | None = None
     source: str = ""
+    first_row: int = 0
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -66,7 +82,7 @@ class EmbeddingMatrix:
             raise ShapeError(f"embedding matrix needs n >= 1 and d >= 1, got {data.shape}")
         finite_rows = np.isfinite(data).all(axis=1)
         if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
+            bad = self.first_row + int(np.flatnonzero(~finite_rows)[0])
             raise DataError(f"non-finite entry in row {bad}")
         if self.modality not in MODALITIES:
             raise PreconditionError(
@@ -80,7 +96,7 @@ class EmbeddingMatrix:
                     f"labels must be a length-{n} vector, got shape {labels.shape}"
                 )
             if (labels < 0).any():
-                bad = int(np.flatnonzero(labels < 0)[0])
+                bad = self.first_row + int(np.flatnonzero(labels < 0)[0])
                 raise DataError(f"negative label id at row {bad}")
             object.__setattr__(self, "labels", _frozen(labels))
 
@@ -99,7 +115,13 @@ class EmbeddingMatrix:
             modality=self.modality,
             labels=self.labels,
             source=self.source + source_suffix,
+            first_row=self.first_row,
         )
+
+    def blocks(self) -> Iterator["EmbeddingMatrix"]:
+        """The matrix as a stream of row blocks: the one-block case of
+        ``EmbeddingDump.blocks``."""
+        yield self
 
 
 def load_array_file(
@@ -114,16 +136,91 @@ def load_array_file(
     FormatError. Non-2-D or empty shapes raise ShapeError, non-finite
     entries raise DataError naming the first offending row.
     """
-    arr = read_npy(path, FLOAT_DESCRS, ndim=2)
+    arr = read_npy(path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
+    arr.flags.writeable = False  # hand the buffer over: no second copy
     try:
         return EmbeddingMatrix(
-            data=arr.astype(np.float64),
+            data=arr,
             modality=modality,
             labels=labels,
             source=source if source is not None else str(path),
         )
     except SpectruneError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+class EmbeddingDump:
+    """A 2-D float NPY dump on disk, read one block of rows at a time.
+
+    Opening reads and checks only the header, the size and the labels.
+    ``blocks`` then yields the rows as EmbeddingMatrix blocks of at most
+    ``npy.BLOCK_ROWS`` rows, widened to float64 and checked as
+    ``load_array_file`` checks the whole matrix; errors name the path and
+    the row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the
+    dump in memory, whatever its size. Close the dump, or use it as a
+    context manager.
+    """
+
+    def __init__(
+        self,
+        path: Path | str,
+        modality: str = "image",
+        labels: np.ndarray | None = None,
+        source: str | None = None,
+    ) -> None:
+        self.path = path
+        self.modality = modality
+        self.source = source if source is not None else str(path)
+        self._reader = NpyReader(path, FLOAT_DESCRS, ndim=2)
+        try:
+            if min(self._reader.shape) < 1:
+                raise ShapeError(
+                    f"{path}: embedding matrix needs n >= 1 and d >= 1, "
+                    f"got {self._reader.shape}"
+                )
+            if labels is not None:
+                labels = np.asarray(labels, dtype=np.int64)
+                if labels.shape != (self.n,):
+                    raise ShapeError(
+                        f"{path}: labels must be a length-{self.n} vector, "
+                        f"got shape {labels.shape}"
+                    )
+        except ShapeError:
+            self.close()
+            raise
+        self.labels = labels
+
+    @property
+    def n(self) -> int:
+        return self._reader.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self._reader.shape[1]
+
+    def blocks(self) -> Iterator[EmbeddingMatrix]:
+        for start, rows in self._reader.row_blocks():
+            stop = start + rows.shape[0]
+            try:
+                block = EmbeddingMatrix(
+                    data=rows.astype(np.float64, copy=False),
+                    modality=self.modality,
+                    labels=None if self.labels is None else self.labels[start:stop],
+                    source=self.source,
+                    first_row=start,
+                )
+            except SpectruneError as exc:
+                raise type(exc)(f"{self.path}: {exc}") from exc
+            yield block
+
+    def close(self) -> None:
+        self._reader.close()
+
+    def __enter__(self) -> "EmbeddingDump":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def save_array_file(m: EmbeddingMatrix, path: Path | str) -> None:
@@ -256,7 +353,7 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
         ],
     }
     try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write manifest {path}: {exc}") from exc
 
@@ -264,6 +361,12 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
 def load_entry(entry: ManifestEntry) -> EmbeddingMatrix:
     labels = load_label_file(entry.labels) if entry.labels is not None else None
     return load_array_file(entry.path, modality=entry.modality, labels=labels)
+
+
+def open_entry(entry: ManifestEntry) -> EmbeddingDump:
+    """The streamed counterpart of ``load_entry``."""
+    labels = load_label_file(entry.labels) if entry.labels is not None else None
+    return EmbeddingDump(entry.path, modality=entry.modality, labels=labels)
 
 
 def iter_entries(

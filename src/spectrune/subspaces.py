@@ -26,7 +26,7 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
-from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy
+from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy, write_text
 from spectrune.spectral import (
     LOG_FLOOR,
     NoiseThreshold,
@@ -253,8 +253,10 @@ def class_spectrum_distance(
         labels.append(label)
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
-    diff = stack[:, None, :] - stack[None, :, :]
-    dist = np.sqrt(np.mean(diff**2, axis=2))
+    # one row at a time: O(C * d) memory instead of a C x C x d broadcast
+    dist = np.empty((len(curves), len(curves)))
+    for i, curve in enumerate(stack):
+        dist[i] = np.sqrt(np.mean((curve - stack) ** 2, axis=1))
     dist = (dist + dist.T) * 0.5
     np.fill_diagonal(dist, 0.0)
     return ClassSpectrumDistances(labels=tuple(labels), distances=dist)
@@ -267,8 +269,9 @@ def save_subspace(v: Subspace, npy_path: Path | str) -> None:
     write_npy(npy_path, v.basis)
     meta = {"origin": v.origin, "d": v.d, "p": v.p}
     try:
-        Path(npy_path).with_suffix(".json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        write_text(
+            Path(npy_path).with_suffix(".json"),
+            json.dumps(meta, indent=2, sort_keys=True) + "\n",
         )
     except OSError as exc:
         raise IoError(f"cannot write sidecar for {npy_path}: {exc}") from exc

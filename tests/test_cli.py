@@ -48,6 +48,18 @@ def test_pipeline_produces_expected_files(pipeline_dir):
         assert (pipeline_dir / name).is_file(), name
 
 
+def test_sidecars_record_true_modalities(pipeline_dir):
+    modalities = {
+        name: json.loads((pipeline_dir / f"{name}.json").read_text())["modality"]
+        for name in ("sigma_average", "sigma_kernel_average", "sigma_kernel_image")
+    }
+    assert modalities == {
+        "sigma_average": "average",
+        "sigma_kernel_average": "kernel-average",
+        "sigma_kernel_image": "kernel-image",
+    }
+
+
 def test_threshold_report_recovers_planted_count(pipeline_dir):
     doc = json.loads((pipeline_dir / "threshold.json").read_text())
     assert doc["schema_version"] == 1

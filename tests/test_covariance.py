@@ -186,6 +186,21 @@ def test_average_examples_and_trace():
     assert np.allclose(average(da, db).sigma, np.diag([0.5, 0.5]))
 
 
+def test_average_of_kernel_covariances_is_tagged_kernel_average():
+    rng = np.random.default_rng(18)
+    img = normalize_trace(kernel_covariance(as_matrix(rng.standard_normal((30, 4)))))
+    txt = normalize_trace(
+        kernel_covariance(as_matrix(rng.standard_normal((30, 4)), modality="text"))
+    )
+    assert (img.modality, txt.modality) == ("kernel-image", "kernel-text")
+    assert average(img, txt).modality == "kernel-average"
+    raw_txt = normalize_trace(
+        covariance_of(as_matrix(rng.standard_normal((30, 4)), modality="text"))
+    )
+    with pytest.raises(PreconditionError, match="kernel"):
+        average(img, raw_txt)
+
+
 def test_average_preconditions():
     raw = covariance_of(as_matrix(np.random.default_rng(0).standard_normal((10, 3))))
     normed = normalize_trace(raw)

@@ -8,7 +8,26 @@ import numpy as np
 import pytest
 
 from spectrune.errors import FormatError, IoError, ShapeError
-from spectrune.npy import FLOAT_DESCRS, INT_DESCRS, read_npy, write_npy
+from spectrune.npy import (
+    FLOAT_DESCRS,
+    INT_DESCRS,
+    NpyReader,
+    read_npy,
+    write_npy,
+    write_npy_rows,
+)
+
+
+def read_in_blocks(path, allowed_descrs, ndim=None, block_rows=3):
+    """The row-block reader, gathered into one array."""
+    with NpyReader(path, allowed_descrs, ndim) as reader:
+        return np.concatenate(
+            [rows.copy() for _, rows in reader.row_blocks(block_rows)]
+        )
+
+
+# every malformed file must be rejected by both readers alike
+READERS = (read_npy, read_in_blocks)
 
 
 def test_round_trip_exact_values(tmp_path):
@@ -69,8 +88,9 @@ def test_header_is_64_byte_aligned(tmp_path):
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.npy"
     path.write_bytes(b"NOTNPY" + b"\x00" * 64)
-    with pytest.raises(FormatError, match="magic"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="magic"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_other_versions(tmp_path):
@@ -82,16 +102,18 @@ def test_rejects_other_versions(tmp_path):
         + header
         + np.zeros(1).tobytes()
     )
-    with pytest.raises(FormatError, match="version"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="version"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_malformed_header_dict(tmp_path):
     path = tmp_path / "garbage.npy"
     header = b"{'descr': '<f8', 'fortran_order':"  # cut mid-literal
     path.write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header)
-    with pytest.raises(FormatError, match="header"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="header"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_wrong_header_keys(tmp_path):
@@ -101,15 +123,17 @@ def test_rejects_wrong_header_keys(tmp_path):
         b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header
         + np.zeros(1).tobytes()
     )
-    with pytest.raises(FormatError, match="keys"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="keys"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_disallowed_dtype_instead_of_casting(tmp_path):
     path = tmp_path / "ints.npy"
     np.save(path, np.arange(6, dtype=np.int64).reshape(2, 3))
-    with pytest.raises(FormatError, match="refusing to cast"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="refusing to cast"):
+            read(path, FLOAT_DESCRS)
     # and the integer allow-list takes it
     assert read_npy(path, INT_DESCRS, ndim=2).sum() == 15
 
@@ -117,15 +141,17 @@ def test_rejects_disallowed_dtype_instead_of_casting(tmp_path):
 def test_rejects_fortran_order(tmp_path):
     path = tmp_path / "fortran.npy"
     np.save(path, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
-    with pytest.raises(FormatError, match="fortran_order"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="fortran_order"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_wrong_rank(tmp_path):
     path = tmp_path / "cube.npy"
     write_npy(path, np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError, match="2-D"):
-        read_npy(path, FLOAT_DESCRS, ndim=2)
+    for read in READERS:
+        with pytest.raises(ShapeError, match="2-D"):
+            read(path, FLOAT_DESCRS, ndim=2)
 
 
 def test_rejects_truncated_payload(tmp_path):
@@ -133,21 +159,24 @@ def test_rejects_truncated_payload(tmp_path):
     write_npy(path, np.ones((4, 4)))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(FormatError, match="payload"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="payload"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "extra.npy"
     write_npy(path, np.ones((4, 4)))
     path.write_bytes(path.read_bytes() + b"junk")
-    with pytest.raises(FormatError, match="payload"):
-        read_npy(path, FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(FormatError, match="payload"):
+            read(path, FLOAT_DESCRS)
 
 
 def test_missing_file_is_io_error(tmp_path):
-    with pytest.raises(IoError):
-        read_npy(tmp_path / "nope.npy", FLOAT_DESCRS)
+    for read in READERS:
+        with pytest.raises(IoError):
+            read(tmp_path / "nope.npy", FLOAT_DESCRS)
 
 
 def test_result_is_writable_copy(tmp_path):
@@ -155,3 +184,39 @@ def test_result_is_writable_copy(tmp_path):
     write_npy(path, np.zeros((2, 2)))
     out = read_npy(path, FLOAT_DESCRS)
     out[0, 0] = 1.0  # must not raise
+
+
+def test_row_blocks_reassemble_the_array(tmp_path):
+    rng = np.random.default_rng(6)
+    for shape in ((1, 4), (7, 3), (9, 2), (10, 5, 2), (4,)):
+        arr = rng.standard_normal(shape)
+        path = tmp_path / "blocks.npy"
+        write_npy(path, arr)
+        with NpyReader(path, FLOAT_DESCRS) as reader:
+            starts = [start for start, _ in reader.row_blocks(3)]
+        assert starts == list(range(0, shape[0], 3))
+        assert np.array_equal(read_in_blocks(path, FLOAT_DESCRS), arr)
+
+
+def test_write_rows_matches_whole_write(tmp_path):
+    arr = np.random.default_rng(7).standard_normal((10, 4))
+    write_npy(tmp_path / "whole.npy", arr)
+    write_npy_rows(tmp_path / "rows.npy", arr.shape, np.float64, (arr[i:i + 3] for i in range(0, 10, 3)))
+    assert (tmp_path / "rows.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+
+
+def test_failed_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "out.npy"
+    write_npy(path, np.zeros((2, 2)))
+    before = path.read_bytes()
+
+    def blocks():
+        yield np.ones((1, 2))
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        write_npy_rows(path, (2, 2), np.float64, blocks())
+    with pytest.raises(ShapeError, match="needs"):
+        write_npy_rows(path, (3, 2), np.float64, [np.ones((2, 2))])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.npy"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -54,6 +55,21 @@ def test_load_rejects_non_finite_naming_first_row(tmp_path):
     write_npy(path, arr)
     with pytest.raises(DataError, match="row 3"):
         load_array_file(path)
+
+
+def test_load_holds_one_copy_of_the_file(tmp_path):
+    path = tmp_path / "big.npy"
+    write_npy(path, np.random.default_rng(7).standard_normal((20_000, 32)))
+    tracemalloc.start()
+    try:
+        m = load_array_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the array read from the file becomes the matrix's buffer; the
+    # finiteness mask adds an eighth
+    assert peak < 1.5 * path.stat().st_size
+    assert not m.data.flags.writeable
 
 
 def test_save_load_identity_is_bit_exact(tmp_path):

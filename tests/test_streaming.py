@@ -1,0 +1,181 @@
+"""Streamed reading of embedding dumps: accumulate, project and activations
+work one block of rows at a time, agree with the whole-matrix functions,
+and hold memory bounded by the block, not by the file."""
+
+from __future__ import annotations
+
+import csv
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from spectrune.cli import main
+from spectrune.covariance import covariance_of, normalize_trace
+from spectrune.errors import DataError, ShapeError
+from spectrune.evaluation import rank_activations
+from spectrune.npy import BLOCK_ROWS, FLOAT_DESCRS, read_npy, write_npy
+from spectrune.store import (
+    DatasetManifest,
+    EmbeddingDump,
+    EmbeddingMatrix,
+    ManifestEntry,
+    load_array_file,
+    save_manifest,
+)
+from spectrune.subspaces import Subspace, apply_removal, save_subspace
+
+
+def _write_manifest(tmp_path, dumps: dict[str, tuple[str, np.ndarray]]):
+    entries = []
+    for name, (modality, rows) in dumps.items():
+        write_npy(tmp_path / name, rows)
+        entries.append(ManifestEntry(tmp_path / name, modality, None))
+    save_manifest(DatasetManifest("streamed", tuple(entries)), tmp_path / "manifest.json")
+    return tmp_path / "manifest.json"
+
+
+def _basis(d: int, p: int, seed: int) -> Subspace:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, p)))
+    return Subspace(q)
+
+
+def test_accumulate_is_thread_invariant_and_matches_covariance_of(tmp_path):
+    rng = np.random.default_rng(0)
+    img_a = rng.standard_normal((2 * BLOCK_ROWS + 17, 6)) * 3.0 + 1.0
+    img_b = rng.standard_normal((BLOCK_ROWS - 5, 6))
+    txt = rng.standard_normal((BLOCK_ROWS + 1, 6)) + 2.0
+    manifest = _write_manifest(
+        tmp_path, {"a.npy": ("image", img_a), "t.npy": ("text", txt), "b.npy": ("image", img_b)}
+    )
+    outputs = {}
+    for threads in (1, 4):
+        out = tmp_path / f"out{threads}"
+        assert main(["accumulate", "--manifest", str(manifest), "--out", str(out),
+                     "--kernel", "--threads", str(threads)]) == 0
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("sigma_*"))}
+    assert len(outputs[1]) == 12
+    assert outputs[1] == outputs[4]
+
+    out = tmp_path / "out1"
+    for name, rows in (("sigma_image.npy", np.vstack([img_a, img_b])), ("sigma_text.npy", txt)):
+        expected = normalize_trace(covariance_of(EmbeddingMatrix(rows, modality="image"))).sigma
+        got = read_npy(out / name, FLOAT_DESCRS, ndim=2)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    meta = json.loads((out / "sigma_kernel_image.json").read_text())
+    assert meta["n_samples"] == img_a.shape[0] + img_b.shape[0]
+
+
+def _peak_alloc(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["accumulate", "project", "activations"])
+def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
+    d = 64
+    block_bytes = BLOCK_ROWS * d * 8
+    basis = _basis(d, 4, 1)
+    peaks = []
+    for n in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
+        run = tmp_path / str(n)
+        run.mkdir()
+        rows = np.random.default_rng(n).standard_normal((n, d))
+        manifest = _write_manifest(run, {"img.npy": ("image", rows), "txt.npy": ("text", rows[::-1])})
+        save_subspace(basis, run / "noise_basis.npy")
+        argv = {
+            "accumulate": ["accumulate", "--manifest", str(manifest), "--out", str(run), "--kernel"],
+            "project": ["project", "--out", str(run), str(run / "img.npy"), str(run / "clean.npy")],
+            "activations": ["activations", "--out", str(run)],
+        }[command]
+        peaks.append(_peak_alloc(argv))
+    # each larger dump has 6 blocks more than the smaller one; a whole-file
+    # read would add at least that much to the peak
+    assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
+
+
+def test_streamed_project_and_activations_match_whole_matrix(tmp_path):
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((2 * BLOCK_ROWS + 3, 12))
+    write_npy(tmp_path / "img.npy", rows)
+    basis = _basis(12, 3, 3)
+    save_subspace(basis, tmp_path / "noise_basis.npy")
+    whole = load_array_file(tmp_path / "img.npy")
+
+    assert main(["project", "--out", str(tmp_path), str(tmp_path / "img.npy"),
+                 str(tmp_path / "clean.npy")]) == 0
+    clean = read_npy(tmp_path / "clean.npy", FLOAT_DESCRS, ndim=2)
+    assert np.abs(clean - apply_removal(basis, whole).data).max() <= 1e-12
+
+    top = 40
+    assert main(["activations", "--out", str(tmp_path), "--top", str(top)]) == 0
+    with open(tmp_path / "activations.csv", newline="") as fh:
+        table = list(csv.reader(fh))[1:]
+    expected = rank_activations(whole, basis, top=top)
+    assert [int(r[1]) for r in table] == [a.row_index for a in expected]
+    assert np.allclose([float(r[2]) for r in table], [a.norm for a in expected], atol=1e-12)
+    assert {r[3] for r in table} == {str(tmp_path / "img.npy")}
+    with EmbeddingDump(tmp_path / "img.npy") as dump:
+        assert rank_activations(dump, basis, top=top) == expected
+
+
+def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
+    rows = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS, 5))
+    bad = BLOCK_ROWS + 7
+    rows[bad, 2] = np.inf
+    path = tmp_path / "img.npy"
+    write_npy(path, rows)
+    with EmbeddingDump(path) as dump, pytest.raises(DataError, match=f"{path}: non-finite entry in row {bad}"):
+        list(dump.blocks())
+
+    rows[bad] = 0.0
+    manifest = _write_manifest(tmp_path, {"img.npy": ("image", rows)})
+    assert main(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"]) == 2
+    assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sigma_*"))
+    save_subspace(_basis(5, 2, 5), tmp_path / "noise_basis.npy")
+    assert main(["activations", "--out", str(tmp_path)]) == 2
+    assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
+
+
+def test_dump_checks_shape_and_labels_on_open(tmp_path):
+    write_npy(tmp_path / "empty.npy", np.zeros((0, 4)))
+    with pytest.raises(ShapeError, match="n >= 1"):
+        EmbeddingDump(tmp_path / "empty.npy")
+    write_npy(tmp_path / "img.npy", np.ones((3, 4)))
+    with pytest.raises(ShapeError, match="length-3"):
+        EmbeddingDump(tmp_path / "img.npy", labels=np.zeros(2, dtype=np.int64))
+    with EmbeddingDump(tmp_path / "img.npy", labels=[0, -1, 2]) as dump:
+        with pytest.raises(DataError, match="negative label id at row 1"):
+            list(dump.blocks())
+
+
+def test_failed_project_leaves_no_partial_output(tmp_path):
+    rows = np.random.default_rng(6).standard_normal((2 * BLOCK_ROWS + 1, 4))
+    rows[-1, 0] = np.nan
+    write_npy(tmp_path / "img.npy", rows)
+    save_subspace(_basis(4, 1, 7), tmp_path / "noise_basis.npy")
+    argv = ["project", "--out", str(tmp_path), str(tmp_path / "img.npy"), str(tmp_path / "clean.npy")]
+    before = set(tmp_path.iterdir())
+
+    assert main(argv) == DataError.exit_code
+    assert set(tmp_path.iterdir()) == before  # no destination, no temporary file
+
+    (tmp_path / "clean.npy").write_bytes(b"previous")
+    assert main(argv) == DataError.exit_code
+    assert (tmp_path / "clean.npy").read_bytes() == b"previous"
+
+
+def test_accumulate_rejects_entries_of_different_widths(tmp_path):
+    rng = np.random.default_rng(8)
+    manifest = _write_manifest(
+        tmp_path,
+        {"a.npy": ("image", rng.standard_normal((5, 4))), "b.npy": ("image", rng.standard_normal((5, 3)))},
+    )
+    assert main(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("sigma_*"))

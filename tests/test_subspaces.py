@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spectrune.covariance import CovarianceMatrix
+from spectrune.covariance import CovarianceMatrix, per_class_covariances
 from spectrune.errors import (
     DimError,
     EmptySubspaceError,
@@ -13,7 +13,7 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
-from spectrune.spectral import decompose, fixed_threshold
+from spectrune.spectral import LOG_FLOOR, clamp_psd_eigenvalues, decompose, fixed_threshold
 from spectrune.store import EmbeddingMatrix
 from spectrune.subspaces import (
     Subspace,
@@ -247,6 +247,25 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
         for j in range(n):
             for k in range(n):
                 assert dist[i, j] <= dist[i, k] + dist[k, j] + 1e-9
+
+
+def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
+    # oracle: the C x C x d broadcast the row-at-a-time loop replaced
+    rng = np.random.default_rng(51)
+    data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
+    labels = rng.integers(0, 40, size=700)
+    m = EmbeddingMatrix(data, modality="image", labels=labels)
+    curves = []
+    for cov in per_class_covariances(m, trace_normalize_each=True).values():
+        w = clamp_psd_eigenvalues(np.linalg.eigvalsh(cov.sigma), float(np.trace(cov.sigma)))
+        vec = np.log10(np.maximum(w, LOG_FLOOR))
+        curves.append(vec - vec.mean())
+    stack = np.asarray(curves)
+    diff = stack[:, None, :] - stack[None, :, :]
+    expected = np.sqrt(np.mean(diff**2, axis=2))
+    expected = (expected + expected.T) * 0.5
+    np.fill_diagonal(expected, 0.0)
+    assert class_spectrum_distance(m).distances.tobytes() == expected.tobytes()
 
 
 def test_class_spectrum_distance_raw_mode_differs():
