@@ -23,7 +23,6 @@ from spectrune import (
     noise_subspace,
     noise_threshold,
     normalize_trace,
-    projection_remove,
     random_ablation,
     rank_activations,
     synth_benchmark,
@@ -51,9 +50,8 @@ overlap = mscsa(recovered, bench.planted).mscsa
 print(f"overlap between recovered and planted span: {overlap:.6f}")
 
 # Downstream effect 1: pruning the detected span leaves accuracy alone.
-projection = projection_remove(recovered)
 baseline = zero_shot_topk(bench.task)
-noise_free = zero_shot_topk(bench.task, projection)
+noise_free = zero_shot_topk(bench.task, recovered)
 print(f"\ntop-5 accuracy, baseline:   {baseline:.4f}")
 print(f"top-5 accuracy, noise-free: {noise_free:.4f}")
 
@@ -70,7 +68,7 @@ print(f"trials strictly below baseline: {int(np.sum(samples < baseline))}/500")
 
 # Downstream effect 3: pairs sharing signal but not noise become more
 # aligned once the noise span is gone.
-deltas = alignment_delta(bench.pairs_img, bench.pairs_txt, projection)
+deltas = alignment_delta(bench.pairs_img, bench.pairs_txt, recovered)
 print(
     f"\npair cosine delta after pruning: mean {deltas.mean_delta:+.4f}, "
     f"median {np.median(deltas.per_pair):+.4f}, "

@@ -17,6 +17,7 @@ from spectrune import (
     EmbeddingMatrix,
     Subspace,
     class_spectrum_distance,
+    per_class_covariances,
     per_class_overlap,
 )
 
@@ -39,7 +40,8 @@ for c in range(classes):
 
 data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labels))
 
-overlaps = per_class_overlap(data, Subspace(planted))
+covs = per_class_covariances(data)  # trace-normalized, one per class
+overlaps = per_class_overlap(covs, Subspace(planted))
 print(f"chance level p/d = {p / d:.3f}")
 print("per-class overlap with the planted span:")
 for label, value in sorted(overlaps.items()):
@@ -47,7 +49,7 @@ for label, value in sorted(overlaps.items()):
 
 # Per-class eigenvalue curves, compared after mean-centering in log space
 # (so global class rescalings cancel).
-distances = class_spectrum_distance(data)
+distances = class_spectrum_distance(covs)
 upper = distances.distances[np.triu_indices(classes, k=1)]
 print(
     f"\nRMS distance between mean-centered per-class log spectra: "

@@ -28,7 +28,8 @@ from spectrune import (
     split_by_label,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="spectrune-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="spectrune-demo-")
+workdir = Path(tmp.name)
 rng = np.random.default_rng(3)
 
 # Write two shards of image embeddings plus labels for the first.
@@ -74,3 +75,5 @@ for m in iter_entries(loaded, modality="image"):
 # Labeled shards split cleanly into per-class parts.
 parts = split_by_label(back)
 print(f"\nclass parts of the labeled shard: { {k: v.n for k, v in sorted(parts.items())} }")
+
+tmp.cleanup()

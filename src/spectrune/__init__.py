@@ -42,14 +42,12 @@ from spectrune.evaluation import (
     AlignmentDeltaReport,
     EvalReport,
     SyntheticBenchmark,
-    SyntheticEmbeddings,
     ZeroShotTask,
     alignment_delta,
     haar_random_ablation,
     random_ablation,
     rank_activations,
     synth_benchmark,
-    synth_embeddings,
     zero_shot_topk,
 )
 from spectrune.spectral import (

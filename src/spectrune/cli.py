@@ -32,7 +32,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from spectrune.covariance import (
     merge,
     normalize_rows,
     normalize_trace,
+    per_class_covariances,
     save_covariance,
 )
 from spectrune.errors import (
@@ -65,7 +65,7 @@ from spectrune.evaluation import (
     synth_benchmark,
     zero_shot_topk,
 )
-from spectrune.npy import replace_on_success, write_npy_rows, write_text
+from spectrune.npy import replace_on_success, write_json, write_npy_rows, write_text
 from spectrune.spectral import (
     NoiseThreshold,
     Spectrum,
@@ -83,6 +83,7 @@ from spectrune.store import (
     load_label_file,
     load_manifest,
     open_entry,
+    ordered_map,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -94,7 +95,6 @@ from spectrune.subspaces import (
     mscsa,
     noise_subspace,
     per_class_overlap,
-    projection_remove,
     save_subspace,
 )
 
@@ -111,14 +111,6 @@ SIGMA_FILES = {
     "kernel-text": "sigma_kernel_text.npy",
     "kernel-average": "sigma_kernel_average.npy",
 }
-
-
-def _dump_json(doc: dict, path: Path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    try:
-        write_text(path, text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -181,7 +173,8 @@ def cmd_synth(args) -> int:
         ),
         out / "manifest.json",
     )
-    _dump_json(
+    write_json(
+        out / "synth.json",
         {
             "schema_version": SCHEMA_VERSION,
             "command": "synth",
@@ -199,7 +192,6 @@ def cmd_synth(args) -> int:
             },
             "planted_noise_dims": args.p,
         },
-        out / "synth.json",
     )
     logger.info("synthetic dataset written to %s", out)
     return 0
@@ -227,12 +219,11 @@ def cmd_accumulate(args) -> int:
     manifest = load_manifest(args.manifest)
     written: dict[str, dict] = {}
 
-    one = functools.partial(_accumulate_entry, kernel=args.kernel)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(pool.map(one, manifest.entries))
-    else:
-        parts = [one(e) for e in manifest.entries]
+    parts = ordered_map(
+        functools.partial(_accumulate_entry, kernel=args.kernel),
+        manifest.entries,
+        args.threads,
+    )
 
     def store(cov: CovarianceMatrix, name: str) -> CovarianceMatrix:
         if args.trace_normalize:
@@ -272,7 +263,8 @@ def cmd_accumulate(args) -> int:
                     "trace-normalized inputs (rerun without --no-trace-normalize)"
                 )
 
-    _dump_json(
+    write_json(
+        out / "accumulate.json",
         {
             "schema_version": SCHEMA_VERSION,
             "command": "accumulate",
@@ -284,7 +276,6 @@ def cmd_accumulate(args) -> int:
             },
             "written": written,
         },
-        out / "accumulate.json",
     )
     return 0
 
@@ -332,14 +323,14 @@ def cmd_spectrum(args) -> int:
                 "source": spectrum.source,
                 "error": str(exc),
             }
-    _dump_json(
+    write_json(
+        out / "knees.json",
         {
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
             "config": {"out": str(args.out), "sigmas": [str(p) for p in args.sigmas]},
             "knees": knees,
         },
-        out / "knees.json",
     )
     return 0
 
@@ -362,7 +353,8 @@ def cmd_threshold(args) -> int:
 
     basis = noise_subspace(spectra[0], threshold)
     save_subspace(basis, out / "noise_basis.npy")
-    _dump_json(
+    write_json(
+        out / "threshold.json",
         {
             "schema_version": SCHEMA_VERSION,
             "command": "threshold",
@@ -378,7 +370,6 @@ def cmd_threshold(args) -> int:
             "method": threshold.method,
             "per_spectrum_knees": list(threshold.knees),
         },
-        out / "threshold.json",
     )
     logger.info(
         "threshold 10^%.4f flags %d of %d dimensions as noise",
@@ -407,7 +398,7 @@ def cmd_mscsa(args) -> int:
     print(text)
     if args.out is not None:
         out = _out_dir(args)
-        _dump_json(doc, out / "mscsa.json")
+        write_json(out / "mscsa.json", doc)
     return 0
 
 
@@ -464,10 +455,7 @@ def cmd_eval(args) -> int:
     spectrum = decompose(load_covariance(_default(args.sigma, out, "sigma_average.npy")))
 
     baseline = zero_shot_topk(task)
-    projection = projection_remove(basis)
-    noise_free = zero_shot_topk(
-        task, projection, project_prototypes=not args.query_only
-    )
+    noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
     ablation = random_ablation(
         task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
         threads=args.threads,
@@ -480,7 +468,7 @@ def cmd_eval(args) -> int:
         delta = alignment_delta(
             load_array_file(pairs_img_path, modality="image"),
             load_array_file(pairs_txt_path, modality="text"),
-            projection,
+            basis,
         )
         mean_delta = delta.mean_delta
         _write_csv(
@@ -506,7 +494,8 @@ def cmd_eval(args) -> int:
         ((t, _float_cell(a)) for t, a in enumerate(ablation)),
     )
     std_trials = float(ablation.std(ddof=1)) if ablation.size > 1 else 0.0
-    _dump_json(
+    write_json(
+        out / "eval_report.json",
         {
             "schema_version": SCHEMA_VERSION,
             "command": "eval",
@@ -526,7 +515,6 @@ def cmd_eval(args) -> int:
                 "std_of_mean": std_trials / float(np.sqrt(ablation.size)),
             },
         },
-        out / "eval_report.json",
     )
     logger.info(
         "top-%d accuracy: baseline %.4f, noise-free %.4f, random %.4f",
@@ -541,30 +529,25 @@ def cmd_eval(args) -> int:
 # --- class-overlap / activations ---
 
 
-def _load_labeled(args, out: Path, default_data: str, default_labels: str):
-    data_path = _default(args.embeddings, out, default_data)
-    labels_path = _default(args.labels, out, default_labels)
-    return load_array_file(
-        data_path, modality="image", labels=load_label_file(labels_path)
-    )
-
-
 def cmd_class_overlap(args) -> int:
     out = _out_dir(args)
-    m = _load_labeled(args, out, "queries.npy", "queries_labels.npy")
+    m = load_array_file(
+        _default(args.embeddings, out, "queries.npy"),
+        modality="image",
+        labels=load_label_file(_default(args.labels, out, "queries_labels.npy")),
+    )
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    overlaps = per_class_overlap(m, basis, threads=args.threads)
-    labels, counts = np.unique(m.labels, return_counts=True)
-    count_of = {int(l): int(c) for l, c in zip(labels, counts)}
+    covs = per_class_covariances(m)
+    overlaps = per_class_overlap(covs, basis, threads=args.threads)
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
         (
-            (label, count_of[label], _float_cell(value))
+            (label, covs[label].n_samples, _float_cell(value))
             for label, value in sorted(overlaps.items())
         ),
     )
-    distances = class_spectrum_distance(m)
+    distances = class_spectrum_distance(covs)
     _write_csv(
         out / "class_spectrum_distance.csv",
         ["label"] + [str(l) for l in distances.labels],

@@ -15,7 +15,6 @@ symmetric-eigensolver preconditions downstream.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,12 +27,11 @@ from spectrune.errors import (
     DimError,
     FormatError,
     InsufficientSamplesError,
-    IoError,
     NumericalError,
     PreconditionError,
 )
-from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy, write_text
-from spectrune.store import EmbeddingMatrix, split_by_label
+from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
+from spectrune.store import EmbeddingMatrix, _frozen, iter_classes
 
 COV_MODALITIES = (
     "image",
@@ -46,14 +44,6 @@ COV_MODALITIES = (
 
 # relative asymmetry allowed in stored matrices
 _SYM_TOL = 1e-12
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ class CovarianceMatrix:
                 raise NumericalError(
                     f"trace_normalized matrix has trace {trace!r}, not 1.0"
                 )
-        object.__setattr__(self, "sigma", _freeze(sigma))
+        object.__setattr__(self, "sigma", _frozen(sigma))
 
     @property
     def d(self) -> int:
@@ -303,10 +293,15 @@ def kernel_covariance(m: EmbeddingMatrix) -> CovarianceMatrix:
 def per_class_covariances(
     m: EmbeddingMatrix, trace_normalize_each: bool = True
 ) -> dict[int, CovarianceMatrix]:
-    """Covariance per class id; classes with fewer than 2 rows are skipped
-    with a warning rather than an error."""
+    """Covariance per class id, in ascending id order; classes with fewer
+    than 2 rows are skipped with a warning rather than an error. One class's
+    rows are copied at a time.
+
+    Raises:
+        MissingLabelsError: the matrix carries no labels.
+    """
     out: dict[int, CovarianceMatrix] = {}
-    for label, part in sorted(split_by_label(m).items()):
+    for label, part in iter_classes(m):
         if part.n < 2:
             warnings.warn(
                 f"class {label} has {part.n} sample(s), skipping covariance",
@@ -333,21 +328,13 @@ def save_covariance(c: CovarianceMatrix, npy_path: Path | str) -> None:
         "modality": c.modality,
         "trace_normalized": c.trace_normalized,
     }
-    try:
-        write_text(sidecar_path(npy_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write sidecar for {npy_path}: {exc}") from exc
+    write_json(sidecar_path(npy_path), meta)
 
 
 def load_covariance(npy_path: Path | str) -> CovarianceMatrix:
     sigma = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
     side = sidecar_path(npy_path)
-    try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read sidecar {side}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{side}: invalid JSON: {exc}") from exc
+    meta = read_json(side)
     for key in ("n_samples", "modality", "trace_normalized"):
         if key not in meta:
             raise FormatError(f"{side}: missing key {key!r}")

@@ -8,8 +8,8 @@ runs of the same seed produce identical results down to the byte.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.spectral import Spectrum
-from spectrune.store import EmbeddingDump, EmbeddingMatrix
+from spectrune.store import EmbeddingDump, EmbeddingMatrix, ordered_map
 from spectrune.subspaces import Subspace, remove_component
 
 # projected vectors shorter than this have no defined cosine
@@ -124,29 +124,26 @@ def _topk_hits(
 
 def zero_shot_topk(
     task: ZeroShotTask,
-    projection: np.ndarray | None = None,
+    noise: Subspace | None = None,
     project_prototypes: bool = True,
 ) -> float:
     """Fraction of queries whose true class is among the k most cosine-
     similar prototypes. Ties are broken toward the smaller class id, which
     makes the score deterministic.
 
-    ``projection``, when given, is applied to the queries and (by default)
+    ``noise``, when given, is removed from the queries and (by default)
     the prototypes before scoring; ``None`` is the unprojected baseline.
     """
     if task.queries.n < 1:
         raise PreconditionError("no queries to score")
     q = task.queries.data
     p = task.class_prototypes.data
-    if projection is not None:
-        projection = np.asarray(projection, dtype=np.float64)
-        if projection.shape != (task.d, task.d):
-            raise DimError(
-                f"projection shape {projection.shape} does not match d={task.d}"
-            )
-        q = q @ projection.T
+    if noise is not None:
+        if noise.d != task.d:
+            raise DimError(f"subspace width {noise.d} does not match d={task.d}")
+        q = remove_component(q, noise.basis)
         if project_prototypes:
-            p = p @ projection.T
+            p = remove_component(p, noise.basis)
     order = np.argsort(task.class_prototypes.labels)
     return _topk_hits(
         q, task.queries.labels, p[order], task.class_prototypes.labels[order], task.k
@@ -166,9 +163,9 @@ def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def alignment_delta(
     pairs_img: EmbeddingMatrix,
     pairs_txt: EmbeddingMatrix,
-    projection: np.ndarray,
+    noise: Subspace,
 ) -> AlignmentDeltaReport:
-    """Change in matched-pair cosine similarity after a projection.
+    """Change in matched-pair cosine similarity after removing a subspace.
 
     Row i of each matrix is a matched pair. Cosines are computed on
     re-normalized projected vectors; a pair where any projected vector
@@ -180,14 +177,12 @@ def alignment_delta(
         )
     if pairs_img.d != pairs_txt.d:
         raise DimError(f"width mismatch: {pairs_img.d} vs {pairs_txt.d}")
-    projection = np.asarray(projection, dtype=np.float64)
-    if projection.shape != (pairs_img.d, pairs_img.d):
-        raise DimError(
-            f"projection shape {projection.shape} does not match d={pairs_img.d}"
-        )
+    if noise.d != pairs_img.d:
+        raise DimError(f"subspace width {noise.d} does not match d={pairs_img.d}")
     before, before_ok = _row_cosines(pairs_img.data, pairs_txt.data)
     after, after_ok = _row_cosines(
-        pairs_img.data @ projection.T, pairs_txt.data @ projection.T
+        remove_component(pairs_img.data, noise.basis),
+        remove_component(pairs_txt.data, noise.basis),
     )
     defined = before_ok & after_ok
     per_pair = np.where(defined, after - before, np.nan)
@@ -203,6 +198,47 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Philox substream for one trial; identical regardless of execution
     order, which is what makes threaded ablations reproducible."""
     return np.random.Generator(np.random.Philox([seed, trial]))
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of ``a``, signed so that R has a
+    nonnegative diagonal: for a seeded Gaussian ``a``, a reproducible
+    Haar-random orthonormal basis of its column span."""
+    q, r = np.linalg.qr(a)
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def _ablate(
+    task: ZeroShotTask,
+    p: int,
+    trials: int,
+    seed: int,
+    threads: int,
+    draw: Callable[[np.random.Generator], np.ndarray],
+) -> np.ndarray:
+    """Accuracy after removing the span of ``draw(trial_rng(seed, t))``, a
+    d-by-p orthonormal basis, from queries and prototypes, for each trial
+    t; ordered by trial index whatever the thread count."""
+    if trials < 1:
+        raise PreconditionError(f"need trials >= 1, got {trials}")
+    if not 1 <= p < task.d:
+        raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
+
+    order = np.argsort(task.class_prototypes.labels)
+    protos = task.class_prototypes.data[order]
+    proto_labels = task.class_prototypes.labels[order]
+
+    def run_trial(t: int) -> float:
+        sub = draw(trial_rng(seed, t))
+        return _topk_hits(
+            remove_component(task.queries.data, sub),
+            task.queries.labels,
+            remove_component(protos, sub),
+            proto_labels,
+            task.k,
+        )
+
+    return np.asarray(ordered_map(run_trial, range(trials), threads), dtype=np.float64)
 
 
 def random_ablation(
@@ -221,37 +257,13 @@ def random_ablation(
     prototypes, and rescores. Returns one accuracy per trial, ordered by
     trial index.
     """
-    if trials < 1:
-        raise PreconditionError(f"need trials >= 1, got {trials}")
-    if not 1 <= p < spectrum.d:
-        raise PreconditionError(f"need 1 <= p < d={spectrum.d}, got p={p}")
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
-
-    order = np.argsort(task.class_prototypes.labels)
-    protos = task.class_prototypes.data[order]
-    proto_labels = task.class_prototypes.labels[order]
-    queries = task.queries.data
-    true_labels = task.queries.labels
     basis = spectrum.eigenvectors
-
-    def run_trial(t: int) -> float:
-        cols = np.sort(trial_rng(seed, t).choice(spectrum.d, size=p, replace=False))
-        sub = basis[:, cols]
-        return _topk_hits(
-            remove_component(queries, sub),
-            true_labels,
-            remove_component(protos, sub),
-            proto_labels,
-            task.k,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(run_trial, range(trials)))
-    else:
-        accs = [run_trial(t) for t in range(trials)]
-    return np.asarray(accs, dtype=np.float64)
+    return _ablate(
+        task, p, trials, seed, threads,
+        lambda rng: basis[:, np.sort(rng.choice(task.d, size=p, replace=False))],
+    )
 
 
 def haar_random_ablation(
@@ -264,36 +276,10 @@ def haar_random_ablation(
     """Variant that removes Haar-random p-dimensional subspaces (QR of a
     seeded Gaussian matrix) instead of eigenvector columns. Explicitly not
     the headline ablation; provided for robustness studies."""
-    if trials < 1:
-        raise PreconditionError(f"need trials >= 1, got {trials}")
-    d = task.d
-    if not 1 <= p < d:
-        raise PreconditionError(f"need 1 <= p < d={d}, got p={p}")
-
-    order = np.argsort(task.class_prototypes.labels)
-    protos = task.class_prototypes.data[order]
-    proto_labels = task.class_prototypes.labels[order]
-    queries = task.queries.data
-    true_labels = task.queries.labels
-
-    def run_trial(t: int) -> float:
-        rng = trial_rng(seed, t)
-        q, r = np.linalg.qr(rng.standard_normal((d, p)))
-        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-        return _topk_hits(
-            remove_component(queries, q),
-            true_labels,
-            remove_component(protos, q),
-            proto_labels,
-            task.k,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(run_trial, range(trials)))
-    else:
-        accs = [run_trial(t) for t in range(trials)]
-    return np.asarray(accs, dtype=np.float64)
+    return _ablate(
+        task, p, trials, seed, threads,
+        lambda rng: _orthonormal(rng.standard_normal((task.d, p))),
+    )
 
 
 @dataclass(frozen=True)
@@ -337,67 +323,6 @@ def rank_activations(
 
 
 @dataclass(frozen=True)
-class SyntheticEmbeddings:
-    img: EmbeddingMatrix
-    txt: EmbeddingMatrix
-    planted: Subspace
-
-
-def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded orthonormal matrix with a deterministic sign convention."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
-
-
-def synth_embeddings(
-    n: int,
-    d: int,
-    p: int,
-    signal_var: float,
-    noise_var: float,
-    gap: np.ndarray | None = None,
-    seed: int = 0,
-) -> SyntheticEmbeddings:
-    """Gaussian image/text embeddings sharing a planted low-variance span.
-
-    Both modalities are independent draws with covariance
-    Q diag(signal_var * (d-p), noise_var * p) Q^T for a seeded random
-    rotation Q; the planted subspace is the last p columns of Q. ``gap``,
-    when given, is added to the image rows to emulate a constant offset
-    between modalities.
-
-    ``noise_var == signal_var`` is allowed: it produces the isotropic
-    fixture on which downstream knee detection must find nothing.
-    """
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got {n}")
-    if not 1 <= p < d:
-        raise PreconditionError(f"need 1 <= p < d, got p={p}, d={d}")
-    if not 0.0 < noise_var <= signal_var:
-        raise PreconditionError(
-            f"need 0 < noise_var <= signal_var, got {noise_var} vs {signal_var}"
-        )
-    rng = np.random.Generator(np.random.Philox([seed]))
-    rotation = _random_rotation(d, rng)
-    scales = np.sqrt(
-        np.concatenate([np.full(d - p, signal_var), np.full(p, noise_var)])
-    )
-    img = (rng.standard_normal((n, d)) * scales) @ rotation.T
-    txt = (rng.standard_normal((n, d)) * scales) @ rotation.T
-    if gap is not None:
-        gap = np.asarray(gap, dtype=np.float64)
-        if gap.shape != (d,):
-            raise PreconditionError(f"gap must have shape ({d},), got {gap.shape}")
-        img = img + gap
-    source = f"synth(seed={seed},d={d},p={p})"
-    return SyntheticEmbeddings(
-        img=EmbeddingMatrix(img, modality="image", source=source),
-        txt=EmbeddingMatrix(txt, modality="text", source=source),
-        planted=Subspace(rotation[:, d - p :], origin=f"{source} planted noise span"),
-    )
-
-
-@dataclass(frozen=True)
 class SyntheticBenchmark:
     """Everything the end-to-end pipeline needs from one seeded draw: a
     corpus for covariance estimation, a zero-shot task whose prototypes
@@ -431,19 +356,32 @@ def synth_benchmark(
 ) -> SyntheticBenchmark:
     """Seeded synthetic benchmark with a planted noise span.
 
-    The corpus (img/txt) follows :func:`synth_embeddings`. Task queries are
-    class prototype + signal-span jitter + noise-span component, so a
-    projection that removes (a good estimate of) the planted span leaves
-    every similarity ranking unchanged, while removing random eigenvector
-    directions damages the signal. Pair rows share an identical signal
-    component and differ only inside the noise span.
+    The corpus modalities (img/txt) are independent Gaussian draws with
+    covariance Q diag(signal_var * (d-p), noise_var * p) Q^T for a seeded
+    random rotation Q; the planted subspace is the last p columns of Q.
+    ``gap``, when given, is added to the image rows to emulate a constant
+    offset between modalities. ``noise_var == signal_var`` is allowed: it
+    produces the isotropic corpus on which knee detection must find
+    nothing.
+
+    Task queries are class prototype + signal-span jitter + noise-span
+    component, so a projection that removes (a good estimate of) the
+    planted span leaves every similarity ranking unchanged, while removing
+    random eigenvector directions damages the signal. Pair rows share an
+    identical signal component and differ only inside the noise span.
     """
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got {n}")
     if not 1 <= p < d:
         raise PreconditionError(f"need 1 <= p < d, got p={p}, d={d}")
+    if not 0.0 < noise_var <= signal_var:
+        raise PreconditionError(
+            f"need 0 < noise_var <= signal_var, got {noise_var} vs {signal_var}"
+        )
     if n_classes < 2 or queries_per_class < 1:
         raise PreconditionError("need at least 2 classes and 1 query per class")
     rng = np.random.Generator(np.random.Philox([seed]))
-    rotation = _random_rotation(d, rng)
+    rotation = _orthonormal(rng.standard_normal((d, d)))
     signal_basis = rotation[:, : d - p]
     noise_basis = rotation[:, d - p :]
     source = f"synth(seed={seed},d={d},p={p})"

@@ -17,7 +17,8 @@ and other format versions are rejected loudly rather than converted.
 
 Files can be read whole (``read_npy``) or in blocks of rows along the first
 axis (``NpyReader.row_blocks``), and written whole (``write_npy``) or from
-consecutive row blocks (``write_npy_rows``). Every output of the package,
+consecutive row blocks (``write_npy_rows``); JSON reports and sidecars go
+through ``write_json`` and ``read_json``. Every output of the package,
 NPY or text, goes through ``replace_on_success``, so a failed write never
 leaves a truncated file behind.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import json
 import math
 import os
 import struct
@@ -76,6 +78,34 @@ def write_text(path: Path | str, text: str) -> None:
     """Write UTF-8 text through ``replace_on_success``."""
     with replace_on_success(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """Write a report or sidecar: indented JSON with sorted keys, no NaN.
+
+    Raises:
+        IoError: destination cannot be written.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        write_text(path, text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def read_json(path: Path | str):
+    """Parse a JSON file.
+
+    Raises:
+        IoError: file unreadable.
+        FormatError: not valid JSON.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def format_header(descr: str, shape: tuple[int, ...]) -> bytes:

@@ -16,6 +16,7 @@ import numpy as np
 
 from spectrune.covariance import CovarianceMatrix
 from spectrune.errors import NoKneeError, NumericalError, PreconditionError
+from spectrune.store import _frozen
 
 # eigenvalues below this are clamped before taking log10
 LOG_FLOOR = 1e-15
@@ -50,14 +51,8 @@ class Spectrum:
             raise PreconditionError("eigenvalues must be ascending")
         if np.any(w < 0):
             raise NumericalError("negative eigenvalue in a validated spectrum")
-        if w is self.eigenvalues:
-            w = w.copy()
-        if v is self.eigenvectors:
-            v = v.copy()
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "eigenvalues", _frozen(w))
+        object.__setattr__(self, "eigenvectors", _frozen(v))
 
     @property
     def d(self) -> int:

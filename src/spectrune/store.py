@@ -13,10 +13,11 @@ which yields the same checked matrices one block of rows at a time.
 
 from __future__ import annotations
 
-import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,12 +34,25 @@ from spectrune.npy import (
     FLOAT_DESCRS,
     INT_DESCRS,
     NpyReader,
+    read_json,
     read_npy,
+    write_json,
     write_npy,
-    write_text,
 )
 
 MODALITIES = ("image", "text")
+
+
+def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
+    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, capped
+    at the CPU count. Results keep the input order, so the thread count
+    changes only the wall time; ``threads <= 1`` runs every call on the
+    calling thread."""
+    threads = min(threads, os.cpu_count() or 1)
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -241,26 +255,38 @@ def save_label_file(labels: np.ndarray, path: Path | str) -> None:
     write_npy(path, np.asarray(labels, dtype=np.int64))
 
 
-def split_by_label(m: EmbeddingMatrix) -> dict[int, EmbeddingMatrix]:
-    """Partition rows by class id.
-
-    The parts are disjoint, exhaustive, and keep the parent's modality.
+def iter_classes(m: EmbeddingMatrix) -> Iterator[tuple[int, EmbeddingMatrix]]:
+    """Each class's rows as its own matrix, in ascending class id order and
+    copied only when reached: one stable sort groups the rows, which keep
+    their order within a class.
 
     Raises:
         MissingLabelsError: the matrix carries no labels.
     """
     if m.labels is None:
         raise MissingLabelsError(f"matrix {m.source!r} has no labels")
-    parts: dict[int, EmbeddingMatrix] = {}
-    for label in np.unique(m.labels):
-        mask = m.labels == label
-        parts[int(label)] = EmbeddingMatrix(
-            data=m.data[mask],
+    order = np.argsort(m.labels, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(m.labels[order])) + 1):
+        label = int(m.labels[rows[0]])
+        data = m.data[rows]
+        data.flags.writeable = False  # a fresh copy: hand it over
+        yield label, EmbeddingMatrix(
+            data=data,
             modality=m.modality,
-            labels=m.labels[mask],
-            source=f"{m.source}[label={int(label)}]",
+            labels=m.labels[rows],
+            source=f"{m.source}[label={label}]",
         )
-    return parts
+
+
+def split_by_label(m: EmbeddingMatrix) -> dict[int, EmbeddingMatrix]:
+    """Partition rows by class id, every class at once.
+
+    The parts are disjoint, exhaustive, and keep the parent's modality.
+
+    Raises:
+        MissingLabelsError: the matrix carries no labels.
+    """
+    return dict(iter_classes(m))
 
 
 # --- dataset manifests ---
@@ -287,14 +313,7 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     relative to the manifest's directory and must exist.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    doc = read_json(path)
 
     if not isinstance(doc, dict) or not isinstance(doc.get("name"), str):
         raise FormatError(f"{path}: manifest must be an object with a 'name' string")
@@ -352,10 +371,7 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
             for e in manifest.entries
         ],
     }
-    try:
-        write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write manifest {path}: {exc}") from exc
+    write_json(path, doc)
 
 
 def load_entry(entry: ManifestEntry) -> EmbeddingMatrix:

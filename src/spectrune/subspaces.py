@@ -9,24 +9,19 @@ orthonormal basis inside each span.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from spectrune.covariance import per_class_covariances
+from spectrune.covariance import CovarianceMatrix, sidecar_path
 from spectrune.errors import (
     DimError,
     EmptySubspaceError,
-    FormatError,
-    IoError,
-    MissingLabelsError,
     NumericalError,
     PreconditionError,
 )
-from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy, write_text
+from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
 from spectrune.spectral import (
     LOG_FLOOR,
     NoiseThreshold,
@@ -35,7 +30,7 @@ from spectrune.spectral import (
     count_noise,
     decompose,
 )
-from spectrune.store import EmbeddingMatrix
+from spectrune.store import EmbeddingMatrix, _frozen, ordered_map
 
 _ORTHO_TOL = 1e-8
 _COSINE_SLACK = 1e-8
@@ -58,10 +53,7 @@ class Subspace:
         gram_err = float(np.abs(basis.T @ basis - np.eye(p)).max())
         if gram_err > _ORTHO_TOL:
             raise NumericalError(f"basis not orthonormal: max |B'B - I| = {gram_err:.3e}")
-        if basis is self.basis:
-            basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _frozen(basis))
 
     @property
     def d(self) -> int:
@@ -149,7 +141,9 @@ def mscsa(a: Subspace, b: Subspace) -> OverlapReport:
 
 
 def projection_remove(v: Subspace | np.ndarray) -> np.ndarray:
-    """The symmetric idempotent P = I - B B^T that zeroes the subspace.
+    """The symmetric idempotent P = I - B B^T that zeroes the subspace: the
+    explicit d-by-d reference that the factored ``remove_component`` is
+    tested against.
 
     Accepts a raw d-by-p orthonormal array as well; a d-by-0 array is the
     conceptual p = 0 case and yields the identity.
@@ -169,7 +163,8 @@ def remove_component(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def apply_projection(p: np.ndarray, m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Map every row through an explicit d-by-d projection matrix."""
+    """Map every row through an explicit d-by-d projection matrix (the
+    reference for ``apply_removal``)."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimError(f"projection must be square, got shape {p.shape}")
@@ -187,39 +182,32 @@ def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def per_class_overlap(
-    m: EmbeddingMatrix, global_noise: Subspace, threads: int = 1
+    covs: dict[int, CovarianceMatrix], global_noise: Subspace, threads: int = 1
 ) -> dict[int, float]:
     """mSCSA between the global noise span and each class's own
     lowest-variance span of the same dimension.
 
-    Per-class covariances are trace-normalized before decomposition, the
-    same convention as the global pipeline. Classes with fewer than two
-    rows were already skipped (with a warning) upstream. Decompositions
-    are independent per class, so ``threads`` only changes wall time, not
-    values or ordering.
+    ``covs`` maps class ids to covariances, as ``per_class_covariances``
+    builds them (trace-normalized, the global pipeline's convention).
+    Decompositions are independent per class, so ``threads`` only changes
+    wall time, not values or ordering.
 
     Raises:
-        MissingLabelsError: matrix carries no labels.
-        DimError: embedding width differs from the subspace's.
+        DimError: a covariance's width differs from the subspace's.
     """
-    if m.labels is None:
-        raise MissingLabelsError(f"matrix {m.source!r} has no labels")
-    if m.d != global_noise.d:
-        raise DimError(f"embedding width {m.d} != subspace width {global_noise.d}")
+    for label, cov in covs.items():
+        if cov.d != global_noise.d:
+            raise DimError(
+                f"class {label} width {cov.d} != subspace width {global_noise.d}"
+            )
     k = global_noise.p
-    covs = per_class_covariances(m, trace_normalize_each=True)
 
-    def one(cov) -> float:
-        class_low = lowest_k_subspace(decompose(cov), k)
+    def one(label: int) -> float:
+        class_low = lowest_k_subspace(decompose(covs[label]), k)
         return mscsa(class_low, global_noise).mscsa
 
     labels = sorted(covs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, (covs[label] for label in labels)))
-    else:
-        values = [one(covs[label]) for label in labels]
-    return dict(zip(labels, values))
+    return dict(zip(labels, ordered_map(one, labels, threads)))
 
 
 @dataclass(frozen=True)
@@ -231,26 +219,24 @@ class ClassSpectrumDistances:
 
 
 def class_spectrum_distance(
-    m: EmbeddingMatrix,
+    covs: dict[int, CovarianceMatrix],
     log_scale: bool = True,
     floor: float = LOG_FLOOR,
 ) -> ClassSpectrumDistances:
     """RMS distance between mean-centered per-class eigenvalue vectors.
 
-    Default scale is log10 (mean-centering then cancels constant
-    log-shifts, i.e. global rescalings of a class); ``log_scale=False``
-    compares raw eigenvalues instead. Covariances are trace-normalized
-    first, matching the global pipeline.
+    ``covs`` maps class ids to covariances, as ``per_class_covariances``
+    builds them (trace-normalized, matching the global pipeline). Default
+    scale is log10 (mean-centering then cancels constant log-shifts, i.e.
+    global rescalings of a class); ``log_scale=False`` compares raw
+    eigenvalues instead.
     """
-    if m.labels is None:
-        raise MissingLabelsError(f"matrix {m.source!r} has no labels")
-    labels: list[int] = []
+    labels = sorted(covs)
     curves: list[np.ndarray] = []
-    for label, cov in per_class_covariances(m, trace_normalize_each=True).items():
+    for cov in (covs[label] for label in labels):
         w = np.linalg.eigvalsh(cov.sigma)
         w = clamp_psd_eigenvalues(w, float(np.trace(cov.sigma)))
         vec = np.log10(np.maximum(w, floor)) if log_scale else w
-        labels.append(label)
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     # one row at a time: O(C * d) memory instead of a C x C x d broadcast
@@ -267,24 +253,11 @@ def class_spectrum_distance(
 
 def save_subspace(v: Subspace, npy_path: Path | str) -> None:
     write_npy(npy_path, v.basis)
-    meta = {"origin": v.origin, "d": v.d, "p": v.p}
-    try:
-        write_text(
-            Path(npy_path).with_suffix(".json"),
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write sidecar for {npy_path}: {exc}") from exc
+    write_json(sidecar_path(npy_path), {"origin": v.origin, "d": v.d, "p": v.p})
 
 
 def load_subspace(npy_path: Path | str) -> Subspace:
     basis = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
-    side = Path(npy_path).with_suffix(".json")
-    origin = ""
-    if side.is_file():
-        try:
-            meta = json.loads(side.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{side}: invalid JSON: {exc}") from exc
-        origin = str(meta.get("origin", ""))
+    side = sidecar_path(npy_path)
+    origin = str(read_json(side).get("origin", "")) if side.is_file() else ""
     return Subspace(basis=basis, origin=origin)

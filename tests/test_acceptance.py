@@ -193,7 +193,7 @@ def test_harmless_pruning_vs_random_removal():
     variance."""
     bench, spectrum, threshold, recovered = _planted_pipeline()
     baseline = zero_shot_topk(bench.task)
-    noise_free = zero_shot_topk(bench.task, projection_remove(recovered))
+    noise_free = zero_shot_topk(bench.task, recovered)
     assert abs(noise_free - baseline) <= 0.001
     samples = random_ablation(
         bench.task, spectrum, p=threshold.noise_count, trials=500, seed=2026
@@ -207,9 +207,7 @@ def test_alignment_delta_is_positive_on_shared_signal_pairs():
     """Pairs sharing their signal component with independent noise: mean
     cosine delta after noise projection > 0 and the per-pair median >= 0."""
     bench, _, _, recovered = _planted_pipeline()
-    report = alignment_delta(
-        bench.pairs_img, bench.pairs_txt, projection_remove(recovered)
-    )
+    report = alignment_delta(bench.pairs_img, bench.pairs_txt, recovered)
     assert report.n_undefined == 0
     assert report.mean_delta > 0.0
     assert float(np.median(report.per_pair)) >= 0.0

@@ -144,6 +144,42 @@ def test_eval_rerun_is_byte_identical_across_thread_counts(pipeline_dir):
     assert report.read_bytes() == single
 
 
+def test_eval_query_only_keeps_baseline_accuracy(pipeline_dir, tmp_path):
+    # prototypes lie in the signal span, so removing the noise span from the
+    # queries alone only rescales each query's cosines: the ranking stays
+    inputs = {
+        "--prototypes": "prototypes.npy", "--queries": "queries.npy",
+        "--basis": "noise_basis.npy", "--sigma": "sigma_average.npy",
+        "--pairs-img": "pairs_img.npy", "--pairs-txt": "pairs_txt.npy",
+    }
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3",
+            "--query-only"]
+    for flag, name in inputs.items():
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "eval_report.json").read_text())
+    assert doc["config"]["query_only"] is True
+    assert doc["report"]["top_k_accuracy"] == doc["baseline_top_k"]
+
+
+def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([
+            "class-overlap", "--out", str(out), "--threads", threads,
+            "--embeddings", str(pipeline_dir / "queries.npy"),
+            "--labels", str(pipeline_dir / "queries_labels.npy"),
+            "--basis", str(pipeline_dir / "noise_basis.npy"),
+        ]) == 0
+        written.append([
+            (out / name).read_bytes()
+            for name in ("class_overlap.csv", "class_spectrum_distance.csv")
+        ])
+    assert written[0] == written[1]
+    assert written[0][0] == (pipeline_dir / "class_overlap.csv").read_bytes()
+
+
 def test_synth_rerun_overwrites_identically(tmp_path):
     argv = ["synth", "--out", str(tmp_path), "--n", "50", "--d", "16", "--p", "4",
             "--classes", "5", "--queries-per-class", "2", "--top-k", "2", "--seed", "1"]
@@ -157,6 +193,13 @@ def test_exit_code_2_for_missing_manifest(tmp_path):
     code = main(["accumulate", "--manifest", str(tmp_path / "none.json"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_exit_code_1_for_bad_synth_noise_variance(tmp_path):
+    argv = ["synth", "--out", str(tmp_path), "--n", "50", "--d", "8", "--p", "2"]
+    for noise_var in ("0", "2.0"):
+        assert main(argv + ["--noise-var", noise_var]) == 1
+    assert not (tmp_path / "img.npy").exists()
 
 
 def test_exit_code_1_for_bad_threshold_config(tmp_path):

@@ -20,12 +20,11 @@ from spectrune.evaluation import (
     random_ablation,
     rank_activations,
     synth_benchmark,
-    synth_embeddings,
     zero_shot_topk,
 )
 from spectrune.spectral import decompose, log_spectrum, detect_knee
 from spectrune.store import EmbeddingMatrix
-from spectrune.subspaces import Subspace, projection_remove
+from spectrune.subspaces import Subspace
 from spectrune.evaluation import trial_rng
 
 
@@ -121,23 +120,26 @@ def test_invariant_to_positive_row_rescaling():
 
 
 def test_identity_projection_equals_baseline_exactly():
+    # the data never enters the last axis, so removing it changes no bit
     rng = np.random.default_rng(62)
-    task = make_task(
-        rng.standard_normal((8, 5)),
-        np.arange(8),
-        rng.standard_normal((30, 5)),
-        rng.integers(0, 8, 30),
-        2,
-    )
-    assert zero_shot_topk(task, np.eye(5)) == zero_shot_topk(task)
+    pad = np.zeros((38, 1))
+    data = np.hstack([rng.standard_normal((38, 5)), pad])
+    task = make_task(data[:8], np.arange(8), data[8:], rng.integers(0, 8, 30), 2)
+    unused = Subspace(np.eye(6)[:, [5]])
+    assert zero_shot_topk(task, unused) == zero_shot_topk(task)
+    assert zero_shot_topk(task, unused, project_prototypes=False) == zero_shot_topk(task)
+    with pytest.raises(DimError):
+        zero_shot_topk(task, Subspace(np.eye(5)[:, [0]]))
 
 
 def test_alignment_delta_identity_projection_is_zero():
+    # the pairs never enter the last axis, so removing it changes no bit
     rng = np.random.default_rng(63)
-    img = EmbeddingMatrix(rng.standard_normal((20, 6)), modality="image")
-    txt = EmbeddingMatrix(rng.standard_normal((20, 6)), modality="text")
-    report = alignment_delta(img, txt, np.eye(6))
-    assert np.allclose(report.per_pair, 0.0, atol=1e-15)
+    pad = np.zeros((20, 1))
+    img = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]), modality="image")
+    txt = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]), modality="text")
+    report = alignment_delta(img, txt, Subspace(np.eye(7)[:, [6]]))
+    assert np.array_equal(report.per_pair, np.zeros(20))
     assert report.mean_delta == 0.0
     assert report.n_undefined == 0
 
@@ -146,8 +148,7 @@ def test_alignment_delta_constructed_pair():
     # pair differs only inside the removed axis: before cos 0, after cos 1
     img = EmbeddingMatrix(np.array([[1.0, 0.0, 1.0]]), modality="image")
     txt = EmbeddingMatrix(np.array([[1.0, 0.0, -1.0]]), modality="text")
-    projection = projection_remove(Subspace(np.eye(3)[:, [2]]))
-    report = alignment_delta(img, txt, projection)
+    report = alignment_delta(img, txt, Subspace(np.eye(3)[:, [2]]))
     assert report.per_pair[0] == pytest.approx(1.0, abs=1e-12)
     assert report.mean_delta == pytest.approx(1.0, abs=1e-12)
 
@@ -155,15 +156,17 @@ def test_alignment_delta_constructed_pair():
 def test_alignment_delta_counts_degenerate_pairs():
     img = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), modality="image")
     txt = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), modality="text")
-    projection = projection_remove(Subspace(np.eye(2)[:, [1]]))  # kills axis 1
-    report = alignment_delta(img, txt, projection)
+    kill_axis_1 = Subspace(np.eye(2)[:, [1]])
+    report = alignment_delta(img, txt, kill_axis_1)
     assert report.n_undefined == 1
     assert np.isnan(report.per_pair[0])
     assert not np.isnan(report.per_pair[1])
     with pytest.raises(PreconditionError):
         alignment_delta(
-            img, EmbeddingMatrix(np.ones((3, 2)), modality="text"), np.eye(2)
+            img, EmbeddingMatrix(np.ones((3, 2)), modality="text"), kill_axis_1
         )
+    with pytest.raises(DimError):
+        alignment_delta(img, txt, Subspace(np.eye(3)[:, [1]]))
 
 
 def _signal_on_one_axis_task():
@@ -252,24 +255,31 @@ def test_rank_activations_errors():
         rank_activations(ok, noise, top=4)
 
 
-def test_synth_embeddings_shapes_and_determinism():
-    out = synth_embeddings(n=100, d=16, p=4, signal_var=1.0, noise_var=1e-4, seed=5)
-    again = synth_embeddings(n=100, d=16, p=4, signal_var=1.0, noise_var=1e-4, seed=5)
+def test_synth_benchmark_shapes_and_determinism():
+    kwargs = dict(n=100, d=16, p=4, signal_var=1.0, noise_var=1e-4, seed=5)
+    out = synth_benchmark(**kwargs)
+    again = synth_benchmark(**kwargs)
     assert np.array_equal(out.img.data, again.img.data)
     assert np.array_equal(out.txt.data, again.txt.data)
+    assert out.img.data.shape == out.txt.data.shape == (100, 16)
     assert out.img.modality == "image" and out.txt.modality == "text"
     assert out.planted.p == 4
-    with pytest.raises(PreconditionError):
-        synth_embeddings(n=10, d=4, p=4, signal_var=1.0, noise_var=1e-4)
-    with pytest.raises(PreconditionError):
-        synth_embeddings(n=10, d=8, p=2, signal_var=1.0, noise_var=2.0)
+    for bad in (
+        dict(n=0, d=8, p=2),
+        dict(n=10, d=4, p=4),
+        dict(n=10, d=8, p=2, noise_var=2.0),
+        dict(n=10, d=8, p=2, noise_var=0.0),
+        dict(n=10, d=8, p=2, n_classes=1),
+    ):
+        with pytest.raises(PreconditionError):
+            synth_benchmark(**bad)
 
 
 def test_synth_gap_shifts_the_means():
     rng = np.random.default_rng(66)
     d, n, var = 32, 20_000, 1.0
     gap = rng.uniform(-1.0, 1.0, size=d)
-    out = synth_embeddings(
+    out = synth_benchmark(
         n=n, d=d, p=4, signal_var=var, noise_var=1e-4, gap=gap, seed=6
     )
     observed = out.img.data.mean(axis=0) - out.txt.data.mean(axis=0)
@@ -282,7 +292,7 @@ def test_isotropic_spectrum_has_no_knee():
     # covariance gives a constant log curve and no knee. (Any finite sample
     # keeps bulk curvature above the 1e-6 significance, so the no-knee
     # outcome belongs to the exact matrix, not to sampled estimates.)
-    synth_embeddings(n=50, d=32, p=8, signal_var=1.0, noise_var=1.0, seed=7)
+    synth_benchmark(n=50, d=32, p=8, signal_var=1.0, noise_var=1.0, seed=7)
     isotropic = CovarianceMatrix(
         np.eye(32) / 32.0, n_samples=50, modality="average", trace_normalized=True
     )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -21,12 +23,14 @@ from spectrune.store import (
     DatasetManifest,
     EmbeddingMatrix,
     ManifestEntry,
+    iter_classes,
     iter_entries,
     load_array_file,
     load_label_file,
     load_manifest,
     save_array_file,
     save_label_file,
+    ordered_map,
     save_manifest,
     split_by_label,
 )
@@ -134,6 +138,38 @@ def test_split_matches_group_by_oracle():
 def test_split_requires_labels():
     with pytest.raises(MissingLabelsError):
         split_by_label(EmbeddingMatrix(np.ones((2, 2)), modality="image"))
+
+
+def test_iter_classes_yields_classes_in_id_order_on_demand():
+    m = EmbeddingMatrix(
+        np.arange(10.0).reshape(5, 2), modality="image", labels=[3, 1, 3, 0, 1]
+    )
+    classes = iter_classes(m)
+    label, part = next(classes)
+    assert label == 0 and np.array_equal(part.data, [[6, 7]])
+    assert not part.data.flags.writeable
+    rest = list(classes)
+    assert [label for label, _ in rest] == [1, 3]
+    assert np.array_equal(rest[1][1].data, [[0, 1], [4, 5]])
+    assert np.array_equal(rest[1][1].labels, [3, 3])
+
+
+def test_ordered_map_keeps_input_order():
+    items = list(range(40))
+    for threads in (1, 2):
+        assert ordered_map(lambda x: x * x, items, threads) == [x * x for x in items]
+    assert ordered_map(str, [], threads=2) == []
+
+
+def test_ordered_map_uses_workers_only_up_to_the_cpu_count(monkeypatch):
+    caller = threading.get_ident()
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ran_on = ordered_map(lambda _: threading.get_ident(), range(8), threads=2)
+        assert set(ran_on) == {caller}
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ran_on = ordered_map(lambda _: threading.get_ident(), range(8), threads=2)
+    assert caller not in ran_on
 
 
 def test_label_file_round_trip(tmp_path):

@@ -196,7 +196,7 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
 
 def test_per_class_overlap_on_planted_null_space():
     m, planted = _planted_class_data(seed=45)
-    overlaps = per_class_overlap(m, planted)
+    overlaps = per_class_overlap(per_class_covariances(m), planted)
     assert set(overlaps) == {0, 1, 2}
     for value in overlaps.values():
         assert value == pytest.approx(1.0, abs=1e-8)
@@ -204,8 +204,9 @@ def test_per_class_overlap_on_planted_null_space():
 
 def test_per_class_overlap_is_thread_invariant():
     m, planted = _planted_class_data(seed=52, classes=5)
-    serial = per_class_overlap(m, planted, threads=1)
-    threaded = per_class_overlap(m, planted, threads=4)
+    covs = per_class_covariances(m)
+    serial = per_class_overlap(covs, planted, threads=1)
+    threaded = per_class_overlap(covs, planted, threads=4)
     assert serial == threaded
 
 
@@ -213,9 +214,9 @@ def test_per_class_overlap_requires_labels_and_matching_width():
     m, planted = _planted_class_data(seed=46)
     unlabeled = EmbeddingMatrix(m.data, modality="image")
     with pytest.raises(MissingLabelsError):
-        per_class_overlap(unlabeled, planted)
+        per_class_covariances(unlabeled)
     with pytest.raises(DimError):
-        per_class_overlap(m, axes(4, [0]))
+        per_class_overlap(per_class_covariances(m), axes(4, [0]))
 
 
 def test_class_spectrum_distance_identical_and_scaled_classes():
@@ -224,7 +225,7 @@ def test_class_spectrum_distance_identical_and_scaled_classes():
     data = np.vstack([block, block, block * 10.0])
     labels = np.array([0] * 30 + [1] * 30 + [2] * 30)
     result = class_spectrum_distance(
-        EmbeddingMatrix(data, modality="image", labels=labels)
+        per_class_covariances(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     assert result.labels == (0, 1, 2)
     assert np.allclose(np.diag(result.distances), 0.0)
@@ -239,7 +240,7 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
     data = rng.standard_normal((200, 8)) * rng.uniform(0.5, 2.0, size=8)
     labels = rng.integers(0, 5, size=200)
     result = class_spectrum_distance(
-        EmbeddingMatrix(data, modality="image", labels=labels)
+        per_class_covariances(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     dist = result.distances
     n = dist.shape[0]
@@ -255,8 +256,9 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
     labels = rng.integers(0, 40, size=700)
     m = EmbeddingMatrix(data, modality="image", labels=labels)
+    covs = per_class_covariances(m, trace_normalize_each=True)
     curves = []
-    for cov in per_class_covariances(m, trace_normalize_each=True).values():
+    for cov in covs.values():
         w = clamp_psd_eigenvalues(np.linalg.eigvalsh(cov.sigma), float(np.trace(cov.sigma)))
         vec = np.log10(np.maximum(w, LOG_FLOOR))
         curves.append(vec - vec.mean())
@@ -265,7 +267,7 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     expected = np.sqrt(np.mean(diff**2, axis=2))
     expected = (expected + expected.T) * 0.5
     np.fill_diagonal(expected, 0.0)
-    assert class_spectrum_distance(m).distances.tobytes() == expected.tobytes()
+    assert class_spectrum_distance(covs).distances.tobytes() == expected.tobytes()
 
 
 def test_class_spectrum_distance_raw_mode_differs():
@@ -273,8 +275,9 @@ def test_class_spectrum_distance_raw_mode_differs():
     data = rng.standard_normal((120, 6))
     labels = rng.integers(0, 3, size=120)
     m = EmbeddingMatrix(data, modality="image", labels=labels)
-    log_result = class_spectrum_distance(m, log_scale=True)
-    raw_result = class_spectrum_distance(m, log_scale=False)
+    covs = per_class_covariances(m)
+    log_result = class_spectrum_distance(covs, log_scale=True)
+    raw_result = class_spectrum_distance(covs, log_scale=False)
     assert not np.allclose(log_result.distances, raw_result.distances)
 
 
