@@ -17,6 +17,7 @@ from spectrune import (
     EmbeddingMatrix,
     Subspace,
     class_spectrum_distance,
+    decompose,
     per_class_covariances,
     per_class_overlap,
 )
@@ -40,8 +41,11 @@ for c in range(classes):
 
 data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labels))
 
-covs = per_class_covariances(data)  # trace-normalized, one per class
-overlaps = per_class_overlap(covs, Subspace(planted))
+# One trace-normalized covariance per class, each decomposed once; both
+# analyses below read the same per-class spectra.
+covs = per_class_covariances(data)
+spectra = {label: decompose(cov) for label, cov in covs.items()}
+overlaps = per_class_overlap(spectra, Subspace(planted))
 print(f"chance level p/d = {p / d:.3f}")
 print("per-class overlap with the planted span:")
 for label, value in sorted(overlaps.items()):
@@ -49,7 +53,7 @@ for label, value in sorted(overlaps.items()):
 
 # Per-class eigenvalue curves, compared after mean-centering in log space
 # (so global class rescalings cancel).
-distances = class_spectrum_distance(covs)
+distances = class_spectrum_distance(spectra)
 upper = distances.distances[np.triu_indices(classes, k=1)]
 print(
     f"\nRMS distance between mean-centered per-class log spectra: "

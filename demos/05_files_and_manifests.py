@@ -18,10 +18,10 @@ from spectrune import (
     DatasetManifest,
     EmbeddingMatrix,
     ManifestEntry,
-    iter_entries,
     load_array_file,
     load_label_file,
     load_manifest,
+    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -66,11 +66,16 @@ save_manifest(manifest, workdir / "manifest.json")
 print(f"\nmanifest written: {workdir / 'manifest.json'}")
 print((workdir / "manifest.json").read_text())
 
-# Loading resolves and validates paths, then streams matrices on demand.
+# Loading resolves and validates paths; opening an entry reads only its
+# header and labels, and its rows then stream in blocks.
 loaded = load_manifest(workdir / "manifest.json")
-for m in iter_entries(loaded, modality="image"):
-    tagged = "labeled" if m.labels is not None else "unlabeled"
-    print(f"  image shard: {m.n} rows x {m.d} cols, {tagged}")
+for entry in loaded.entries:
+    if entry.modality != "image":
+        continue
+    with open_entry(entry) as dump:
+        tagged = "labeled" if dump.labels is not None else "unlabeled"
+        rows = sum(block.n for block in dump.blocks())
+        print(f"  image shard: {rows} rows x {dump.d} cols, {tagged}")
 
 # Labeled shards split cleanly into per-class parts.
 parts = split_by_label(back)

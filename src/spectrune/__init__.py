@@ -66,9 +66,7 @@ from spectrune.store import (
     EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
-    iter_entries,
     load_array_file,
-    load_entry,
     load_label_file,
     load_manifest,
     open_entry,

@@ -54,6 +54,7 @@ from spectrune.errors import (
     IoError,
     NoKneeError,
     PreconditionError,
+    ShapeError,
     SpectruneError,
 )
 from spectrune.evaluation import (
@@ -214,9 +215,28 @@ def _accumulate_entry(
     return raw, ker
 
 
+def _check_widths(manifest: DatasetManifest) -> None:
+    """Every entry's width, read from its header before any payload is read
+    or any output is written, must be the first entry's.
+
+    Raises:
+        ShapeError: naming the first entry whose width differs.
+    """
+    width: int | None = None
+    for entry in manifest.entries:
+        with EmbeddingDump(entry.path) as dump:
+            if width is None:
+                width = dump.d
+            elif dump.d != width:
+                raise ShapeError(
+                    f"{entry.path}: width {dump.d} differs from manifest width {width}"
+                )
+
+
 def cmd_accumulate(args) -> int:
-    out = _out_dir(args)
     manifest = load_manifest(args.manifest)
+    _check_widths(manifest)
+    out = _out_dir(args)
     written: dict[str, dict] = {}
 
     parts = ordered_map(
@@ -462,6 +482,7 @@ def cmd_eval(args) -> int:
     )
 
     mean_delta: float | None = None
+    n_undefined: int | None = None
     pairs_img_path = _default(args.pairs_img, out, "pairs_img.npy")
     pairs_txt_path = _default(args.pairs_txt, out, "pairs_txt.npy")
     if pairs_img_path.is_file() and pairs_txt_path.is_file():
@@ -471,6 +492,7 @@ def cmd_eval(args) -> int:
             basis,
         )
         mean_delta = delta.mean_delta
+        n_undefined = delta.n_undefined
         _write_csv(
             out / "alignment_deltas.csv",
             ["pair", "delta"],
@@ -508,6 +530,7 @@ def cmd_eval(args) -> int:
                 "removed_dimensions": basis.p,
             },
             "baseline_top_k": baseline,
+            "alignment_pairs_undefined": n_undefined,
             "report": report.to_dict(),
             "ablation_summary": {
                 "mean": float(ablation.mean()),
@@ -538,16 +561,20 @@ def cmd_class_overlap(args) -> int:
     )
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
     covs = per_class_covariances(m)
-    overlaps = per_class_overlap(covs, basis, threads=args.threads)
+    del m  # the classes are grouped: the queries are no longer needed
+    labels = sorted(covs)
+    n_samples = {label: covs[label].n_samples for label in labels}
+    # each covariance is released as soon as it is decomposed, so all the
+    # covariances and all the spectra are never held at the same time
+    decomposed = ordered_map(lambda label: decompose(covs.pop(label)), labels, args.threads)
+    spectra = dict(zip(labels, decomposed))
+    overlaps = per_class_overlap(spectra, basis)
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
-        (
-            (label, covs[label].n_samples, _float_cell(value))
-            for label, value in sorted(overlaps.items())
-        ),
+        ((label, n_samples[label], _float_cell(overlaps[label])) for label in labels),
     )
-    distances = class_spectrum_distance(covs)
+    distances = class_spectrum_distance(spectra)
     _write_csv(
         out / "class_spectrum_distance.csv",
         ["label"] + [str(l) for l in distances.labels],

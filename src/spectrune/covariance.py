@@ -290,12 +290,10 @@ def kernel_covariance(m: EmbeddingMatrix) -> CovarianceMatrix:
     )
 
 
-def per_class_covariances(
-    m: EmbeddingMatrix, trace_normalize_each: bool = True
-) -> dict[int, CovarianceMatrix]:
-    """Covariance per class id, in ascending id order; classes with fewer
-    than 2 rows are skipped with a warning rather than an error. One class's
-    rows are copied at a time.
+def per_class_covariances(m: EmbeddingMatrix) -> dict[int, CovarianceMatrix]:
+    """Trace-normalized covariance per class id, in ascending id order;
+    classes with fewer than 2 rows are skipped with a warning rather than an
+    error. One class's rows are copied at a time.
 
     Raises:
         MissingLabelsError: the matrix carries no labels.
@@ -309,7 +307,7 @@ def per_class_covariances(
             )
             continue
         cov = covariance_of(part)
-        out[label] = normalize_trace(cov) if trace_normalize_each else cov
+        out[label] = normalize_trace(cov)
     return out
 
 

@@ -75,7 +75,8 @@ class AlignmentDeltaReport:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Serializable evaluation results."""
+    """Serializable evaluation results. A NaN ``mean_cos_delta`` (no pair
+    survived the projection) is reported as undefined, like None."""
 
     top_k_accuracy: float
     mean_cos_delta: float | None
@@ -94,7 +95,9 @@ class EvalReport:
         return {
             "top_k_accuracy": float(self.top_k_accuracy),
             "mean_cos_delta": (
-                None if self.mean_cos_delta is None else float(self.mean_cos_delta)
+                None
+                if self.mean_cos_delta is None or np.isnan(self.mean_cos_delta)
+                else float(self.mean_cos_delta)
             ),
             "ablation_samples": [float(a) for a in self.ablation_samples],
             "seed": int(self.seed),

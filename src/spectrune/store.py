@@ -374,30 +374,7 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
     write_json(path, doc)
 
 
-def load_entry(entry: ManifestEntry) -> EmbeddingMatrix:
-    labels = load_label_file(entry.labels) if entry.labels is not None else None
-    return load_array_file(entry.path, modality=entry.modality, labels=labels)
-
-
 def open_entry(entry: ManifestEntry) -> EmbeddingDump:
-    """The streamed counterpart of ``load_entry``."""
+    """The entry's dump with its labels, ready to stream."""
     labels = load_label_file(entry.labels) if entry.labels is not None else None
     return EmbeddingDump(entry.path, modality=entry.modality, labels=labels)
-
-
-def iter_entries(
-    manifest: DatasetManifest, modality: str | None = None
-) -> Iterator[EmbeddingMatrix]:
-    """Yield loaded matrices, enforcing a consistent width across entries."""
-    width: int | None = None
-    for entry in manifest.entries:
-        if modality is not None and entry.modality != modality:
-            continue
-        m = load_entry(entry)
-        if width is None:
-            width = m.d
-        elif m.d != width:
-            raise ShapeError(
-                f"{entry.path}: width {m.d} differs from manifest width {width}"
-            )
-        yield m

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spectrune.covariance import CovarianceMatrix, sidecar_path
+from spectrune.covariance import sidecar_path
 from spectrune.errors import (
     DimError,
     EmptySubspaceError,
@@ -22,15 +22,8 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
-from spectrune.spectral import (
-    LOG_FLOOR,
-    NoiseThreshold,
-    Spectrum,
-    clamp_psd_eigenvalues,
-    count_noise,
-    decompose,
-)
-from spectrune.store import EmbeddingMatrix, _frozen, ordered_map
+from spectrune.spectral import LOG_FLOOR, NoiseThreshold, Spectrum, count_noise
+from spectrune.store import EmbeddingMatrix, _frozen
 
 _ORTHO_TOL = 1e-8
 _COSINE_SLACK = 1e-8
@@ -182,32 +175,28 @@ def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def per_class_overlap(
-    covs: dict[int, CovarianceMatrix], global_noise: Subspace, threads: int = 1
+    spectra: dict[int, Spectrum], global_noise: Subspace
 ) -> dict[int, float]:
     """mSCSA between the global noise span and each class's own
     lowest-variance span of the same dimension.
 
-    ``covs`` maps class ids to covariances, as ``per_class_covariances``
-    builds them (trace-normalized, the global pipeline's convention).
-    Decompositions are independent per class, so ``threads`` only changes
-    wall time, not values or ordering.
+    ``spectra`` maps class ids to the decompositions of their covariances,
+    as ``per_class_covariances`` builds them (trace-normalized, the global
+    pipeline's convention).
 
     Raises:
-        DimError: a covariance's width differs from the subspace's.
+        DimError: a spectrum's width differs from the subspace's.
     """
-    for label, cov in covs.items():
-        if cov.d != global_noise.d:
+    for label, s in spectra.items():
+        if s.d != global_noise.d:
             raise DimError(
-                f"class {label} width {cov.d} != subspace width {global_noise.d}"
+                f"class {label} width {s.d} != subspace width {global_noise.d}"
             )
     k = global_noise.p
-
-    def one(label: int) -> float:
-        class_low = lowest_k_subspace(decompose(covs[label]), k)
-        return mscsa(class_low, global_noise).mscsa
-
-    labels = sorted(covs)
-    return dict(zip(labels, ordered_map(one, labels, threads)))
+    return {
+        label: mscsa(lowest_k_subspace(spectra[label], k), global_noise).mscsa
+        for label in sorted(spectra)
+    }
 
 
 @dataclass(frozen=True)
@@ -218,25 +207,18 @@ class ClassSpectrumDistances:
     distances: np.ndarray
 
 
-def class_spectrum_distance(
-    covs: dict[int, CovarianceMatrix],
-    log_scale: bool = True,
-    floor: float = LOG_FLOOR,
-) -> ClassSpectrumDistances:
-    """RMS distance between mean-centered per-class eigenvalue vectors.
+def class_spectrum_distance(spectra: dict[int, Spectrum]) -> ClassSpectrumDistances:
+    """RMS distance between mean-centered per-class log10 eigenvalue vectors.
 
-    ``covs`` maps class ids to covariances, as ``per_class_covariances``
-    builds them (trace-normalized, matching the global pipeline). Default
-    scale is log10 (mean-centering then cancels constant log-shifts, i.e.
-    global rescalings of a class); ``log_scale=False`` compares raw
-    eigenvalues instead.
+    ``spectra`` maps class ids to the same decompositions that
+    ``per_class_overlap`` takes. Mean-centering in log10 cancels constant
+    log-shifts, i.e. global rescalings of a class; eigenvalues below
+    ``LOG_FLOOR`` count as ``LOG_FLOOR``.
     """
-    labels = sorted(covs)
+    labels = sorted(spectra)
     curves: list[np.ndarray] = []
-    for cov in (covs[label] for label in labels):
-        w = np.linalg.eigvalsh(cov.sigma)
-        w = clamp_psd_eigenvalues(w, float(np.trace(cov.sigma)))
-        vec = np.log10(np.maximum(w, floor)) if log_scale else w
+    for label in labels:
+        vec = np.log10(np.maximum(spectra[label].eigenvalues, LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     # one row at a time: O(C * d) memory instead of a C x C x d broadcast

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spectrune.cli import main
-from spectrune.npy import FLOAT_DESCRS, read_npy
+from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy
+from spectrune.store import save_label_file
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,7 @@ def test_eval_report_contents(pipeline_dir):
     assert len(report["ablation_samples"]) == 40
     assert report["seed"] == 5
     assert report["mean_cos_delta"] > 0.0
+    assert doc["alignment_pairs_undefined"] == 0
     assert doc["ablation_summary"]["mean"] < doc["baseline_top_k"]
     with open(pipeline_dir / "ablation.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -178,6 +181,70 @@ def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_
         ])
     assert written[0] == written[1]
     assert written[0][0] == (pipeline_dir / "class_overlap.csv").read_bytes()
+
+
+def _class_overlap_argv(out, embeddings, labels, basis):
+    return ["class-overlap", "--out", str(out), "--embeddings", str(embeddings),
+            "--labels", str(labels), "--basis", str(basis)]
+
+
+def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(_class_overlap_argv(
+        tmp_path, pipeline_dir / "queries.npy", pipeline_dir / "queries_labels.npy",
+        pipeline_dir / "noise_basis.npy",
+    )) == 0
+    assert calls == {"eigh": 20, "eigvalsh": 0}
+
+
+def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
+    # tiny classes: the queries are small next to C covariances of d x d,
+    # so a peak near 2 * C * d^2 * 8 means covariances and spectra coexist
+    classes, per_class, d = 200, 3, 64
+    rng = np.random.default_rng(9)
+    queries = rng.standard_normal((classes * per_class, d))
+    write_npy(tmp_path / "queries.npy", queries)
+    save_label_file(np.repeat(np.arange(classes), per_class), tmp_path / "labels.npy")
+    basis, _ = np.linalg.qr(rng.standard_normal((d, 4)))
+    write_npy(tmp_path / "basis.npy", basis)
+    argv = _class_overlap_argv(
+        tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+    )
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * classes * d * d * 8 + queries.nbytes, peak
+
+
+def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
+    # every pair lies inside the noise span, so removing it leaves no pair
+    basis = read_npy(pipeline_dir / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
+    write_npy(tmp_path / "pairs_img.npy", basis.T)
+    write_npy(tmp_path / "pairs_txt.npy", basis.T * 2.0)
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3",
+            "--pairs-img", str(tmp_path / "pairs_img.npy"),
+            "--pairs-txt", str(tmp_path / "pairs_txt.npy")]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "eval_report.json").read_text())
+    assert doc["report"]["mean_cos_delta"] is None
+    assert doc["alignment_pairs_undefined"] == basis.shape[1]
+    with open(tmp_path / "alignment_deltas.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[1] for r in rows] == [""] * basis.shape[1]
 
 
 def test_synth_rerun_overwrites_identically(tmp_path):

@@ -335,3 +335,7 @@ def test_eval_report_validation():
     doc = report.to_dict()
     assert doc["mean_cos_delta"] is None
     assert doc["ablation_samples"] == [0.1, 0.9]
+    undefined = EvalReport(
+        top_k_accuracy=0.5, mean_cos_delta=float("nan"), ablation_samples=[], seed=3
+    )
+    assert undefined.to_dict()["mean_cos_delta"] is None

@@ -24,10 +24,10 @@ from spectrune.store import (
     EmbeddingMatrix,
     ManifestEntry,
     iter_classes,
-    iter_entries,
     load_array_file,
     load_label_file,
     load_manifest,
+    open_entry,
     save_array_file,
     save_label_file,
     ordered_map,
@@ -209,11 +209,14 @@ def test_manifest_loads_and_iterates(tmp_path):
     manifest = load_manifest(_write_dataset(tmp_path))
     assert manifest.name == "demo"
     assert len(manifest.entries) == 2
-    images = list(iter_entries(manifest, modality="image"))
-    assert len(images) == 1
-    assert images[0].labels is not None
-    everything = list(iter_entries(manifest))
-    assert [m.modality for m in everything] == ["image", "text"]
+    assert [e.modality for e in manifest.entries] == ["image", "text"]
+    for entry, rows in zip(manifest.entries, (10, 8)):
+        with open_entry(entry) as dump:
+            assert (dump.n, dump.d) == (rows, 4)
+            assert (dump.labels is not None) == (entry.modality == "image")
+            blocks = list(dump.blocks())
+        assert [b.modality for b in blocks] == [entry.modality]
+        assert blocks[0].n == rows
 
 
 def test_manifest_missing_file(tmp_path):
@@ -239,25 +242,6 @@ def test_manifest_rejects_bad_json_and_schema(tmp_path):
     )
     with pytest.raises(FormatError, match="modality"):
         load_manifest(path)
-
-
-def test_iter_entries_enforces_consistent_width(tmp_path):
-    write_npy(tmp_path / "a.npy", np.ones((3, 4)))
-    write_npy(tmp_path / "b.npy", np.ones((3, 5)))
-    path = tmp_path / "manifest.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": "x",
-                "entries": [
-                    {"path": "a.npy", "modality": "image"},
-                    {"path": "b.npy", "modality": "image"},
-                ],
-            }
-        )
-    )
-    with pytest.raises(ShapeError, match="width"):
-        list(iter_entries(load_manifest(path)))
 
 
 def test_save_manifest_round_trip(tmp_path):

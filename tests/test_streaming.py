@@ -171,11 +171,18 @@ def test_failed_project_leaves_no_partial_output(tmp_path):
     assert (tmp_path / "clean.npy").read_bytes() == b"previous"
 
 
-def test_accumulate_rejects_entries_of_different_widths(tmp_path):
+def test_accumulate_rejects_entries_of_different_widths(tmp_path, capsys):
+    # the widths come from the headers: no payload is folded and no output
+    # is written before the mismatch is found, whatever the modalities
     rng = np.random.default_rng(8)
-    manifest = _write_manifest(
-        tmp_path,
-        {"a.npy": ("image", rng.standard_normal((5, 4))), "b.npy": ("image", rng.standard_normal((5, 3)))},
-    )
-    assert main(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path)]) == 1
-    assert not list(tmp_path.glob("sigma_*"))
+    for second in ("image", "text"):
+        run = tmp_path / second
+        run.mkdir()
+        manifest = _write_manifest(
+            run,
+            {"a.npy": ("image", rng.standard_normal((5, 16))), "b.npy": (second, rng.standard_normal((5, 32)))},
+        )
+        assert main(["accumulate", "--manifest", str(manifest), "--out", str(run)]) == ShapeError.exit_code
+        assert f"{run / 'b.npy'}: width 32 differs from manifest width 16" in capsys.readouterr().err
+        assert not list(run.glob("sigma_*"))
+        assert not (run / "accumulate.json").exists()

@@ -13,7 +13,7 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
-from spectrune.spectral import LOG_FLOOR, clamp_psd_eigenvalues, decompose, fixed_threshold
+from spectrune.spectral import LOG_FLOOR, decompose, fixed_threshold
 from spectrune.store import EmbeddingMatrix
 from spectrune.subspaces import (
     Subspace,
@@ -194,20 +194,17 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
     return m, Subspace(noise)
 
 
+def class_spectra(m):
+    """Each class's trace-normalized covariance, decomposed once."""
+    return {label: decompose(cov) for label, cov in per_class_covariances(m).items()}
+
+
 def test_per_class_overlap_on_planted_null_space():
     m, planted = _planted_class_data(seed=45)
-    overlaps = per_class_overlap(per_class_covariances(m), planted)
+    overlaps = per_class_overlap(class_spectra(m), planted)
     assert set(overlaps) == {0, 1, 2}
     for value in overlaps.values():
         assert value == pytest.approx(1.0, abs=1e-8)
-
-
-def test_per_class_overlap_is_thread_invariant():
-    m, planted = _planted_class_data(seed=52, classes=5)
-    covs = per_class_covariances(m)
-    serial = per_class_overlap(covs, planted, threads=1)
-    threaded = per_class_overlap(covs, planted, threads=4)
-    assert serial == threaded
 
 
 def test_per_class_overlap_requires_labels_and_matching_width():
@@ -216,7 +213,7 @@ def test_per_class_overlap_requires_labels_and_matching_width():
     with pytest.raises(MissingLabelsError):
         per_class_covariances(unlabeled)
     with pytest.raises(DimError):
-        per_class_overlap(per_class_covariances(m), axes(4, [0]))
+        per_class_overlap(class_spectra(m), axes(4, [0]))
 
 
 def test_class_spectrum_distance_identical_and_scaled_classes():
@@ -225,7 +222,7 @@ def test_class_spectrum_distance_identical_and_scaled_classes():
     data = np.vstack([block, block, block * 10.0])
     labels = np.array([0] * 30 + [1] * 30 + [2] * 30)
     result = class_spectrum_distance(
-        per_class_covariances(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     assert result.labels == (0, 1, 2)
     assert np.allclose(np.diag(result.distances), 0.0)
@@ -240,7 +237,7 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
     data = rng.standard_normal((200, 8)) * rng.uniform(0.5, 2.0, size=8)
     labels = rng.integers(0, 5, size=200)
     result = class_spectrum_distance(
-        per_class_covariances(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     dist = result.distances
     n = dist.shape[0]
@@ -255,30 +252,17 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     rng = np.random.default_rng(51)
     data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
     labels = rng.integers(0, 40, size=700)
-    m = EmbeddingMatrix(data, modality="image", labels=labels)
-    covs = per_class_covariances(m, trace_normalize_each=True)
+    spectra = class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
     curves = []
-    for cov in covs.values():
-        w = clamp_psd_eigenvalues(np.linalg.eigvalsh(cov.sigma), float(np.trace(cov.sigma)))
-        vec = np.log10(np.maximum(w, LOG_FLOOR))
+    for s in spectra.values():
+        vec = np.log10(np.maximum(s.eigenvalues, LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     diff = stack[:, None, :] - stack[None, :, :]
     expected = np.sqrt(np.mean(diff**2, axis=2))
     expected = (expected + expected.T) * 0.5
     np.fill_diagonal(expected, 0.0)
-    assert class_spectrum_distance(covs).distances.tobytes() == expected.tobytes()
-
-
-def test_class_spectrum_distance_raw_mode_differs():
-    rng = np.random.default_rng(49)
-    data = rng.standard_normal((120, 6))
-    labels = rng.integers(0, 3, size=120)
-    m = EmbeddingMatrix(data, modality="image", labels=labels)
-    covs = per_class_covariances(m)
-    log_result = class_spectrum_distance(covs, log_scale=True)
-    raw_result = class_spectrum_distance(covs, log_scale=False)
-    assert not np.allclose(log_result.distances, raw_result.distances)
+    assert class_spectrum_distance(spectra).distances.tobytes() == expected.tobytes()
 
 
 def test_subspace_save_load_round_trip(tmp_path):
