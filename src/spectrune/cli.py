@@ -54,7 +54,6 @@ from spectrune.errors import (
     IoError,
     NoKneeError,
     PreconditionError,
-    ShapeError,
     SpectruneError,
 )
 from spectrune.evaluation import (
@@ -80,6 +79,7 @@ from spectrune.store import (
     DatasetManifest,
     EmbeddingDump,
     ManifestEntry,
+    check_widths,
     load_array_file,
     load_label_file,
     load_manifest,
@@ -215,27 +215,9 @@ def _accumulate_entry(
     return raw, ker
 
 
-def _check_widths(manifest: DatasetManifest) -> None:
-    """Every entry's width, read from its header before any payload is read
-    or any output is written, must be the first entry's.
-
-    Raises:
-        ShapeError: naming the first entry whose width differs.
-    """
-    width: int | None = None
-    for entry in manifest.entries:
-        with EmbeddingDump(entry.path) as dump:
-            if width is None:
-                width = dump.d
-            elif dump.d != width:
-                raise ShapeError(
-                    f"{entry.path}: width {dump.d} differs from manifest width {width}"
-                )
-
-
 def cmd_accumulate(args) -> int:
     manifest = load_manifest(args.manifest)
-    _check_widths(manifest)
+    check_widths(manifest)
     out = _out_dir(args)
     written: dict[str, dict] = {}
 

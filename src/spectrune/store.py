@@ -374,6 +374,24 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
     write_json(path, doc)
 
 
+def check_widths(manifest: DatasetManifest) -> None:
+    """Every entry's width, read from its header before any payload is read
+    or any output is written, must be the first entry's.
+
+    Raises:
+        ShapeError: naming the first entry whose width differs.
+    """
+    width: int | None = None
+    for entry in manifest.entries:
+        with EmbeddingDump(entry.path) as dump:
+            if width is None:
+                width = dump.d
+            elif dump.d != width:
+                raise ShapeError(
+                    f"{entry.path}: width {dump.d} differs from manifest width {width}"
+                )
+
+
 def open_entry(entry: ManifestEntry) -> EmbeddingDump:
     """The entry's dump with its labels, ready to stream."""
     labels = load_label_file(entry.labels) if entry.labels is not None else None

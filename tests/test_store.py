@@ -23,6 +23,7 @@ from spectrune.store import (
     DatasetManifest,
     EmbeddingMatrix,
     ManifestEntry,
+    check_widths,
     iter_classes,
     load_array_file,
     load_label_file,
@@ -242,6 +243,25 @@ def test_manifest_rejects_bad_json_and_schema(tmp_path):
     )
     with pytest.raises(FormatError, match="modality"):
         load_manifest(path)
+
+
+def test_iter_entries_enforces_consistent_width(tmp_path):
+    write_npy(tmp_path / "a.npy", np.ones((3, 4)))
+    write_npy(tmp_path / "b.npy", np.ones((3, 5)))
+    path = tmp_path / "manifest.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "x",
+                "entries": [
+                    {"path": "a.npy", "modality": "image"},
+                    {"path": "b.npy", "modality": "image"},
+                ],
+            }
+        )
+    )
+    with pytest.raises(ShapeError, match="b.npy: width 5 differs from manifest width 4"):
+        check_widths(load_manifest(path))
 
 
 def test_save_manifest_round_trip(tmp_path):
