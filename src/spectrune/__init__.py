@@ -44,7 +44,6 @@ from spectrune.evaluation import (
     SyntheticBenchmark,
     ZeroShotTask,
     alignment_delta,
-    haar_random_ablation,
     random_ablation,
     rank_activations,
     synth_benchmark,
@@ -79,7 +78,6 @@ from spectrune.subspaces import (
     ClassSpectrumDistances,
     OverlapReport,
     Subspace,
-    apply_projection,
     apply_removal,
     class_spectrum_distance,
     load_subspace,

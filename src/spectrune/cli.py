@@ -60,6 +60,7 @@ from spectrune.evaluation import (
     EvalReport,
     ZeroShotTask,
     alignment_delta,
+    projected_undefined,
     random_ablation,
     rank_activations,
     synth_benchmark,
@@ -460,7 +461,7 @@ def cmd_eval(args) -> int:
     noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
     ablation = random_ablation(
         task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
-        threads=args.threads,
+        threads=args.threads, project_prototypes=not args.query_only,
     )
 
     mean_delta: float | None = None
@@ -513,6 +514,7 @@ def cmd_eval(args) -> int:
             },
             "baseline_top_k": baseline,
             "alignment_pairs_undefined": n_undefined,
+            "projected_undefined": projected_undefined(task, basis, not args.query_only),
             "report": report.to_dict(),
             "ablation_summary": {
                 "mean": float(ablation.mean()),
@@ -543,9 +545,10 @@ def cmd_class_overlap(args) -> int:
     )
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
     covs = per_class_covariances(m)
+    # every class gets a row; one under 2 rows has no covariance and no mscsa
+    ids, counts = np.unique(m.labels, return_counts=True)
     del m  # the classes are grouped: the queries are no longer needed
     labels = sorted(covs)
-    n_samples = {label: covs[label].n_samples for label in labels}
     # each covariance is released as soon as it is decomposed, so all the
     # covariances and all the spectra are never held at the same time
     decomposed = ordered_map(lambda label: decompose(covs.pop(label)), labels, args.threads)
@@ -554,7 +557,8 @@ def cmd_class_overlap(args) -> int:
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
-        ((label, n_samples[label], _float_cell(overlaps[label])) for label in labels),
+        ((label, n, _float_cell(overlaps[label]) if label in overlaps else "")
+         for label, n in zip(ids.tolist(), counts.tolist())),
     )
     distances = class_spectrum_distance(spectra)
     _write_csv(

@@ -9,21 +9,21 @@ runs of the same seed produce identical results down to the byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from spectrune.covariance import normalize_rows
-from spectrune.errors import (
-    DimError,
-    PreconditionError,
-)
+from spectrune.errors import DimError, PreconditionError
+from spectrune.npy import BLOCK_ROWS
 from spectrune.spectral import Spectrum
 from spectrune.store import EmbeddingDump, EmbeddingMatrix, ordered_map
 from spectrune.subspaces import Subspace, remove_component
 
 # projected vectors shorter than this have no defined cosine
 NORM_EPS = 1e-12
+# under this share of |x|^2, |x|^2 - |x B|^2 may be cancellation roundoff (~1e-8
+# for a unit row inside span(B)); the residual x - (x B) B^T gives ~1e-16 there
+CANCEL_SHARE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,25 +104,71 @@ class EvalReport:
         }
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Scale rows to unit norm; zero rows stay zero (cosine 0 everywhere)."""
-    norms = np.linalg.norm(x, axis=1)
-    return x / np.where(norms == 0.0, 1.0, norms)[:, None]
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
 
 
-def _topk_hits(
-    queries: np.ndarray,
-    true_labels: np.ndarray,
-    protos: np.ndarray,
-    proto_labels: np.ndarray,
-    k: int,
-) -> float:
-    """Core scorer. Prototypes must already be sorted by ascending class id
-    so that the stable argsort breaks similarity ties toward smaller ids."""
-    sims = _unit_rows(queries) @ _unit_rows(protos).T
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    hits = (proto_labels[top] == true_labels[:, None]).any(axis=1)
-    return float(hits.mean())
+def _inverse_norms(sq_norms: np.ndarray) -> np.ndarray:
+    """1 / norm; 0 for a norm below ``NORM_EPS``, scored as the zero vector."""
+    norms = np.sqrt(sq_norms)
+    return np.where(norms < NORM_EPS, 0.0, 1.0 / np.maximum(norms, NORM_EPS))
+
+
+def _project(x, x_sq, basis, zx=None) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``zx = x B`` in the orthonormal basis B of a removed span
+    and the projected squared norms ``|x|^2 - |zx|^2``, which rows keeping
+    under ``CANCEL_SHARE`` of ``|x|^2`` take from the residual instead."""
+    zx = x @ basis if zx is None else zx
+    sq = x_sq - _sq_norms(zx)
+    close = sq < CANCEL_SHARE * x_sq
+    sq[close] = _sq_norms(x[close] - zx[close] @ basis.T)
+    return zx, sq
+
+
+def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
+    """Rows with fewer than k columns above their true column, a tie counting
+    as above only for an earlier column (a smaller class id): a stable
+    descending sort's top k, counted instead of sorted."""
+    true = scores[np.arange(scores.shape[0]), true_col][:, None]
+    at_least = np.count_nonzero(scores >= true, axis=1)  # every tie as above
+    unsure = np.flatnonzero(at_least > k)
+    later = np.arange(scores.shape[1]) > true_col[unsure, None]
+    at_least[unsure] -= np.count_nonzero((scores[unsure] == true[unsure]) & later, axis=1)
+    return int(np.count_nonzero(at_least <= k))
+
+
+def _scorer(task: ZeroShotTask, rotation: np.ndarray | None = None):
+    """``score(basis, project_prototypes=True, cols=None)``: top-k accuracy
+    with the span of the orthonormal ``basis`` removed from the queries and,
+    optionally, the prototypes. Either way a projected query's dot products
+    are ``Q P^T - (Q B)(P B)^T``; only the prototype norms differ. With a
+    ``rotation`` V, ``Q P^T`` and ``(Q V)^T`` are held, and a basis given as
+    columns ``cols`` of V scores in O(nq nc p)."""
+    if task.queries.n < 1:
+        raise PreconditionError("no queries to score")
+    order = np.argsort(task.class_prototypes.labels)
+    q, p = task.queries.data, task.class_prototypes.data[order]
+    q_sq, p_sq = _sq_norms(q), _sq_norms(p)
+    true_col = np.searchsorted(task.class_prototypes.labels[order], task.queries.labels)
+    g, zq_t = (None, None) if rotation is None else (q @ p.T, rotation.T @ q.T)
+
+    def score(basis: np.ndarray, project_prototypes: bool = True, cols=None) -> float:
+        zp, p_proj_sq = _project(p, p_sq, basis)
+        inv_pn = _inverse_norms(p_proj_sq if project_prototypes else p_sq)
+        out = np.empty((min(BLOCK_ROWS, q.shape[0]), p.shape[0]))
+        hits = 0
+        for lo in range(0, q.shape[0], BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            zq = None if cols is None else zq_t[cols, rows].T
+            zq, q_proj_sq = _project(q[rows], q_sq[rows], basis, zq)
+            scores = np.matmul(zq, zp.T, out=out[: zq.shape[0]])
+            np.subtract(q[rows] @ p.T if g is None else g[rows], scores, out=scores)
+            scores *= inv_pn  # a query's own norm would scale its row: no rank moves
+            scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
+            hits += _hits(scores, true_col[rows], task.k)
+        return hits / q.shape[0]
+
+    return score
 
 
 def zero_shot_topk(
@@ -136,21 +182,23 @@ def zero_shot_topk(
 
     ``noise``, when given, is removed from the queries and (by default)
     the prototypes before scoring; ``None`` is the unprojected baseline.
+    A vector projected below norm ``NORM_EPS`` is scored as the zero vector.
     """
-    if task.queries.n < 1:
-        raise PreconditionError("no queries to score")
-    q = task.queries.data
-    p = task.class_prototypes.data
-    if noise is not None:
-        if noise.d != task.d:
-            raise DimError(f"subspace width {noise.d} does not match d={task.d}")
-        q = remove_component(q, noise.basis)
-        if project_prototypes:
-            p = remove_component(p, noise.basis)
-    order = np.argsort(task.class_prototypes.labels)
-    return _topk_hits(
-        q, task.queries.labels, p[order], task.class_prototypes.labels[order], task.k
-    )
+    if noise is not None and noise.d != task.d:
+        raise DimError(f"subspace width {noise.d} does not match d={task.d}")
+    basis = np.zeros((task.d, 0)) if noise is None else noise.basis
+    return _scorer(task)(basis, project_prototypes)
+
+
+def projected_undefined(
+    task: ZeroShotTask, noise: Subspace, project_prototypes: bool = True
+) -> int:
+    """Projected vectors that ``zero_shot_topk(task, noise,
+    project_prototypes)`` scores as the zero vector."""
+    parts = [task.class_prototypes.data] if project_prototypes else []
+    parts += [task.queries.data[i : i + BLOCK_ROWS] for i in range(0, task.queries.n, BLOCK_ROWS)]
+    sq = np.concatenate([_project(x, _sq_norms(x), noise.basis)[1] for x in parts])
+    return int(np.count_nonzero(_inverse_norms(sq) == 0.0))
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,39 +259,6 @@ def _orthonormal(a: np.ndarray) -> np.ndarray:
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
-def _ablate(
-    task: ZeroShotTask,
-    p: int,
-    trials: int,
-    seed: int,
-    threads: int,
-    draw: Callable[[np.random.Generator], np.ndarray],
-) -> np.ndarray:
-    """Accuracy after removing the span of ``draw(trial_rng(seed, t))``, a
-    d-by-p orthonormal basis, from queries and prototypes, for each trial
-    t; ordered by trial index whatever the thread count."""
-    if trials < 1:
-        raise PreconditionError(f"need trials >= 1, got {trials}")
-    if not 1 <= p < task.d:
-        raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
-
-    order = np.argsort(task.class_prototypes.labels)
-    protos = task.class_prototypes.data[order]
-    proto_labels = task.class_prototypes.labels[order]
-
-    def run_trial(t: int) -> float:
-        sub = draw(trial_rng(seed, t))
-        return _topk_hits(
-            remove_component(task.queries.data, sub),
-            task.queries.labels,
-            remove_component(protos, sub),
-            proto_labels,
-            task.k,
-        )
-
-    return np.asarray(ordered_map(run_trial, range(trials), threads), dtype=np.float64)
-
-
 def random_ablation(
     task: ZeroShotTask,
     spectrum: Spectrum,
@@ -251,38 +266,30 @@ def random_ablation(
     trials: int,
     seed: int,
     threads: int = 1,
+    project_prototypes: bool = True,
 ) -> np.ndarray:
     """Accuracy distribution when p random eigenvector directions are
     removed, repeated over seeded trials.
 
-    Each trial samples p distinct columns of the spectrum's eigenvector
-    basis without replacement, removes their span from queries and
-    prototypes, and rescores. Returns one accuracy per trial, ordered by
-    trial index.
-    """
+    Trial t samples p distinct columns of the spectrum's eigenvector basis
+    V from ``trial_rng(seed, t)`` without replacement, removes their span
+    from the queries and (by default) the prototypes, and rescores; one
+    accuracy per trial, in trial order whatever the thread count. A trial
+    is a rank-p update of ``Q P^T`` and ``Q V``, computed once: O(nq nc p)."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
-    basis = spectrum.eigenvectors
-    return _ablate(
-        task, p, trials, seed, threads,
-        lambda rng: basis[:, np.sort(rng.choice(task.d, size=p, replace=False))],
-    )
+    if trials < 1:
+        raise PreconditionError(f"need trials >= 1, got {trials}")
+    if not 1 <= p < task.d:
+        raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
+    vecs = spectrum.eigenvectors
+    score = _scorer(task, rotation=vecs)
 
+    def run_trial(t: int) -> float:
+        cols = np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False))
+        return score(vecs[:, cols], project_prototypes, cols)
 
-def haar_random_ablation(
-    task: ZeroShotTask,
-    p: int,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> np.ndarray:
-    """Variant that removes Haar-random p-dimensional subspaces (QR of a
-    seeded Gaussian matrix) instead of eigenvector columns. Explicitly not
-    the headline ablation; provided for robustness studies."""
-    return _ablate(
-        task, p, trials, seed, threads,
-        lambda rng: _orthonormal(rng.standard_normal((task.d, p))),
-    )
+    return np.asarray(ordered_map(run_trial, range(trials), threads), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -400,7 +407,8 @@ def synth_benchmark(
             raise PreconditionError(f"gap must have shape ({d},), got {gap.shape}")
         img = img + gap
 
-    protos = _unit_rows(rng.standard_normal((n_classes, d - p))) @ signal_basis.T
+    protos = rng.standard_normal((n_classes, d - p))
+    protos = (protos / np.linalg.norm(protos, axis=1)[:, None]) @ signal_basis.T
     n_queries = n_classes * queries_per_class
     query_labels = np.repeat(np.arange(n_classes), queries_per_class)
     jitter = rng.standard_normal((n_queries, d - p)) * (
@@ -423,7 +431,8 @@ def synth_benchmark(
         k=k,
     )
 
-    shared = _unit_rows(rng.standard_normal((n_pairs, d - p))) @ signal_basis.T
+    shared = rng.standard_normal((n_pairs, d - p))
+    shared = (shared / np.linalg.norm(shared, axis=1)[:, None]) @ signal_basis.T
     pair_noise_scale = pair_noise / np.sqrt(p)
     pairs_img = shared + (
         rng.standard_normal((n_pairs, p)) * pair_noise_scale

@@ -155,20 +155,9 @@ def remove_component(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x - (x @ basis) @ basis.T
 
 
-def apply_projection(p: np.ndarray, m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Map every row through an explicit d-by-d projection matrix (the
-    reference for ``apply_removal``)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimError(f"projection must be square, got shape {p.shape}")
-    if p.shape[0] != m.d:
-        raise DimError(f"projection width {p.shape[0]} != embedding width {m.d}")
-    return m.with_data(m.data @ p.T, source_suffix="|projected")
-
-
 def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Factored application of the removal projection; agrees with
-    apply_projection(projection_remove(v), m) to within 1e-12."""
+    """Factored application of the removal projection; agrees with the
+    explicit ``m.data @ projection_remove(v)`` to within 1e-12."""
     if v.d != m.d:
         raise DimError(f"subspace width {v.d} != embedding width {m.d}")
     return m.with_data(remove_component(m.data, v.basis), source_suffix="|projected")

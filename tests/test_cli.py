@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 from spectrune.cli import main
+from spectrune.covariance import load_covariance
+from spectrune.evaluation import trial_rng
 from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy
+from spectrune.spectral import decompose
 from spectrune.store import save_label_file
+from spectrune.subspaces import remove_component
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +169,57 @@ def test_eval_query_only_keeps_baseline_accuracy(pipeline_dir, tmp_path):
     assert doc["report"]["top_k_accuracy"] == doc["baseline_top_k"]
 
 
+def _direct_topk(queries, qlabels, protos, plabels, k):
+    """Unit rows, every cosine, a stable descending argsort per query."""
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    order = np.argsort(plabels)
+    top = np.argsort(-(unit(queries) @ unit(protos[order]).T), axis=1, kind="stable")
+    return float((plabels[order][top[:, :k]] == qlabels[:, None]).any(axis=1).mean())
+
+
+def test_eval_query_only_ablation_removes_the_span_from_queries_only(pipeline_dir, tmp_path):
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "4",
+            "--top-k", "5", "--query-only"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "eval_report.json").read_text())
+    assert doc["projected_undefined"] == 0
+
+    queries = np.load(pipeline_dir / "queries.npy")
+    qlabels = np.load(pipeline_dir / "queries_labels.npy")
+    protos = np.load(pipeline_dir / "prototypes.npy")
+    plabels = np.load(pipeline_dir / "prototypes_labels.npy")
+    vecs = decompose(load_covariance(pipeline_dir / "sigma_average.npy")).eigenvectors
+    p = np.load(pipeline_dir / "noise_basis.npy").shape[1]
+    expected = []
+    for t in range(4):
+        sub = vecs[:, np.sort(trial_rng(5, t).choice(vecs.shape[0], size=p, replace=False))]
+        expected.append(_direct_topk(remove_component(queries, sub), qlabels, protos, plabels, 5))
+    assert doc["report"]["ablation_samples"] == expected
+
+
+def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path):
+    rng = np.random.default_rng(10)
+    labels = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
+    write_npy(tmp_path / "queries.npy", rng.standard_normal((labels.size, 3)))
+    save_label_file(labels, tmp_path / "labels.npy")
+    write_npy(tmp_path / "basis.npy", np.eye(3)[:, [2]])
+    with pytest.warns(UserWarning, match="class 1 has 1 sample"):
+        assert main(_class_overlap_argv(
+            tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+        )) == 0
+    with open(tmp_path / "class_overlap.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[:2] for r in rows] == [["0", "4"], ["1", "1"], ["2", "4"]]
+    assert rows[1][2] == ""
+    assert all(0.0 <= float(r[2]) <= 1.0 for r in (rows[0], rows[2]))
+
+
 def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path):
     written = []
     for threads in ("1", "2"):
@@ -242,6 +297,7 @@ def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
     doc = json.loads((tmp_path / "eval_report.json").read_text())
     assert doc["report"]["mean_cos_delta"] is None
     assert doc["alignment_pairs_undefined"] == basis.shape[1]
+    assert doc["projected_undefined"] == 0
     with open(tmp_path / "alignment_deltas.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [r[1] for r in rows] == [""] * basis.shape[1]

@@ -13,18 +13,20 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.evaluation import (
+    NORM_EPS,
     EvalReport,
     ZeroShotTask,
     alignment_delta,
-    haar_random_ablation,
+    projected_undefined,
     random_ablation,
     rank_activations,
     synth_benchmark,
     zero_shot_topk,
 )
+from spectrune.npy import BLOCK_ROWS
 from spectrune.spectral import decompose, log_spectrum, detect_knee
 from spectrune.store import EmbeddingMatrix
-from spectrune.subspaces import Subspace
+from spectrune.subspaces import Subspace, remove_component
 from spectrune.evaluation import trial_rng
 
 
@@ -211,12 +213,154 @@ def test_random_ablation_preconditions():
         random_ablation(task, spectrum, p=1, trials=0, seed=0)
 
 
-def test_haar_ablation_runs_and_is_deterministic():
-    task, _ = _signal_on_one_axis_task()
-    a = haar_random_ablation(task, p=1, trials=20, seed=3)
-    b = haar_random_ablation(task, p=1, trials=20, seed=3, threads=2)
-    assert np.array_equal(a, b)
-    assert ((0.0 <= a) & (a <= 1.0)).all()
+def reference_topk(queries, qlabels, protos, plabels, k):
+    """The direct scorer: unit rows, every cosine, then a stable descending
+    argsort of each row, prototypes sorted by class id for the tie-break."""
+
+    def unit(x):
+        norms = np.linalg.norm(x, axis=1)
+        return x / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+    order = np.argsort(plabels)
+    sims = unit(queries) @ unit(protos[order]).T
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return float((np.asarray(plabels)[order][top] == qlabels[:, None]).any(axis=1).mean())
+
+
+def reference_ablation(task, spectrum, p, trials, seed, project_prototypes=True):
+    """Trial t by direct removal of the sampled eigenvector columns."""
+    protos = task.class_prototypes.data
+    accs = []
+    for t in range(trials):
+        cols = np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False))
+        sub = spectrum.eigenvectors[:, cols]
+        accs.append(reference_topk(
+            remove_component(task.queries.data, sub),
+            task.queries.labels,
+            remove_component(protos, sub) if project_prototypes else protos,
+            task.class_prototypes.labels,
+            task.k,
+        ))
+    return np.array(accs)
+
+
+def _random_spectrum(rng, d):
+    a = rng.standard_normal((d, d)) * np.geomspace(1.0, 1e-3, d)
+    sigma = a @ a.T
+    return decompose(
+        CovarianceMatrix((sigma + sigma.T) / 2.0, n_samples=10 * d, modality="image")
+    )
+
+
+def test_low_rank_scores_match_direct_removal_reference():
+    rng = np.random.default_rng(67)
+    cases = [
+        # (classes, queries, d, k, duplicated prototype pairs)
+        (12, 2 * BLOCK_ROWS + 3, 16, 3, 0),
+        (9, 300, 12, 9, 0),  # k = nc: every query hits
+        (15, 400, 10, 4, 3),  # exact ties between duplicate prototypes
+    ]
+    for n_classes, n_queries, d, k, dups in cases:
+        protos = rng.standard_normal((n_classes, d))
+        for i in range(dups):
+            protos[n_classes - 1 - i] = protos[i]
+        plabels = rng.permutation(3 * n_classes)[:n_classes]
+        qlabels = rng.choice(plabels, size=n_queries)
+        # queries near their class, so that removals change some rankings
+        own = protos[[int(np.flatnonzero(plabels == label)[0]) for label in qlabels]]
+        queries = own + 0.8 * rng.standard_normal((n_queries, d))
+        task = make_task(protos, plabels, queries, qlabels, k)
+        spectrum = _random_spectrum(rng, d)
+        noise = Subspace(spectrum.eigenvectors[:, :3])
+        assert zero_shot_topk(task) == reference_topk(queries, qlabels, protos, plabels, k)
+        for project in (True, False):
+            assert zero_shot_topk(task, noise, project) == reference_topk(
+                remove_component(queries, noise.basis),
+                qlabels,
+                remove_component(protos, noise.basis) if project else protos,
+                plabels,
+                k,
+            )
+            expected = reference_ablation(task, spectrum, 4, 12, 5, project)
+            for threads in (1, 2):
+                got = random_ablation(task, spectrum, 4, 12, 5, threads, project)
+                assert np.array_equal(got, expected)
+        if k == n_classes:
+            assert zero_shot_topk(task) == 1.0
+        if dups:
+            # a duplicate ties its twin exactly, and the smaller id takes
+            # the only top-1 slot: queries of the larger ids never hit
+            larger = [max(plabels[i], plabels[n_classes - 1 - i]) for i in range(dups)]
+            mask = np.isin(qlabels, larger)
+            losers = make_task(protos, plabels, queries[mask], qlabels[mask], 1)
+            assert zero_shot_topk(losers) == 0.0
+            assert not random_ablation(losers, spectrum, 4, 12, 5).any()
+
+
+def _span_task(rng, basis, k):
+    """Random task whose queries 1 and 3 and prototype 2 lie inside span(basis)."""
+    d = basis.shape[0]
+    protos = rng.standard_normal((5, d))
+    queries = rng.standard_normal((6, d))
+    for rows, i in ((queries, 1), (queries, 3), (protos, 2)):
+        inside = basis @ rng.standard_normal(basis.shape[1])
+        rows[i] = inside * (2.26 / np.linalg.norm(inside))
+    return make_task(protos, np.arange(5), queries, np.array([4, 0, 1, 4, 2, 3]), k)
+
+
+def _zeroed_below_eps(x):
+    x = x.copy()
+    x[np.linalg.norm(x, axis=1) < NORM_EPS] = 0.0
+    return x
+
+
+def test_vectors_inside_the_removed_span_score_as_zero_vectors():
+    rng = np.random.default_rng(68)
+    d = 16
+    basis = np.linalg.qr(rng.standard_normal((d, 4)))[0]  # not axis-aligned
+    task = _span_task(rng, basis, k=2)
+    q = remove_component(task.queries.data, basis)
+    p = remove_component(task.class_prototypes.data, basis)
+    # the direct removal leaves at most roundoff in the spanned rows
+    assert np.linalg.norm(q[[1, 3]], axis=1).max() < NORM_EPS
+    expected = brute_force_topk(
+        _zeroed_below_eps(q), task.queries.labels, _zeroed_below_eps(p), np.arange(5), 2
+    )
+    noise = Subspace(basis)
+    assert zero_shot_topk(task, noise) == expected
+    # with every cosine 0, the id tie-break puts classes 0 and 1 in the top
+    # 2: query 1 (class 0) hits and query 3 (class 4) misses
+    for i, hit in ((1, 1.0), (3, 0.0)):
+        alone = make_task(task.class_prototypes.data, np.arange(5),
+                          task.queries.data[[i]], task.queries.labels[[i]], 2)
+        assert zero_shot_topk(alone, noise) == hit
+    assert projected_undefined(task, noise) == 3
+    assert projected_undefined(task, noise, project_prototypes=False) == 2
+    assert projected_undefined(task, Subspace(np.eye(d)[:, [0]])) == 0
+
+
+def test_ablation_scores_a_query_inside_the_removed_columns_as_zero():
+    rng = np.random.default_rng(69)
+    d = 6
+    rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    sigma = rot @ np.diag(np.arange(1.0, d + 1.0)) @ rot.T
+    spectrum = decompose(
+        CovarianceMatrix((sigma + sigma.T) / 2.0, n_samples=100, modality="image")
+    )
+    task = _span_task(rng, spectrum.eigenvectors[:, [2]], k=2)
+    accs = random_ablation(task, spectrum, p=1, trials=60, seed=4)
+    for t, acc in enumerate(accs):
+        cols = np.sort(trial_rng(4, t).choice(d, size=1, replace=False))
+        sub = spectrum.eigenvectors[:, cols]
+        expected = brute_force_topk(
+            _zeroed_below_eps(remove_component(task.queries.data, sub)),
+            task.queries.labels,
+            _zeroed_below_eps(remove_component(task.class_prototypes.data, sub)),
+            np.arange(5),
+            2,
+        )
+        assert acc == expected, t
+    assert len(set(accs.tolist())) == 2  # column 2 was drawn in some trials
 
 
 def test_rank_activations_extremes_and_oracle():
