@@ -352,7 +352,7 @@ def cmd_threshold(args) -> int:
             raise PreconditionError("--threshold-mode fixed requires --fixed-log10")
         threshold: NoiseThreshold = fixed_threshold(args.fixed_log10, spectra[0])
     else:
-        threshold = noise_threshold(spectra, target=0)
+        threshold = noise_threshold(spectra)
 
     basis = noise_subspace(spectra[0], threshold)
     save_subspace(basis, out / "noise_basis.npy")
@@ -545,8 +545,9 @@ def cmd_class_overlap(args) -> int:
     )
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
     covs = per_class_covariances(m)
-    # every class gets a row; one under 2 rows has no covariance and no mscsa
-    ids, counts = np.unique(m.labels, return_counts=True)
+    # every class gets a row and a column; one under 2 rows has no covariance,
+    # so its mscsa and distance cells are empty
+    ids, counts = (a.tolist() for a in np.unique(m.labels, return_counts=True))
     del m  # the classes are grouped: the queries are no longer needed
     labels = sorted(covs)
     # each covariance is released as soon as it is decomposed, so all the
@@ -558,16 +559,18 @@ def cmd_class_overlap(args) -> int:
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
         ((label, n, _float_cell(overlaps[label]) if label in overlaps else "")
-         for label, n in zip(ids.tolist(), counts.tolist())),
+         for label, n in zip(ids, counts)),
     )
     distances = class_spectrum_distance(spectra)
+    at = {label: i for i, label in enumerate(distances.labels)}
+
+    def distance_cell(a: int, b: int) -> str:
+        return _float_cell(distances.distances[at[a], at[b]]) if a in at and b in at else ""
+
     _write_csv(
         out / "class_spectrum_distance.csv",
-        ["label"] + [str(l) for l in distances.labels],
-        (
-            [distances.labels[i]] + [_float_cell(v) for v in row]
-            for i, row in enumerate(distances.distances)
-        ),
+        ["label"] + [str(l) for l in ids],
+        ([a] + [distance_cell(a, b) for b in ids] for a in ids),
     )
     return 0
 

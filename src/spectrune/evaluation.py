@@ -9,6 +9,7 @@ runs of the same seed produce identical results down to the byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class ZeroShotTask:
     @property
     def d(self) -> int:
         return self.class_prototypes.d
+
+    @cached_property
+    def _shared(self) -> tuple[np.ndarray, ...]:
+        """What every score reads (see :func:`_share`), built on the first
+        score: ``synth_benchmark`` makes a task that it never scores."""
+        return _share(self)
 
 
 @dataclass(frozen=True)
@@ -137,38 +144,37 @@ def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
     return int(np.count_nonzero(at_least <= k))
 
 
-def _scorer(task: ZeroShotTask, rotation: np.ndarray | None = None):
-    """``score(basis, project_prototypes=True, cols=None)``: top-k accuracy
-    with the span of the orthonormal ``basis`` removed from the queries and,
-    optionally, the prototypes. Either way a projected query's dot products
-    are ``Q P^T - (Q B)(P B)^T``; only the prototype norms differ. With a
-    ``rotation`` V, ``Q P^T`` and ``(Q V)^T`` are held, and a basis given as
-    columns ``cols`` of V scores in O(nq nc p)."""
-    if task.queries.n < 1:
-        raise PreconditionError("no queries to score")
+def _share(task: ZeroShotTask) -> tuple[np.ndarray, ...]:
+    """The queries Q, the prototypes P in class-id order, their squared
+    norms, each query's true column in P, and ``G = Q P^T``."""
     order = np.argsort(task.class_prototypes.labels)
     q, p = task.queries.data, task.class_prototypes.data[order]
-    q_sq, p_sq = _sq_norms(q), _sq_norms(p)
     true_col = np.searchsorted(task.class_prototypes.labels[order], task.queries.labels)
-    g, zq_t = (None, None) if rotation is None else (q @ p.T, rotation.T @ q.T)
+    return q, p, _sq_norms(q), _sq_norms(p), true_col, q @ p.T
 
-    def score(basis: np.ndarray, project_prototypes: bool = True, cols=None) -> float:
-        zp, p_proj_sq = _project(p, p_sq, basis)
-        inv_pn = _inverse_norms(p_proj_sq if project_prototypes else p_sq)
-        out = np.empty((min(BLOCK_ROWS, q.shape[0]), p.shape[0]))
-        hits = 0
-        for lo in range(0, q.shape[0], BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            zq = None if cols is None else zq_t[cols, rows].T
-            zq, q_proj_sq = _project(q[rows], q_sq[rows], basis, zq)
-            scores = np.matmul(zq, zp.T, out=out[: zq.shape[0]])
-            np.subtract(q[rows] @ p.T if g is None else g[rows], scores, out=scores)
-            scores *= inv_pn  # a query's own norm would scale its row: no rank moves
-            scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
-            hits += _hits(scores, true_col[rows], task.k)
-        return hits / q.shape[0]
 
-    return score
+def _score(task: ZeroShotTask, basis: np.ndarray, project_prototypes: bool, coords=None) -> float:
+    """Top-k accuracy with the span of the orthonormal ``basis`` removed from
+    the queries and, optionally, the prototypes. Either way a projected
+    query's dot products are ``G - (Q B)(P B)^T``; only the prototype norms
+    differ. ``coords`` is ``((Q V)^T, cols)`` for a basis made of columns
+    ``cols`` of V: each block of queries gathers its coordinates from it, so
+    the score costs O(nq nc p)."""
+    q, p, q_sq, p_sq, true_col, g = task._shared
+    zp, p_proj_sq = _project(p, p_sq, basis)
+    inv_pn = _inverse_norms(p_proj_sq if project_prototypes else p_sq)
+    out = np.empty((min(BLOCK_ROWS, q.shape[0]), p.shape[0]))
+    hits = 0
+    for lo in range(0, q.shape[0], BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        zq = None if coords is None else coords[0][coords[1], rows].T
+        zq, q_proj_sq = _project(q[rows], q_sq[rows], basis, zq)
+        scores = np.matmul(zq, zp.T, out=out[: zq.shape[0]])
+        np.subtract(g[rows], scores, out=scores)
+        scores *= inv_pn  # a query's own norm would scale its row: no rank moves
+        scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
+        hits += _hits(scores, true_col[rows], task.k)
+    return hits / q.shape[0]
 
 
 def zero_shot_topk(
@@ -187,7 +193,7 @@ def zero_shot_topk(
     if noise is not None and noise.d != task.d:
         raise DimError(f"subspace width {noise.d} does not match d={task.d}")
     basis = np.zeros((task.d, 0)) if noise is None else noise.basis
-    return _scorer(task)(basis, project_prototypes)
+    return _score(task, basis, project_prototypes)
 
 
 def projected_undefined(
@@ -275,7 +281,7 @@ def random_ablation(
     V from ``trial_rng(seed, t)`` without replacement, removes their span
     from the queries and (by default) the prototypes, and rescores; one
     accuracy per trial, in trial order whatever the thread count. A trial
-    is a rank-p update of ``Q P^T`` and ``Q V``, computed once: O(nq nc p)."""
+    is a rank-p update of the task's ``Q P^T`` from ``Q V``: O(nq nc p)."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
     if trials < 1:
@@ -283,11 +289,12 @@ def random_ablation(
     if not 1 <= p < task.d:
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
     vecs = spectrum.eigenvectors
-    score = _scorer(task, rotation=vecs)
+    q = task._shared[0]  # the first read builds the shared state: before any thread
+    zq_t = vecs.T @ q.T
 
     def run_trial(t: int) -> float:
         cols = np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False))
-        return score(vecs[:, cols], project_prototypes, cols)
+        return _score(task, vecs[:, cols], project_prototypes, (zq_t, cols))
 
     return np.asarray(ordered_map(run_trial, range(trials), threads), dtype=np.float64)
 

@@ -121,11 +121,10 @@ def decompose(c: CovarianceMatrix) -> Spectrum:
     )
 
 
-def log_spectrum(s: Spectrum, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Descending log10 eigenvalue curve (index 0 = largest eigenvalue)."""
-    if not floor > 0.0:
-        raise PreconditionError(f"floor must be positive, got {floor!r}")
-    return np.log10(np.maximum(s.eigenvalues, floor))[::-1].copy()
+def log_spectrum(s: Spectrum) -> np.ndarray:
+    """Descending log10 eigenvalue curve (index 0 = largest eigenvalue),
+    with eigenvalues below ``LOG_FLOOR`` read as ``LOG_FLOOR``."""
+    return np.log10(np.maximum(s.eigenvalues, LOG_FLOOR))[::-1].copy()
 
 
 def detect_knee(curve: np.ndarray) -> int:
@@ -178,36 +177,30 @@ class NoiseThreshold:
             raise PreconditionError("noise_count must be >= 0")
 
 
-def count_noise(s: Spectrum, log10_value: float, floor: float = LOG_FLOOR) -> int:
+def count_noise(s: Spectrum, log10_value: float) -> int:
     """How many eigenvalues fall strictly below a log10 cutoff."""
-    logs = np.log10(np.maximum(s.eigenvalues, floor))
+    logs = np.log10(np.maximum(s.eigenvalues, LOG_FLOOR))
     return int(np.sum(logs < log10_value))
 
 
-def noise_threshold(
-    spectra: Sequence[Spectrum],
-    target: int = 0,
-    floor: float = LOG_FLOOR,
-) -> NoiseThreshold:
+def noise_threshold(spectra: Sequence[Spectrum]) -> NoiseThreshold:
     """Knee-based threshold: minimum knee value across spectra.
 
     Each spectrum contributes the log10 eigenvalue at its own knee; the
     final cutoff is the minimum of those, and the noise count is evaluated
-    on ``spectra[target]``.
+    on ``spectra[0]``, the target.
 
     Raises:
         NoKneeError: some spectrum has no knee (its identity is named).
-        PreconditionError: empty input, bad target, or a cutoff that would
-            flag the target's entire spectrum as noise.
+        PreconditionError: empty input, or a cutoff that would flag the
+            target's entire spectrum as noise.
     """
     if not spectra:
         raise PreconditionError("noise_threshold needs at least one spectrum")
-    if not 0 <= target < len(spectra):
-        raise PreconditionError(f"target {target} out of range for {len(spectra)} spectra")
 
     knees: list[float] = []
     for i, s in enumerate(spectra):
-        curve = log_spectrum(s, floor=floor)
+        curve = log_spectrum(s)
         try:
             k = detect_knee(curve)
         except NoKneeError as exc:
@@ -215,11 +208,11 @@ def noise_threshold(
         knees.append(float(curve[k]))
 
     cutoff = min(knees)
-    count = count_noise(spectra[target], cutoff, floor=floor)
-    if count >= spectra[target].d:
+    count = count_noise(spectra[0], cutoff)
+    if count >= spectra[0].d:
         raise PreconditionError(
             f"cutoff {cutoff} lies above the whole target spectrum "
-            f"({count} of {spectra[target].d} flagged)"
+            f"({count} of {spectra[0].d} flagged)"
         )
     return NoiseThreshold(
         log10_value=cutoff,
@@ -229,11 +222,9 @@ def noise_threshold(
     )
 
 
-def fixed_threshold(
-    log10_value: float, spectrum: Spectrum, floor: float = LOG_FLOOR
-) -> NoiseThreshold:
+def fixed_threshold(log10_value: float, spectrum: Spectrum) -> NoiseThreshold:
     """Threshold pinned by the caller instead of detected."""
-    count = count_noise(spectrum, log10_value, floor=floor)
+    count = count_noise(spectrum, log10_value)
     if count >= spectrum.d:
         raise PreconditionError(
             f"cutoff {log10_value} lies above the whole spectrum"

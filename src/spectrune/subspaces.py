@@ -77,15 +77,13 @@ class OverlapReport:
         }
 
 
-def noise_subspace(
-    s: Spectrum, t: NoiseThreshold, floor: float = LOG_FLOOR
-) -> Subspace:
+def noise_subspace(s: Spectrum, t: NoiseThreshold) -> Subspace:
     """Eigenvectors of all eigenvalues strictly below the threshold.
 
     Raises:
         EmptySubspaceError: nothing falls below the cutoff.
     """
-    p = count_noise(s, t.log10_value, floor=floor)
+    p = count_noise(s, t.log10_value)
     if p == 0:
         raise EmptySubspaceError(
             f"no eigenvalue of {s.source or 'spectrum'} lies below "

@@ -218,6 +218,13 @@ def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path):
     assert [r[:2] for r in rows] == [["0", "4"], ["1", "1"], ["2", "4"]]
     assert rows[1][2] == ""
     assert all(0.0 <= float(r[2]) <= 1.0 for r in (rows[0], rows[2]))
+    with open(tmp_path / "class_spectrum_distance.csv", newline="") as fh:
+        header, *dist = list(csv.reader(fh))
+    assert header == ["label", "0", "1", "2"]
+    assert [r[0] for r in dist] == ["0", "1", "2"]
+    assert dist[1][1:] == ["", "", ""] and [r[2] for r in dist] == ["", "", ""]
+    assert dist[0][1] == dist[2][3] == "0.0"
+    assert float(dist[0][3]) == float(dist[2][1]) > 0.0
 
 
 def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path):

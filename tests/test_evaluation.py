@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spectrune import evaluation
 from spectrune.covariance import CovarianceMatrix
 from spectrune.errors import (
     DataError,
@@ -190,6 +191,24 @@ def test_random_ablation_is_deterministic_and_thread_invariant():
     assert np.array_equal(a, b)
     assert np.array_equal(a, threaded)
     assert not np.array_equal(a, random_ablation(task, spectrum, p=1, trials=40, seed=10))
+
+
+def test_every_score_of_a_task_reads_one_shared_state(monkeypatch):
+    built = []
+    share = evaluation._share
+    monkeypatch.setattr(evaluation, "_share", lambda task: built.append(task) or share(task))
+    bench = synth_benchmark(n=50, d=16, p=4, n_classes=6, queries_per_class=5, k=2, seed=3)
+    assert built == []  # synth_benchmark makes a task it never scores
+    task, spectrum = bench.task, _random_spectrum(np.random.default_rng(5), 16)
+    baseline = zero_shot_topk(task)
+    noise_free = zero_shot_topk(task, bench.planted)
+    threaded = random_ablation(task, spectrum, p=4, trials=8, seed=2, threads=2)
+    assert built == [task]  # G = Q P^T, the sort and the norms, built once
+    fresh = make_task(task.class_prototypes.data, task.class_prototypes.labels,
+                      task.queries.data, task.queries.labels, task.k)
+    assert np.array_equal(threaded, random_ablation(fresh, spectrum, 4, 8, 2, threads=1))
+    assert (zero_shot_topk(fresh), zero_shot_topk(fresh, bench.planted)) == (baseline, noise_free)
+    assert built == [task, fresh]
 
 
 def test_random_ablation_small_d_exhaustive_enumeration():

@@ -133,11 +133,9 @@ def test_spectrum_type_validation():
 
 def test_log_spectrum_examples():
     s = spectrum_of_eigenvalues([1.0, 0.01])
-    assert np.allclose(log_spectrum(s, floor=1e-12), [0.0, -2.0], atol=1e-12)
+    assert np.allclose(log_spectrum(s), [0.0, -2.0], atol=1e-12)
     s0 = spectrum_of_eigenvalues([1.0, 0.0])
-    assert log_spectrum(s0, floor=1e-12)[1] == -12.0
-    with pytest.raises(PreconditionError):
-        log_spectrum(s, floor=0.0)
+    assert log_spectrum(s0)[1] == -15.0  # LOG_FLOOR
 
 
 def test_log_spectrum_two_cluster_step():
@@ -200,7 +198,7 @@ def test_threshold_single_spectrum_is_its_own_knee():
 def test_threshold_takes_minimum_across_spectra():
     a = spectrum_of_eigenvalues([1e-9] * 5 + [10 ** -3.2] * 20)
     b = spectrum_of_eigenvalues([1e-9] * 5 + [10 ** -3.8] * 20)
-    threshold = noise_threshold([a, b], target=0)
+    threshold = noise_threshold([a, b])
     assert threshold.log10_value == pytest.approx(-3.8, abs=1e-9)
     assert threshold.noise_count == 5  # five target eigenvalues below -3.8
     assert threshold.knees == pytest.approx((-3.2, -3.8), abs=1e-9)
