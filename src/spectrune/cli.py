@@ -38,8 +38,8 @@ import numpy as np
 
 from spectrune import __version__
 from spectrune.covariance import (
+    COV_MODALITIES,
     CovarianceAccumulator,
-    CovarianceMatrix,
     accumulate,
     average,
     finalize,
@@ -104,15 +104,10 @@ logger = logging.getLogger("spectrune")
 
 SCHEMA_VERSION = 1
 
-# default file names inside the output directory
-SIGMA_FILES = {
-    "image": "sigma_image.npy",
-    "text": "sigma_text.npy",
-    "average": "sigma_average.npy",
-    "kernel-image": "sigma_kernel_image.npy",
-    "kernel-text": "sigma_kernel_text.npy",
-    "kernel-average": "sigma_kernel_average.npy",
-}
+
+def _sigma_file(tag: str) -> str:
+    """Default file name of the covariance with a ``COV_MODALITIES`` tag."""
+    return f"sigma_{tag.replace('-', '_')}.npy"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -202,70 +197,53 @@ def cmd_synth(args) -> int:
 # --- accumulate ---
 
 
-def _accumulate_entry(
-    entry: ManifestEntry, kernel: bool
-) -> tuple[CovarianceAccumulator, CovarianceAccumulator]:
-    """One pass over an entry's dump, block by block: each block folds into
-    the raw accumulator and, with ``kernel``, into the row-normalized one."""
-    raw = ker = CovarianceAccumulator.empty()
+def _accumulate_entry(entry: ManifestEntry, kernel: bool) -> dict[str, CovarianceAccumulator]:
+    """One pass over an entry's dump, block by block, into one accumulator per
+    covariance tag: the entry's modality and, with ``kernel``,
+    ``kernel-<modality>`` over the row-normalized blocks."""
+    raw, ker = entry.modality, f"kernel-{entry.modality}"
+    accs = dict.fromkeys([raw, ker] if kernel else [raw], CovarianceAccumulator.empty())
     with open_entry(entry) as dump:
         for block in dump.blocks():
-            raw = accumulate(raw, block)
+            accs[raw] = accumulate(accs[raw], block)
             if kernel:
-                ker = accumulate(ker, normalize_rows(block))
-    return raw, ker
+                accs[ker] = accumulate(accs[ker], normalize_rows(block))
+    return accs
 
 
 def cmd_accumulate(args) -> int:
     manifest = load_manifest(args.manifest)
     check_widths(manifest)
     out = _out_dir(args)
-    written: dict[str, dict] = {}
 
     parts = ordered_map(
         functools.partial(_accumulate_entry, kernel=args.kernel),
         manifest.entries,
         args.threads,
     )
+    # a left fold in fixed manifest order: thread-count independent
+    accs: dict[str, CovarianceAccumulator] = {}
+    for part in parts:
+        for tag, acc in part.items():
+            accs[tag] = merge(accs[tag], acc) if tag in accs else acc
+    for modality in ("image", "text"):
+        if modality not in accs:
+            logger.warning("manifest has no %s entries", modality)
 
-    def store(cov: CovarianceMatrix, name: str) -> CovarianceMatrix:
-        if args.trace_normalize:
-            cov = normalize_trace(cov)
-        save_covariance(cov, out / SIGMA_FILES[name])
-        written[name] = {"file": SIGMA_FILES[name], "n_samples": cov.n_samples}
-        return cov
-
-    kernel_modes = [False, True] if args.kernel else [False]
-    for kernel in kernel_modes:
-        finals: dict[str, CovarianceMatrix] = {}
-        for modality in ("image", "text"):
-            accs = [
-                kern if kernel else raw
-                for entry, (raw, kern) in zip(manifest.entries, parts)
-                if entry.modality == modality
-            ]
-            if not accs:
-                logger.warning("manifest has no %s entries", modality)
-                continue
-            # fixed manifest order: thread-count independent
-            acc = functools.reduce(merge, accs)
-            tag = f"kernel-{modality}" if kernel else modality
-            finals[modality] = store(finalize(acc, modality=tag), tag)
-        if len(finals) == 2:
-            if args.trace_normalize:
-                avg = average(finals["image"], finals["text"])
-                name = "kernel-average" if kernel else "average"
-                save_covariance(avg, out / SIGMA_FILES[name])
-                written[name] = {
-                    "file": SIGMA_FILES[name],
-                    "n_samples": avg.n_samples,
-                }
-            else:
-                logger.warning(
-                    "skipping the cross-modal average: it requires "
-                    "trace-normalized inputs (rerun without --no-trace-normalize)"
-                )
-
+    # every covariance is finished before the first file is written
+    covs = {tag: finalize(acc, modality=tag) for tag, acc in accs.items()}
+    if args.trace_normalize:
+        covs = {tag: normalize_trace(cov) for tag, cov in covs.items()}
+        for prefix in ("", "kernel-"):
+            if f"{prefix}image" in covs and f"{prefix}text" in covs:
+                covs[f"{prefix}average"] = average(covs[f"{prefix}image"], covs[f"{prefix}text"])
+    elif "image" in covs and "text" in covs:
+        logger.warning(
+            "skipping the cross-modal average: it requires "
+            "trace-normalized inputs (rerun without --no-trace-normalize)"
+        )
+    for tag, cov in covs.items():
+        save_covariance(cov, out / _sigma_file(tag))
     write_json(
         out / "accumulate.json",
         {
@@ -277,7 +255,10 @@ def cmd_accumulate(args) -> int:
                 "trace_normalize": args.trace_normalize,
                 "kernel": args.kernel,
             },
-            "written": written,
+            "written": {
+                tag: {"file": _sigma_file(tag), "n_samples": cov.n_samples}
+                for tag, cov in covs.items()
+            },
         },
     )
     return 0
@@ -289,7 +270,7 @@ def cmd_accumulate(args) -> int:
 def _spectrum_inputs(args, out: Path) -> list[Path]:
     if args.sigmas:
         return [Path(p) for p in args.sigmas]
-    found = [out / name for name in SIGMA_FILES.values() if (out / name).is_file()]
+    found = [out / _sigma_file(tag) for tag in COV_MODALITIES if (out / _sigma_file(tag)).is_file()]
     if not found:
         raise IoError(f"no covariance files found under {out}")
     return found
@@ -343,8 +324,7 @@ def cmd_threshold(args) -> int:
     if args.sigmas:
         paths = [Path(p) for p in args.sigmas]
     else:
-        name = "kernel-average" if args.kernel else "average"
-        paths = [out / SIGMA_FILES[name]]
+        paths = [out / _sigma_file("kernel-average" if args.kernel else "average")]
     spectra: list[Spectrum] = [decompose(load_covariance(p)) for p in paths]
 
     if args.threshold_mode == "fixed":
@@ -406,8 +386,7 @@ def cmd_mscsa(args) -> int:
 
 
 def cmd_project(args) -> int:
-    basis_path = Path(args.basis) if args.basis else Path(args.out) / "noise_basis.npy"
-    subspace = load_subspace(basis_path)
+    subspace = load_subspace(_default(args.basis, Path(args.out), "noise_basis.npy"))
     with EmbeddingDump(args.input) as dump:
         write_npy_rows(
             args.output,
@@ -455,7 +434,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     task = _load_task(args, out)
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    spectrum = decompose(load_covariance(_default(args.sigma, out, "sigma_average.npy")))
+    spectrum = decompose(load_covariance(_default(args.sigma, out, _sigma_file("average"))))
 
     baseline = zero_shot_topk(task)
     noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
@@ -555,11 +534,14 @@ def cmd_class_overlap(args) -> int:
     decomposed = ordered_map(lambda label: decompose(covs.pop(label)), labels, args.threads)
     spectra = dict(zip(labels, decomposed))
     overlaps = per_class_overlap(spectra, basis)
+    cells = {label: _float_cell(v) for label, v in overlaps.items() if not np.isnan(v)}
+    if len(cells) < len(overlaps):
+        logger.warning("%d of %d classes have no defined lowest-%d span: mscsa left empty",
+                       len(overlaps) - len(cells), len(ids), basis.p)
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
-        ((label, n, _float_cell(overlaps[label]) if label in overlaps else "")
-         for label, n in zip(ids, counts)),
+        ((label, n, cells.get(label, "")) for label, n in zip(ids, counts)),
     )
     distances = class_spectrum_distance(spectra)
     at = {label: i for i, label in enumerate(distances.labels)}

@@ -1,12 +1,12 @@
 """Streaming covariance estimation with mergeable accumulators.
 
 The running state is (count, mean, m2) where m2 is the sum of centered
-outer products. Batches fold in through the pairwise-combine update (batch
-statistics merged into the running state), so a dataset never needs a
-centered copy in memory; the textbook two-pass formula exists only in the
-test suite as the oracle. Merging two accumulators is the same combine
-step, which is what makes per-chunk parallel accumulation order-stable to
-within floating-point tolerance.
+outer products. A batch folds in as its own (count, mean, m2) merged into
+the running state, so a dataset never needs a centered copy in memory; the
+textbook two-pass formula exists only in the test suite as the oracle.
+Batches and whole accumulators combine through the one pairwise update in
+``merge``, which is what makes per-chunk parallel accumulation
+order-stable to within floating-point tolerance.
 
 Finalized matrices use the unbiased 1/(n-1) divisor and are explicitly
 symmetrized, since update order can leave ~1e-15 asymmetry that breaks
@@ -49,8 +49,8 @@ _SYM_TOL = 1e-12
 @dataclass(frozen=True)
 class CovarianceAccumulator:
     """Mergeable running state: sample count, mean vector, centered
-    outer-product sum. An empty accumulator (count 0) has all-zero state
-    and, when created without a dimension, adapts to the first batch."""
+    outer-product sum. An empty accumulator (count 0) has width 0 and
+    adapts to whatever it is first merged with."""
 
     count: int
     mean: np.ndarray
@@ -58,14 +58,8 @@ class CovarianceAccumulator:
     modality: str | None = None
 
     @classmethod
-    def empty(cls, dim: int | None = None, modality: str | None = None) -> "CovarianceAccumulator":
-        d = 0 if dim is None else int(dim)
-        return cls(
-            count=0,
-            mean=np.zeros(d),
-            m2=np.zeros((d, d)),
-            modality=modality,
-        )
+    def empty(cls) -> "CovarianceAccumulator":
+        return cls(count=0, mean=np.zeros(0), m2=np.zeros((0, 0)))
 
     @property
     def dim(self) -> int:
@@ -116,51 +110,19 @@ class CovarianceMatrix:
         return int(self.sigma.shape[0])
 
 
-def _combine(
-    count_a: int,
-    mean_a: np.ndarray,
-    m2_a: np.ndarray,
-    count_b: int,
-    mean_b: np.ndarray,
-    m2_b: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Pairwise combine of two (count, mean, m2) states."""
-    n = count_a + count_b
-    mean = (mean_a * count_a + mean_b * count_b) / n
-    delta = mean_b - mean_a
-    m2 = m2_a + m2_b + np.outer(delta, delta) * (count_a * count_b / n)
-    # keep the stored state symmetric despite fp update noise
-    m2 = (m2 + m2.T) * 0.5
-    return n, mean, m2
-
-
-def _coalesce_modality(a: str | None, b: str | None) -> str | None:
-    if a is None:
-        return b
-    if b is not None and b != a:
-        raise PreconditionError(f"cannot mix modalities {a!r} and {b!r}")
-    return a
-
-
 def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> CovarianceAccumulator:
-    """Fold a batch of rows into the running state.
+    """Fold a batch of rows into the running state: the batch's own
+    (count, mean, m2) merged into ``acc``.
 
     Raises:
         DimError: batch width differs from a non-empty accumulator's.
+        PreconditionError: batch modality differs from the accumulator's.
     """
-    if acc.count > 0 and batch.d != acc.dim:
-        raise DimError(f"batch width {batch.d} != accumulator width {acc.dim}")
-    modality = _coalesce_modality(acc.modality, batch.modality)
-
-    mean_b = batch.data.mean(axis=0)
-    centered = batch.data - mean_b
-    m2_b = centered.T @ centered
-    m2_b = (m2_b + m2_b.T) * 0.5
-
-    if acc.count == 0:
-        return CovarianceAccumulator(batch.n, mean_b, m2_b, modality)
-    n, mean, m2 = _combine(acc.count, acc.mean, acc.m2, batch.n, mean_b, m2_b)
-    return CovarianceAccumulator(n, mean, m2, modality)
+    mean = batch.data.mean(axis=0)
+    centered = batch.data - mean
+    m2 = centered.T @ centered
+    m2 = (m2 + m2.T) * 0.5
+    return merge(acc, CovarianceAccumulator(batch.n, mean, m2, batch.modality))
 
 
 def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccumulator:
@@ -170,15 +132,23 @@ def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccum
 
     Raises:
         DimError: accumulator widths differ.
+        PreconditionError: the accumulators carry different modalities.
     """
-    modality = _coalesce_modality(a.modality, b.modality)
+    if a.modality and b.modality and a.modality != b.modality:
+        raise PreconditionError(f"cannot mix modalities {a.modality!r} and {b.modality!r}")
+    modality = a.modality or b.modality
     if a.count == 0:
         return CovarianceAccumulator(b.count, b.mean, b.m2, modality)
     if b.count == 0:
         return CovarianceAccumulator(a.count, a.mean, a.m2, modality)
     if a.dim != b.dim:
         raise DimError(f"cannot merge widths {a.dim} and {b.dim}")
-    n, mean, m2 = _combine(a.count, a.mean, a.m2, b.count, b.mean, b.m2)
+    n = a.count + b.count
+    mean = (a.mean * a.count + b.mean * b.count) / n
+    delta = b.mean - a.mean
+    m2 = a.m2 + b.m2 + np.outer(delta, delta) * (a.count * b.count / n)
+    # keep the stored state symmetric despite fp update noise
+    m2 = (m2 + m2.T) * 0.5
     return CovarianceAccumulator(n, mean, m2, modality)
 
 

@@ -8,7 +8,7 @@ runs of the same seed produce identical results down to the byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -352,7 +352,6 @@ class SyntheticBenchmark:
     task: ZeroShotTask
     pairs_img: EmbeddingMatrix
     pairs_txt: EmbeddingMatrix
-    rotation: np.ndarray | None = field(repr=False, default=None)
 
 
 def synth_benchmark(
@@ -457,5 +456,4 @@ def synth_benchmark(
             pairs_img, modality="image", source=f"{source} pairs"
         ),
         pairs_txt=EmbeddingMatrix(pairs_txt, modality="text", source=f"{source} pairs"),
-        rotation=rotation,
     )

@@ -169,7 +169,11 @@ def per_class_overlap(
 
     ``spectra`` maps class ids to the decompositions of their covariances,
     as ``per_class_covariances`` builds them (trace-normalized, the global
-    pipeline's convention).
+    pipeline's convention). A class whose numerical rank r leaves more than
+    k = ``global_noise.p`` null directions (d - r > k) has no defined
+    lowest-k span, only an arbitrary slice of its null space, and reads NaN.
+    r counts the eigenvalues above ``max eigenvalue * d * eps``, the rule of
+    ``numpy.linalg.matrix_rank``.
 
     Raises:
         DimError: a spectrum's width differs from the subspace's.
@@ -180,10 +184,13 @@ def per_class_overlap(
                 f"class {label} width {s.d} != subspace width {global_noise.d}"
             )
     k = global_noise.p
-    return {
-        label: mscsa(lowest_k_subspace(spectra[label], k), global_noise).mscsa
-        for label in sorted(spectra)
-    }
+    out: dict[int, float] = {}
+    for label in sorted(spectra):
+        s = spectra[label]
+        overlap = mscsa(lowest_k_subspace(s, k), global_noise).mscsa
+        rank = np.count_nonzero(s.eigenvalues > s.eigenvalues[-1] * s.d * np.finfo(float).eps)
+        out[label] = overlap if s.d - rank <= k else float("nan")
+    return out
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def test_finalize_needs_two_samples():
     with pytest.raises(InsufficientSamplesError):
         finalize(acc)
     with pytest.raises(InsufficientSamplesError):
-        finalize(CovarianceAccumulator.empty(3, modality="image"))
+        finalize(CovarianceAccumulator.empty(), modality="image")
 
 
 def test_identical_rows_give_zero_matrix():

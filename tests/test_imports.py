@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module.
-The package's ``__init__.py`` imports names only to re-export them, so it
-is left out."""
+"""Every name a module of the package imports is used in that module (the
+package's ``__init__.py`` imports names only to re-export them, so it is
+left out), and every module-level private name (``_x``) is referenced
+somewhere in the package, so no helper outlives its last caller."""
 
 from __future__ import annotations
 
@@ -38,3 +39,53 @@ def test_unused_imports_are_found():
 )
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> dict[str, int]:
+    """Module-level private names (not dunders) a module defines, with their lines."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    used: set[str] = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        f"{module} line {line}: {name}"
+        for module, source in sources.items()
+        for name, line in private_names(source).items()
+        if name not in used
+    ]
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\ndef _g():\n    pass\n",
+        "b.py": "import a\nfrom a import _g\n_g()\n_C = a._D\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py line 2: _B", "a.py line 4: _f", "b.py line 4: _C",
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []

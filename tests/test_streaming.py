@@ -186,3 +186,16 @@ def test_accumulate_rejects_entries_of_different_widths(tmp_path, capsys):
         assert f"{run / 'b.npy'}: width 32 differs from manifest width 16" in capsys.readouterr().err
         assert not list(run.glob("sigma_*"))
         assert not (run / "accumulate.json").exists()
+    # equal widths, but the 1-row text covariance cannot be finalized: every
+    # covariance is finished before the first file is written, so the image
+    # covariance is not written either
+    run = tmp_path / "short"
+    run.mkdir()
+    manifest = _write_manifest(
+        run,
+        {"a.npy": ("image", rng.standard_normal((5, 16))), "b.npy": ("text", rng.standard_normal((1, 16)))},
+    )
+    assert main(["accumulate", "--manifest", str(manifest), "--out", str(run)]) == 1
+    assert "at least 2 samples" in capsys.readouterr().err
+    assert not list(run.glob("sigma_*"))
+    assert not (run / "accumulate.json").exists()

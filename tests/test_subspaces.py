@@ -206,6 +206,26 @@ def test_per_class_overlap_on_planted_null_space():
         assert value == pytest.approx(1.0, abs=1e-8)
 
 
+def test_per_class_overlap_is_nan_where_the_lowest_k_span_is_undefined():
+    # n_c <= d - k rows give rank <= d - k - 1, so more than k null directions;
+    # one more row leaves exactly k of them, and the span is defined again
+    rng = np.random.default_rng(49)
+    d, k = 12, 4
+    sizes = {0: d - k, 1: d - k + 1, 2: 60}
+    data = rng.standard_normal((sum(sizes.values()), d))
+    labels = np.repeat(list(sizes), list(sizes.values()))
+    noise = random_subspace(d, k, rng)
+    runs = []
+    for scale in (1.0, 1.0 + 1e-13):
+        m = EmbeddingMatrix(data * scale, modality="image", labels=labels)
+        overlaps = per_class_overlap(class_spectra(m), noise)
+        assert np.isnan(overlaps[0])
+        assert 0.0 <= overlaps[1] <= 1.0
+        assert 0.0 <= overlaps[2] <= 1.0
+        runs.append([overlaps[1], overlaps[2]])
+    assert runs[0] == pytest.approx(runs[1], abs=1e-9)
+
+
 def test_per_class_overlap_requires_labels_and_matching_width():
     m, planted = _planted_class_data(seed=46)
     unlabeled = EmbeddingMatrix(m.data, modality="image")
