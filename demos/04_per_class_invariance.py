@@ -41,19 +41,22 @@ for c in range(classes):
 
 data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labels))
 
-# One trace-normalized covariance per class, each decomposed once; both
-# analyses below read the same per-class spectra.
-covs = per_class_covariances(data)
-spectra = {label: decompose(cov) for label, cov in covs.items()}
-overlaps = per_class_overlap(spectra, Subspace(planted))
+# One trace-normalized covariance per class, built when its class is
+# reached and decomposed once; only the overlap and the eigenvalues are
+# kept, so at most one d x d covariance is alive at a time. (A class under
+# 2 rows, or of equal rows, would come with None instead of a covariance.)
 print(f"chance level p/d = {p / d:.3f}")
 print("per-class overlap with the planted span:")
-for label, value in sorted(overlaps.items()):
-    print(f"  class {label}: {value:.4f}")
+span, eigenvalues = Subspace(planted), {}
+for label, n_rows, cov in per_class_covariances(data):
+    spectrum = decompose(cov)
+    overlap = per_class_overlap(spectrum, span)
+    eigenvalues[label] = spectrum.eigenvalues
+    print(f"  class {label} ({n_rows} rows): {overlap:.4f}")
 
 # Per-class eigenvalue curves, compared after mean-centering in log space
 # (so global class rescalings cancel).
-distances = class_spectrum_distance(spectra)
+distances = class_spectrum_distance(eigenvalues)
 upper = distances.distances[np.triu_indices(classes, k=1)]
 print(
     f"\nRMS distance between mean-centered per-class log spectra: "

@@ -53,7 +53,6 @@ from spectrune.covariance import (
 from spectrune.errors import (
     IoError,
     NoKneeError,
-    PreconditionError,
     SpectruneError,
 )
 from spectrune.evaluation import (
@@ -327,9 +326,7 @@ def cmd_threshold(args) -> int:
         paths = [out / _sigma_file("kernel-average" if args.kernel else "average")]
     spectra: list[Spectrum] = [decompose(load_covariance(p)) for p in paths]
 
-    if args.threshold_mode == "fixed":
-        if args.fixed_log10 is None:
-            raise PreconditionError("--threshold-mode fixed requires --fixed-log10")
+    if args.fixed_log10 is not None:
         threshold: NoiseThreshold = fixed_threshold(args.fixed_log10, spectra[0])
     else:
         threshold = noise_threshold(spectra)
@@ -344,7 +341,7 @@ def cmd_threshold(args) -> int:
             "config": {
                 "out": str(args.out),
                 "sigmas": [str(p) for p in paths],
-                "threshold_mode": args.threshold_mode,
+                "threshold_mode": threshold.method,
                 "fixed_log10": args.fixed_log10,
                 "kernel": args.kernel,
             },
@@ -523,27 +520,30 @@ def cmd_class_overlap(args) -> int:
         labels=load_label_file(_default(args.labels, out, "queries_labels.npy")),
     )
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    covs = per_class_covariances(m)
-    # every class gets a row and a column; one under 2 rows has no covariance,
-    # so its mscsa and distance cells are empty
-    ids, counts = (a.tolist() for a in np.unique(m.labels, return_counts=True))
-    del m  # the classes are grouped: the queries are no longer needed
-    labels = sorted(covs)
-    # each covariance is released as soon as it is decomposed, so all the
-    # covariances and all the spectra are never held at the same time
-    decomposed = ordered_map(lambda label: decompose(covs.pop(label)), labels, args.threads)
-    spectra = dict(zip(labels, decomposed))
-    overlaps = per_class_overlap(spectra, basis)
-    cells = {label: _float_cell(v) for label, v in overlaps.items() if not np.isnan(v)}
-    if len(cells) < len(overlaps):
+
+    def one_class(item):
+        # only the overlap and the eigenvalues outlive the call: the class's
+        # covariance and eigenvectors are dropped before later classes pile up
+        label, n, cov = item
+        if cov is None:
+            return label, n, float("nan"), None
+        spectrum = decompose(cov)
+        return label, n, per_class_overlap(spectrum, basis), spectrum.eigenvalues
+
+    # every class gets a row and a column; one without a covariance (under 2
+    # rows, or every row equal) has empty mscsa and distance cells
+    classes = ordered_map(one_class, per_class_covariances(m), args.threads)
+    ids = [label for label, *_ in classes]
+    cells = {label: _float_cell(v) for label, _, v, _ in classes if not np.isnan(v)}
+    if len(cells) < len(ids):
         logger.warning("%d of %d classes have no defined lowest-%d span: mscsa left empty",
-                       len(overlaps) - len(cells), len(ids), basis.p)
+                       len(ids) - len(cells), len(ids), basis.p)
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
-        ((label, n, cells.get(label, "")) for label, n in zip(ids, counts)),
+        ((label, n, cells.get(label, "")) for label, n, _, _ in classes),
     )
-    distances = class_spectrum_distance(spectra)
+    distances = class_spectrum_distance({label: w for label, _, _, w in classes if w is not None})
     at = {label: i for i, label in enumerate(distances.labels)}
 
     def distance_cell(a: int, b: int) -> str:
@@ -687,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--out", required=True)
     thr.add_argument("sigmas", nargs="*", help="covariance NPY files; the first "
                      "is the target (default: the average in --out)")
-    thr.add_argument("--threshold-mode", choices=("knee", "fixed"), default="knee")
-    thr.add_argument("--fixed-log10", type=float, default=None)
+    thr.add_argument("--fixed-log10", type=float, default=None,
+                     help="pin the cutoff at this log10 eigenvalue instead of the knee")
     thr.add_argument("--kernel", action="store_true",
                      help="default to the kernel average covariance")
     thr.set_defaults(func=cmd_threshold)

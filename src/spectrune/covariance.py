@@ -15,9 +15,9 @@ symmetric-eigensolver preconditions downstream.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -260,25 +260,20 @@ def kernel_covariance(m: EmbeddingMatrix) -> CovarianceMatrix:
     )
 
 
-def per_class_covariances(m: EmbeddingMatrix) -> dict[int, CovarianceMatrix]:
-    """Trace-normalized covariance per class id, in ascending id order;
-    classes with fewer than 2 rows are skipped with a warning rather than an
-    error. One class's rows are copied at a time.
+def per_class_covariances(m: EmbeddingMatrix) -> Iterator[tuple[int, int, CovarianceMatrix | None]]:
+    """``(label, n_rows, covariance)`` per class id, in ascending id order,
+    each trace-normalized covariance built only when its class is reached.
+    A class with fewer than 2 rows, or whose rows are all exactly equal, has
+    no covariance and yields ``None``.
 
     Raises:
-        MissingLabelsError: the matrix carries no labels.
+        MissingLabelsError: on iteration, the matrix carries no labels.
     """
-    out: dict[int, CovarianceMatrix] = {}
     for label, part in iter_classes(m):
-        if part.n < 2:
-            warnings.warn(
-                f"class {label} has {part.n} sample(s), skipping covariance",
-                stacklevel=2,
-            )
-            continue
-        cov = covariance_of(part)
-        out[label] = normalize_trace(cov)
-    return out
+        if part.n < 2 or (part.data == part.data[0]).all():
+            yield label, part.n, None
+        else:
+            yield label, part.n, normalize_trace(covariance_of(part))
 
 
 # --- persistence: NPY matrix + JSON sidecar ---

@@ -14,6 +14,7 @@ which yields the same checked matrices one block of rows at a time.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,12 +48,19 @@ def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """``[fn(x) for x in items]`` on up to ``threads`` worker threads, capped
     at the CPU count. Results keep the input order, so the thread count
     changes only the wall time; ``threads <= 1`` runs every call on the
-    calling thread."""
+    calling thread. Items are drawn at most ``2 * threads`` ahead of the
+    collected results: a generator of large items is never drained up front."""
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return [fn(x) for x in items]
+    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        for x in items:
+            if len(pending) == 2 * threads:
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(fn, x))
+        out.extend(f.result() for f in pending)
+    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -320,6 +328,8 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: manifest 'entries' must be a list")
+    if not raw_entries:
+        raise FormatError(f"{path}: manifest has no entries")
 
     base = path.parent
     entries = []

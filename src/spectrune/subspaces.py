@@ -161,14 +161,12 @@ def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
     return m.with_data(remove_component(m.data, v.basis), source_suffix="|projected")
 
 
-def per_class_overlap(
-    spectra: dict[int, Spectrum], global_noise: Subspace
-) -> dict[int, float]:
-    """mSCSA between the global noise span and each class's own
+def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:
+    """mSCSA between the global noise span and one class's own
     lowest-variance span of the same dimension.
 
-    ``spectra`` maps class ids to the decompositions of their covariances,
-    as ``per_class_covariances`` builds them (trace-normalized, the global
+    ``spectrum`` is the decomposition of the class's covariance, as
+    ``per_class_covariances`` builds it (trace-normalized, the global
     pipeline's convention). A class whose numerical rank r leaves more than
     k = ``global_noise.p`` null directions (d - r > k) has no defined
     lowest-k span, only an arbitrary slice of its null space, and reads NaN.
@@ -176,21 +174,15 @@ def per_class_overlap(
     ``numpy.linalg.matrix_rank``.
 
     Raises:
-        DimError: a spectrum's width differs from the subspace's.
+        DimError: the spectrum's width differs from the subspace's.
     """
-    for label, s in spectra.items():
-        if s.d != global_noise.d:
-            raise DimError(
-                f"class {label} width {s.d} != subspace width {global_noise.d}"
-            )
-    k = global_noise.p
-    out: dict[int, float] = {}
-    for label in sorted(spectra):
-        s = spectra[label]
-        overlap = mscsa(lowest_k_subspace(s, k), global_noise).mscsa
-        rank = np.count_nonzero(s.eigenvalues > s.eigenvalues[-1] * s.d * np.finfo(float).eps)
-        out[label] = overlap if s.d - rank <= k else float("nan")
-    return out
+    d, k = spectrum.d, global_noise.p
+    if d != global_noise.d:
+        raise DimError(f"class spectrum width {d} != subspace width {global_noise.d}")
+    overlap = mscsa(lowest_k_subspace(spectrum, k), global_noise).mscsa
+    w = spectrum.eigenvalues
+    rank = np.count_nonzero(w > w[-1] * d * np.finfo(float).eps)
+    return overlap if d - rank <= k else float("nan")
 
 
 @dataclass(frozen=True)
@@ -201,18 +193,18 @@ class ClassSpectrumDistances:
     distances: np.ndarray
 
 
-def class_spectrum_distance(spectra: dict[int, Spectrum]) -> ClassSpectrumDistances:
+def class_spectrum_distance(eigenvalues: dict[int, np.ndarray]) -> ClassSpectrumDistances:
     """RMS distance between mean-centered per-class log10 eigenvalue vectors.
 
-    ``spectra`` maps class ids to the same decompositions that
-    ``per_class_overlap`` takes. Mean-centering in log10 cancels constant
-    log-shifts, i.e. global rescalings of a class; eigenvalues below
+    ``eigenvalues`` maps class ids to the eigenvalues of the decompositions
+    that ``per_class_overlap`` takes. Mean-centering in log10 cancels
+    constant log-shifts, i.e. global rescalings of a class; eigenvalues below
     ``LOG_FLOOR`` count as ``LOG_FLOOR``.
     """
-    labels = sorted(spectra)
+    labels = sorted(eigenvalues)
     curves: list[np.ndarray] = []
     for label in labels:
-        vec = np.log10(np.maximum(spectra[label].eigenvalues, LOG_FLOOR))
+        vec = np.log10(np.maximum(eigenvalues[label], LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     # one row at a time: O(C * d) memory instead of a C x C x d broadcast

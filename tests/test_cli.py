@@ -205,16 +205,17 @@ def test_eval_query_only_ablation_removes_the_span_from_queries_only(pipeline_di
     assert doc["report"]["ablation_samples"] == expected
 
 
-def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path):
+def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path, caplog):
     rng = np.random.default_rng(10)
     labels = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
     write_npy(tmp_path / "queries.npy", rng.standard_normal((labels.size, 3)))
     save_label_file(labels, tmp_path / "labels.npy")
     write_npy(tmp_path / "basis.npy", np.eye(3)[:, [2]])
-    with pytest.warns(UserWarning, match="class 1 has 1 sample"):
-        assert main(_class_overlap_argv(
-            tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
-        )) == 0
+    assert main(_class_overlap_argv(
+        tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+    )) == 0
+    # the one warning counts every empty mscsa cell
+    assert "1 of 3 classes have no defined lowest-1 span" in caplog.text
     with open(tmp_path / "class_overlap.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [r[:2] for r in rows] == [["0", "4"], ["1", "1"], ["2", "4"]]
@@ -227,6 +228,30 @@ def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path):
     assert dist[1][1:] == ["", "", ""] and [r[2] for r in dist] == ["", "", ""]
     assert dist[0][1] == dist[2][3] == "0.0"
     assert float(dist[0][3]) == float(dist[2][1]) > 0.0
+
+
+def test_class_overlap_leaves_a_class_of_equal_rows_empty(tmp_path, caplog):
+    # exactly equal rows (1.0) have a zero covariance, and rows equal up to
+    # representation (0.1) a roundoff one: neither class has a spectrum
+    rng = np.random.default_rng(11)
+    labels = np.repeat([0, 1], 6)
+    save_label_file(labels, tmp_path / "labels.npy")
+    write_npy(tmp_path / "basis.npy", np.eye(4)[:, [3]])
+    for value in (1.0, 0.1):
+        queries = rng.standard_normal((12, 4))
+        queries[labels == 1] = value
+        write_npy(tmp_path / "queries.npy", queries)
+        assert main(_class_overlap_argv(
+            tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+        )) == 0, value
+        with open(tmp_path / "class_overlap.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in rows] == [["0", "6"], ["1", "6"]]
+        assert rows[1][2] == "" and 0.0 <= float(rows[0][2]) <= 1.0
+        with open(tmp_path / "class_spectrum_distance.csv", newline="") as fh:
+            dist = list(csv.reader(fh))[1:]
+        assert dist == [["0", "0.0", ""], ["1", "", ""]]
+    assert caplog.text.count("1 of 2 classes have no defined lowest-1 span") == 2
 
 
 def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path, caplog):
@@ -273,7 +298,8 @@ def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkey
 
 def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
     # tiny classes: the queries are small next to C covariances of d x d,
-    # so a peak near 2 * C * d^2 * 8 means covariances and spectra coexist
+    # so a peak near C * d^2 * 8 means the covariances or spectra pile up
+    # instead of being dropped class by class
     classes, per_class, d = 200, 3, 64
     rng = np.random.default_rng(9)
     queries = rng.standard_normal((classes * per_class, d))
@@ -284,13 +310,14 @@ def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
     argv = _class_overlap_argv(
         tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
     )
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * classes * d * d * 8 + queries.nbytes, peak
+    for threads in ("1", "2"):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--threads", threads]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * classes * d * d * 8 + queries.nbytes, (threads, peak)
 
 
 def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
@@ -329,6 +356,14 @@ def test_exit_code_2_for_missing_manifest(tmp_path):
     assert code == 2
 
 
+def test_exit_code_2_for_manifest_without_entries(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"name": "x", "entries": []}))
+    code = main(["accumulate", "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "accumulate.json").exists()
+
+
 def test_exit_code_1_for_bad_synth_noise_variance(tmp_path):
     argv = ["synth", "--out", str(tmp_path), "--n", "50", "--d", "8", "--p", "2"]
     for noise_var in ("0", "2.0"):
@@ -342,8 +377,9 @@ def test_exit_code_1_for_bad_threshold_config(tmp_path):
     assert main(argv) == 0
     assert main(["accumulate", "--manifest", str(tmp_path / "manifest.json"),
                  "--out", str(tmp_path)]) == 0
-    code = main(["threshold", "--out", str(tmp_path), "--threshold-mode", "fixed"])
-    assert code == 1  # fixed mode without --fixed-log10
+    code = main(["threshold", "--out", str(tmp_path), "--fixed-log10", "10"])
+    assert code == 1  # a cutoff above the whole spectrum flags every dimension
+    assert not (tmp_path / "threshold.json").exists()
 
 
 def test_exit_code_1_for_dim_mismatch_in_mscsa(tmp_path, pipeline_dir):
@@ -374,10 +410,11 @@ def test_fixed_threshold_mode(tmp_path):
     assert main(argv) == 0
     assert main(["accumulate", "--manifest", str(tmp_path / "manifest.json"),
                  "--out", str(tmp_path)]) == 0
-    assert main(["threshold", "--out", str(tmp_path), "--threshold-mode", "fixed",
-                 "--fixed-log10", "-3.6"]) == 0
+    # giving --fixed-log10 selects fixed mode
+    assert main(["threshold", "--out", str(tmp_path), "--fixed-log10", "-3.6"]) == 0
     doc = json.loads((tmp_path / "threshold.json").read_text())
-    assert doc["method"] == "fixed"
+    assert doc["method"] == doc["config"]["threshold_mode"] == "fixed"
+    assert doc["config"]["fixed_log10"] == -3.6
     assert doc["log10_value"] == -3.6
     assert doc["noise_count"] == 4
 

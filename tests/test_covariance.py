@@ -250,14 +250,16 @@ def test_kernel_rejects_zero_norm_row():
 
 
 def test_per_class_covariances_skip_small_classes():
+    # a class under 2 rows and a class of equal rows have no covariance
     rng = np.random.default_rng(21)
-    m = as_matrix(
-        rng.standard_normal((9, 4)), labels=np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
-    )
-    with pytest.warns(UserWarning, match="class 2"):
-        covs = per_class_covariances(m)
-    assert set(covs) == {0, 1}
-    assert all(c.trace_normalized for c in covs.values())
+    x = rng.standard_normal((12, 4))
+    x[9:] = 0.1
+    labels = np.array([3, 3, 3, 3, 1, 1, 1, 1, 2, 0, 0, 0])
+    out = list(per_class_covariances(as_matrix(x, labels=labels)))
+    assert [(label, n) for label, n, _ in out] == [(0, 3), (1, 4), (2, 1), (3, 4)]
+    assert out[0][2] is None and out[2][2] is None
+    assert all(c.trace_normalized for _, _, c in (out[1], out[3]))
+    assert np.array_equal(out[3][2].sigma, normalize_trace(covariance_of(as_matrix(x[:4]))).sigma)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -171,6 +172,27 @@ def test_ordered_map_uses_workers_only_up_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ran_on = ordered_map(lambda _: threading.get_ident(), range(8), threads=2)
     assert caller not in ran_on
+
+
+def test_ordered_map_draws_items_only_a_bounded_distance_ahead(monkeypatch):
+    # a generator of large items (per-class covariances) must not be drained
+    # up front: each item is drawn at most 2 * threads ahead of the results
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    finished = []
+    ahead = []
+
+    def items():
+        for i in range(24):
+            ahead.append(i - len(finished))
+            yield i
+
+    def slow(x):
+        time.sleep(0.005)
+        finished.append(x)
+        return x
+
+    assert ordered_map(slow, items(), threads=2) == list(range(24))
+    assert max(ahead) <= 2 * 2, ahead
 
 
 def test_label_file_round_trip(tmp_path):

@@ -195,12 +195,20 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
 
 def class_spectra(m):
     """Each class's trace-normalized covariance, decomposed once."""
-    return {label: decompose(cov) for label, cov in per_class_covariances(m).items()}
+    return {label: decompose(cov) for label, _, cov in per_class_covariances(m)}
+
+
+def class_overlaps(m, noise):
+    return {label: per_class_overlap(s, noise) for label, s in class_spectra(m).items()}
+
+
+def class_eigenvalues(m):
+    return {label: s.eigenvalues for label, s in class_spectra(m).items()}
 
 
 def test_per_class_overlap_on_planted_null_space():
     m, planted = _planted_class_data(seed=45)
-    overlaps = per_class_overlap(class_spectra(m), planted)
+    overlaps = class_overlaps(m, planted)
     assert set(overlaps) == {0, 1, 2}
     for value in overlaps.values():
         assert value == pytest.approx(1.0, abs=1e-8)
@@ -218,7 +226,7 @@ def test_per_class_overlap_is_nan_where_the_lowest_k_span_is_undefined():
     runs = []
     for scale in (1.0, 1.0 + 1e-13):
         m = EmbeddingMatrix(data * scale, modality="image", labels=labels)
-        overlaps = per_class_overlap(class_spectra(m), noise)
+        overlaps = class_overlaps(m, noise)
         assert np.isnan(overlaps[0])
         assert 0.0 <= overlaps[1] <= 1.0
         assert 0.0 <= overlaps[2] <= 1.0
@@ -229,10 +237,11 @@ def test_per_class_overlap_is_nan_where_the_lowest_k_span_is_undefined():
 def test_per_class_overlap_requires_labels_and_matching_width():
     m, planted = _planted_class_data(seed=46)
     unlabeled = EmbeddingMatrix(m.data, modality="image")
+    classes = per_class_covariances(unlabeled)  # raises only when iterated
     with pytest.raises(MissingLabelsError):
-        per_class_covariances(unlabeled)
+        next(classes)
     with pytest.raises(DimError):
-        per_class_overlap(class_spectra(m), axes(4, [0]))
+        per_class_overlap(class_spectra(m)[0], axes(4, [0]))
 
 
 def test_class_spectrum_distance_identical_and_scaled_classes():
@@ -241,7 +250,7 @@ def test_class_spectrum_distance_identical_and_scaled_classes():
     data = np.vstack([block, block, block * 10.0])
     labels = np.array([0] * 30 + [1] * 30 + [2] * 30)
     result = class_spectrum_distance(
-        class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     assert result.labels == (0, 1, 2)
     assert np.allclose(np.diag(result.distances), 0.0)
@@ -256,7 +265,7 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
     data = rng.standard_normal((200, 8)) * rng.uniform(0.5, 2.0, size=8)
     labels = rng.integers(0, 5, size=200)
     result = class_spectrum_distance(
-        class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
     )
     dist = result.distances
     n = dist.shape[0]
@@ -271,17 +280,17 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     rng = np.random.default_rng(51)
     data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
     labels = rng.integers(0, 40, size=700)
-    spectra = class_spectra(EmbeddingMatrix(data, modality="image", labels=labels))
+    eigenvalues = class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
     curves = []
-    for s in spectra.values():
-        vec = np.log10(np.maximum(s.eigenvalues, LOG_FLOOR))
+    for w in eigenvalues.values():
+        vec = np.log10(np.maximum(w, LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     diff = stack[:, None, :] - stack[None, :, :]
     expected = np.sqrt(np.mean(diff**2, axis=2))
     expected = (expected + expected.T) * 0.5
     np.fill_diagonal(expected, 0.0)
-    assert class_spectrum_distance(spectra).distances.tobytes() == expected.tobytes()
+    assert class_spectrum_distance(eigenvalues).distances.tobytes() == expected.tobytes()
 
 
 def test_subspace_save_load_round_trip(tmp_path):
