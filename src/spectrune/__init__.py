@@ -14,7 +14,6 @@ from spectrune.covariance import (
     average,
     covariance_of,
     finalize,
-    kernel_covariance,
     load_covariance,
     merge,
     normalize_rows,

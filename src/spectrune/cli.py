@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import logging
 import os
@@ -84,7 +83,6 @@ from spectrune.store import (
     load_label_file,
     load_manifest,
     open_entry,
-    ordered_map,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -215,15 +213,10 @@ def cmd_accumulate(args) -> int:
     check_widths(manifest)
     out = _out_dir(args)
 
-    parts = ordered_map(
-        functools.partial(_accumulate_entry, kernel=args.kernel),
-        manifest.entries,
-        args.threads,
-    )
-    # a left fold in fixed manifest order: thread-count independent
+    # a left fold in manifest order, each entry merged as soon as it is read
     accs: dict[str, CovarianceAccumulator] = {}
-    for part in parts:
-        for tag, acc in part.items():
+    for entry in manifest.entries:
+        for tag, acc in _accumulate_entry(entry, args.kernel).items():
             accs[tag] = merge(accs[tag], acc) if tag in accs else acc
     for modality in ("image", "text"):
         if modality not in accs:
@@ -437,7 +430,7 @@ def cmd_eval(args) -> int:
     noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
     ablation = random_ablation(
         task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
-        threads=args.threads, project_prototypes=not args.query_only,
+        project_prototypes=not args.query_only,
     )
 
     mean_delta: float | None = None
@@ -532,7 +525,7 @@ def cmd_class_overlap(args) -> int:
 
     # every class gets a row and a column; one without a covariance (under 2
     # rows, or every row equal) has empty mscsa and distance cells
-    classes = ordered_map(one_class, per_class_covariances(m), args.threads)
+    classes = [one_class(item) for item in per_class_covariances(m)]
     ids = [label for label, *_ in classes]
     cells = {label: _float_cell(v) for label, _, v, _ in classes if not np.isnan(v)}
     if len(cells) < len(ids):
@@ -674,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write cosine-kernel covariances")
     acc.add_argument("--no-trace-normalize", dest="trace_normalize",
                      action="store_false", help="keep raw traces")
-    acc.add_argument("--threads", type=int, default=1)
     acc.set_defaults(func=cmd_accumulate)
 
     spec = sub.add_parser("spectrum", help="decompose covariances into CSV curves")
@@ -711,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--trials", type=int, default=500)
     ev.add_argument("--top-k", type=int, default=5)
-    ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("--query-only", action="store_true",
                     help="project queries but not prototypes")
     ev.add_argument("--prototypes", default=None)
@@ -727,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     ovl.add_argument("--embeddings", default=None)
     ovl.add_argument("--labels", default=None)
     ovl.add_argument("--basis", default=None)
-    ovl.add_argument("--threads", type=int, default=1)
     ovl.set_defaults(func=cmd_class_overlap)
 
     act = sub.add_parser("activations", help="rank rows by noise-span activation")

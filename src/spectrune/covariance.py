@@ -5,8 +5,7 @@ outer products. A batch folds in as its own (count, mean, m2) merged into
 the running state, so a dataset never needs a centered copy in memory; the
 textbook two-pass formula exists only in the test suite as the oracle.
 Batches and whole accumulators combine through the one pairwise update in
-``merge``, which is what makes per-chunk parallel accumulation
-order-stable to within floating-point tolerance.
+``merge``, so the blocks of a dump and whole dumps fold by the same rule.
 
 Finalized matrices use the unbiased 1/(n-1) divisor and are explicitly
 symmetrized, since update order can leave ~1e-15 asymmetry that breaks
@@ -224,7 +223,9 @@ def average(img: CovarianceMatrix, txt: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit norm.
+    """Scale every row to unit norm. The covariance of the result is the
+    kernel (cosine-similarity) covariance: centered after the scaling, so
+    invariant to positive per-row rescaling of ``m``.
 
     Raises:
         DataError: a row has zero norm.
@@ -241,22 +242,6 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
         labels=m.labels,
         source=m.source,
         first_row=m.first_row,
-    )
-
-
-def kernel_covariance(m: EmbeddingMatrix) -> CovarianceMatrix:
-    """Covariance of row-normalized embeddings (cosine-similarity kernel).
-
-    Rows are scaled to unit norm first and centering happens after the
-    normalization, so the result is invariant to positive per-row rescaling
-    of the input.
-
-    Raises:
-        DataError: a row has zero norm.
-    """
-    return finalize(
-        accumulate(CovarianceAccumulator.empty(), normalize_rows(m)),
-        modality=f"kernel-{m.modality}",
     )
 
 

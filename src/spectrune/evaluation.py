@@ -2,8 +2,8 @@
 random-direction ablations, activation ranking, and synthetic fixtures.
 
 All randomness flows through numpy's Philox generator (counter-based), and
-ablation trial t draws from ``Philox([seed, t])``, so serial and threaded
-runs of the same seed produce identical results down to the byte.
+ablation trial t draws from ``Philox([seed, t])``, so runs of the same seed
+produce identical results down to the byte.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from spectrune.covariance import normalize_rows
 from spectrune.errors import DimError, PreconditionError
 from spectrune.npy import BLOCK_ROWS
 from spectrune.spectral import Spectrum
-from spectrune.store import EmbeddingDump, EmbeddingMatrix, ordered_map
+from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 
 # projected vectors shorter than this have no defined cosine
@@ -252,8 +252,8 @@ def alignment_delta(
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Philox substream for one trial; identical regardless of execution
-    order, which is what makes threaded ablations reproducible."""
+    """Philox substream for one trial: it depends on ``seed`` and ``trial``
+    alone, not on which trials ran before it."""
     return np.random.Generator(np.random.Philox([seed, trial]))
 
 
@@ -271,7 +271,6 @@ def random_ablation(
     p: int,
     trials: int,
     seed: int,
-    threads: int = 1,
     project_prototypes: bool = True,
 ) -> np.ndarray:
     """Accuracy distribution when p random eigenvector directions are
@@ -280,8 +279,8 @@ def random_ablation(
     Trial t samples p distinct columns of the spectrum's eigenvector basis
     V from ``trial_rng(seed, t)`` without replacement, removes their span
     from the queries and (by default) the prototypes, and rescores; one
-    accuracy per trial, in trial order whatever the thread count. A trial
-    is a rank-p update of the task's ``Q P^T`` from ``Q V``: O(nq nc p)."""
+    accuracy per trial, in trial order. A trial is a rank-p update of the
+    task's ``Q P^T`` from ``Q V``: O(nq nc p)."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
     if trials < 1:
@@ -289,14 +288,12 @@ def random_ablation(
     if not 1 <= p < task.d:
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
     vecs = spectrum.eigenvectors
-    q = task._shared[0]  # the first read builds the shared state: before any thread
-    zq_t = vecs.T @ q.T
-
-    def run_trial(t: int) -> float:
+    zq_t = vecs.T @ task._shared[0].T
+    scores = []
+    for t in range(trials):
         cols = np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False))
-        return _score(task, vecs[:, cols], project_prototypes, (zq_t, cols))
-
-    return np.asarray(ordered_map(run_trial, range(trials), threads), dtype=np.float64)
+        scores.append(_score(task, vecs[:, cols], project_prototypes, (zq_t, cols)))
+    return np.asarray(scores, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ INT_DESCRS = ("<i4", "<i8")
 
 # Rows per block when a file is read in blocks. A fixed grid keeps the
 # floating-point fold order, and so every output byte, independent of the
-# machine and of --threads. At d = 768 a float64 block is 12 MB, and the
-# per-block O(d^2) combine stays small next to the O(rows * d^2) product.
+# machine. At d = 768 a float64 block is 12 MB, and the per-block O(d^2)
+# combine stays small next to the O(rows * d^2) product.
 BLOCK_ROWS = 2048
 
 

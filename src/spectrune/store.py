@@ -6,19 +6,16 @@ named by the manifest rather than inside the matrix. Everything is widened
 to float64 on load because downstream eigenvalues span many orders of
 magnitude and 32-bit accumulation is unsafe.
 
-Loaded matrices are immutable (read-only buffers) and safe to share across
-threads. A dump too large to hold can be opened as an ``EmbeddingDump``,
-which yields the same checked matrices one block of rows at a time.
+Loaded matrices are immutable (read-only buffers). A dump too large to
+hold can be opened as an ``EmbeddingDump``, which yields the same checked
+matrices one block of rows at a time.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -42,25 +39,6 @@ from spectrune.npy import (
 )
 
 MODALITIES = ("image", "text")
-
-
-def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, capped
-    at the CPU count. Results keep the input order, so the thread count
-    changes only the wall time; ``threads <= 1`` runs every call on the
-    calling thread. Items are drawn at most ``2 * threads`` ahead of the
-    collected results: a generator of large items is never drained up front."""
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    out, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for x in items:
-            if len(pending) == 2 * threads:
-                out.append(pending.popleft().result())
-            pending.append(pool.submit(fn, x))
-        out.extend(f.result() for f in pending)
-    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

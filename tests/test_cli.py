@@ -147,10 +147,10 @@ def test_eval_rerun_is_byte_identical_across_thread_counts(pipeline_dir):
     report = pipeline_dir / "eval_report.json"
     argv = ["eval", "--out", str(pipeline_dir), "--seed", "5", "--trials", "40",
             "--top-k", "5"]
-    assert main(argv + ["--threads", "1"]) == 0
-    single = report.read_bytes()
-    assert main(argv + ["--threads", "4"]) == 0
-    assert report.read_bytes() == single
+    assert main(argv) == 0
+    first = report.read_bytes()
+    assert main(argv) == 0
+    assert report.read_bytes() == first
 
 
 def test_eval_query_only_keeps_baseline_accuracy(pipeline_dir, tmp_path):
@@ -255,23 +255,18 @@ def test_class_overlap_leaves_a_class_of_equal_rows_empty(tmp_path, caplog):
 
 
 def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path, caplog):
-    written = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert main([
-            "class-overlap", "--out", str(out), "--threads", threads,
-            "--embeddings", str(pipeline_dir / "queries.npy"),
-            "--labels", str(pipeline_dir / "queries_labels.npy"),
-            "--basis", str(pipeline_dir / "noise_basis.npy"),
-        ]) == 0
-        written.append([
-            (out / name).read_bytes()
-            for name in ("class_overlap.csv", "class_spectrum_distance.csv")
-        ])
-    assert written[0] == written[1]
-    assert written[0][0] == (pipeline_dir / "class_overlap.csv").read_bytes()
-    # one warning per run counts the classes whose lowest-k span is undefined
-    assert caplog.text.count("20 of 20 classes have no defined lowest-8 span") == 2
+    # a second run on the pipeline's inputs, in another directory, rewrites
+    # the pipeline's bytes
+    assert main([
+        "class-overlap", "--out", str(tmp_path),
+        "--embeddings", str(pipeline_dir / "queries.npy"),
+        "--labels", str(pipeline_dir / "queries_labels.npy"),
+        "--basis", str(pipeline_dir / "noise_basis.npy"),
+    ]) == 0
+    for name in ("class_overlap.csv", "class_spectrum_distance.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes()
+    # one warning counts the classes whose lowest-k span is undefined
+    assert caplog.text.count("20 of 20 classes have no defined lowest-8 span") == 1
 
 
 def _class_overlap_argv(out, embeddings, labels, basis):
@@ -310,14 +305,13 @@ def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
     argv = _class_overlap_argv(
         tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
     )
-    for threads in ("1", "2"):
-        tracemalloc.start()
-        try:
-            assert main(argv + ["--threads", threads]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * classes * d * d * 8 + queries.nbytes, (threads, peak)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * classes * d * d * 8 + queries.nbytes, peak
 
 
 def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
@@ -362,6 +356,19 @@ def test_exit_code_2_for_manifest_without_entries(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 2
     assert not (tmp_path / "accumulate.json").exists()
+
+
+def test_threads_option_is_a_usage_error(tmp_path, capsys):
+    # work runs on the calling thread only; BLAS does its own threading
+    for argv in (
+        ["accumulate", "--manifest", str(tmp_path / "manifest.json")],
+        ["eval"],
+        ["class-overlap"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_exit_code_1_for_bad_synth_noise_variance(tmp_path):

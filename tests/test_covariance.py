@@ -12,7 +12,6 @@ from spectrune.covariance import (
     average,
     covariance_of,
     finalize,
-    kernel_covariance,
     load_covariance,
     merge,
     normalize_rows,
@@ -42,6 +41,12 @@ def as_matrix(x, modality="image", labels=None):
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def kernel_of(m):
+    """The kernel (cosine-similarity) covariance, as ``accumulate --kernel``
+    builds it: the covariance of the row-normalized matrix."""
+    return covariance_of(normalize_rows(m), modality=f"kernel-{m.modality}")
 
 
 def test_hand_computed_two_row_example():
@@ -188,9 +193,9 @@ def test_average_examples_and_trace():
 
 def test_average_of_kernel_covariances_is_tagged_kernel_average():
     rng = np.random.default_rng(18)
-    img = normalize_trace(kernel_covariance(as_matrix(rng.standard_normal((30, 4)))))
+    img = normalize_trace(kernel_of(as_matrix(rng.standard_normal((30, 4)))))
     txt = normalize_trace(
-        kernel_covariance(as_matrix(rng.standard_normal((30, 4)), modality="text"))
+        kernel_of(as_matrix(rng.standard_normal((30, 4)), modality="text"))
     )
     assert (img.modality, txt.modality) == ("kernel-image", "kernel-text")
     assert average(img, txt).modality == "kernel-average"
@@ -217,7 +222,7 @@ def test_kernel_equals_plain_covariance_on_unit_rows():
     rng = np.random.default_rng(18)
     x = rng.standard_normal((30, 5))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    kern = kernel_covariance(as_matrix(x))
+    kern = kernel_of(as_matrix(x))
     plain = covariance_of(as_matrix(x))
     assert np.allclose(kern.sigma, plain.sigma, atol=1e-14)
     assert kern.modality == "kernel-image"
@@ -227,15 +232,15 @@ def test_kernel_invariant_to_row_rescaling():
     rng = np.random.default_rng(19)
     x = rng.standard_normal((50, 6))
     scales = rng.uniform(0.1, 100.0, size=50)[:, None]
-    a = kernel_covariance(as_matrix(x))
-    b = kernel_covariance(as_matrix(x * scales))
+    a = kernel_of(as_matrix(x))
+    b = kernel_of(as_matrix(x * scales))
     assert np.abs(a.sigma - b.sigma).max() <= 1e-12
 
 
 def test_kernel_matches_normalize_then_two_pass_oracle():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((300, 8))
-    kern = kernel_covariance(as_matrix(x))
+    kern = kernel_of(as_matrix(x))
     oracle = two_pass_covariance(x / np.linalg.norm(x, axis=1, keepdims=True))
     assert rel_frobenius(kern.sigma, oracle) < 1e-10
 
@@ -244,7 +249,7 @@ def test_kernel_rejects_zero_norm_row():
     x = np.ones((4, 3))
     x[2] = 0.0
     with pytest.raises(DataError, match="row 2"):
-        kernel_covariance(as_matrix(x))
+        kernel_of(as_matrix(x))
     with pytest.raises(DataError, match="row 2"):
         normalize_rows(as_matrix(x))
 

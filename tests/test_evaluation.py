@@ -187,9 +187,9 @@ def test_random_ablation_is_deterministic_and_thread_invariant():
     task, spectrum = _signal_on_one_axis_task()
     a = random_ablation(task, spectrum, p=1, trials=40, seed=9)
     b = random_ablation(task, spectrum, p=1, trials=40, seed=9)
-    threaded = random_ablation(task, spectrum, p=1, trials=40, seed=9, threads=4)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, threaded)
+    # trial t draws from its own stream: a shorter run is a prefix
+    assert np.array_equal(a[:7], random_ablation(task, spectrum, p=1, trials=7, seed=9))
     assert not np.array_equal(a, random_ablation(task, spectrum, p=1, trials=40, seed=10))
 
 
@@ -202,11 +202,11 @@ def test_every_score_of_a_task_reads_one_shared_state(monkeypatch):
     task, spectrum = bench.task, _random_spectrum(np.random.default_rng(5), 16)
     baseline = zero_shot_topk(task)
     noise_free = zero_shot_topk(task, bench.planted)
-    threaded = random_ablation(task, spectrum, p=4, trials=8, seed=2, threads=2)
+    ablation = random_ablation(task, spectrum, p=4, trials=8, seed=2)
     assert built == [task]  # G = Q P^T, the sort and the norms, built once
     fresh = make_task(task.class_prototypes.data, task.class_prototypes.labels,
                       task.queries.data, task.queries.labels, task.k)
-    assert np.array_equal(threaded, random_ablation(fresh, spectrum, 4, 8, 2, threads=1))
+    assert np.array_equal(ablation, random_ablation(fresh, spectrum, 4, 8, 2))
     assert (zero_shot_topk(fresh), zero_shot_topk(fresh, bench.planted)) == (baseline, noise_free)
     assert built == [task, fresh]
 
@@ -301,9 +301,7 @@ def test_low_rank_scores_match_direct_removal_reference():
                 k,
             )
             expected = reference_ablation(task, spectrum, 4, 12, 5, project)
-            for threads in (1, 2):
-                got = random_ablation(task, spectrum, 4, 12, 5, threads, project)
-                assert np.array_equal(got, expected)
+            assert np.array_equal(random_ablation(task, spectrum, 4, 12, 5, project), expected)
         if k == n_classes:
             assert zero_shot_topk(task) == 1.0
         if dups:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module (the
 package's ``__init__.py`` imports names only to re-export them, so it is
-left out), and every module-level private name (``_x``) is referenced
-somewhere in the package, so no helper outlives its last caller."""
+left out), every module-level private name (``_x``) is referenced
+somewhere in the package, so no helper outlives its last caller, and no
+module imports a thread or process pool."""
 
 from __future__ import annotations
 
@@ -89,3 +90,36 @@ def test_every_private_name_is_referenced():
         path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
     }
     assert unreferenced_private_names(sources) == []
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def pool_imports(source: str) -> list[int]:
+    """Lines that import a pool module or anything inside one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == m or n.startswith(m + ".") for n in names for m in POOL_MODULES):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_pool_imports_are_found():
+    source = (
+        "import os\nfrom concurrent import futures\nimport multiprocessing.pool as mp\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom threading import get_ident\n"
+    )
+    assert pool_imports(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_imports_no_pool(module):
+    # BLAS threads every gemm and eigh; a Python pool on top only costs
+    # memory, and a second code path
+    assert pool_imports(module.read_text(encoding="utf-8")) == []

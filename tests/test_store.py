@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import threading
-import time
 import tracemalloc
 from collections import Counter
 
@@ -32,7 +29,6 @@ from spectrune.store import (
     open_entry,
     save_array_file,
     save_label_file,
-    ordered_map,
     save_manifest,
     split_by_label,
 )
@@ -154,45 +150,6 @@ def test_iter_classes_yields_classes_in_id_order_on_demand():
     assert [label for label, _ in rest] == [1, 3]
     assert np.array_equal(rest[1][1].data, [[0, 1], [4, 5]])
     assert np.array_equal(rest[1][1].labels, [3, 3])
-
-
-def test_ordered_map_keeps_input_order():
-    items = list(range(40))
-    for threads in (1, 2):
-        assert ordered_map(lambda x: x * x, items, threads) == [x * x for x in items]
-    assert ordered_map(str, [], threads=2) == []
-
-
-def test_ordered_map_uses_workers_only_up_to_the_cpu_count(monkeypatch):
-    caller = threading.get_ident()
-    for cpus in (1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        ran_on = ordered_map(lambda _: threading.get_ident(), range(8), threads=2)
-        assert set(ran_on) == {caller}
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    ran_on = ordered_map(lambda _: threading.get_ident(), range(8), threads=2)
-    assert caller not in ran_on
-
-
-def test_ordered_map_draws_items_only_a_bounded_distance_ahead(monkeypatch):
-    # a generator of large items (per-class covariances) must not be drained
-    # up front: each item is drawn at most 2 * threads ahead of the results
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    finished = []
-    ahead = []
-
-    def items():
-        for i in range(24):
-            ahead.append(i - len(finished))
-            yield i
-
-    def slow(x):
-        time.sleep(0.005)
-        finished.append(x)
-        return x
-
-    assert ordered_map(slow, items(), threads=2) == list(range(24))
-    assert max(ahead) <= 2 * 2, ahead
 
 
 def test_label_file_round_trip(tmp_path):
