@@ -17,7 +17,8 @@ All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
 identical bytes, and a failed command leaves no partial output behind.
 ``accumulate``, ``project`` and ``activations`` read embedding dumps in
-blocks of rows, so their memory does not grow with the dump's size.
+blocks of rows, and ``class-overlap`` reads one class's rows at a time, so
+their memory does not grow with the dump's size.
 Every subcommand draws randomness only from ``--seed``.
 Exit codes: 0 success, 1 numerical/precondition error, 2 I/O or format
 error. Set ``SPECTRUNE_LOG=DEBUG|INFO|WARNING`` for verbosity.
@@ -507,16 +508,12 @@ def cmd_eval(args) -> int:
 
 def cmd_class_overlap(args) -> int:
     out = _out_dir(args)
-    m = load_array_file(
-        _default(args.embeddings, out, "queries.npy"),
-        modality="image",
-        labels=load_label_file(_default(args.labels, out, "queries_labels.npy")),
-    )
+    labels = load_label_file(_default(args.labels, out, "queries_labels.npy"))
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
 
     def one_class(item):
         # only the overlap and the eigenvalues outlive the call: the class's
-        # covariance and eigenvectors are dropped before later classes pile up
+        # rows, covariance and eigenvectors are dropped before the next class
         label, n, cov = item
         if cov is None:
             return label, n, float("nan"), None
@@ -525,7 +522,8 @@ def cmd_class_overlap(args) -> int:
 
     # every class gets a row and a column; one without a covariance (under 2
     # rows, or every row equal) has empty mscsa and distance cells
-    classes = [one_class(item) for item in per_class_covariances(m)]
+    with EmbeddingDump(_default(args.embeddings, out, "queries.npy"), labels=labels) as dump:
+        classes = [one_class(item) for item in per_class_covariances(dump)]
     ids = [label for label, *_ in classes]
     cells = {label: _float_cell(v) for label, _, v, _ in classes if not np.isnan(v)}
     if len(cells) < len(ids):
@@ -538,14 +536,18 @@ def cmd_class_overlap(args) -> int:
     )
     distances = class_spectrum_distance({label: w for label, _, _, w in classes if w is not None})
     at = {label: i for i, label in enumerate(distances.labels)}
+    columns = [at.get(b) for b in ids]  # None: the class has no spectrum
 
-    def distance_cell(a: int, b: int) -> str:
-        return _float_cell(distances.distances[at[a], at[b]]) if a in at and b in at else ""
+    def distance_row(a: int) -> list:
+        if a not in at:
+            return [a] + [""] * len(ids)
+        row = distances.distances[at[a]].tolist()
+        return [a] + ["" if j is None else repr(row[j]) for j in columns]
 
     _write_csv(
         out / "class_spectrum_distance.csv",
         ["label"] + [str(l) for l in ids],
-        ([a] + [distance_cell(a, b) for b in ids] for a in ids),
+        (distance_row(a) for a in ids),
     )
     return 0
 

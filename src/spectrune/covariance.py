@@ -7,9 +7,12 @@ textbook two-pass formula exists only in the test suite as the oracle.
 Batches and whole accumulators combine through the one pairwise update in
 ``merge``, so the blocks of a dump and whole dumps fold by the same rule.
 
-Finalized matrices use the unbiased 1/(n-1) divisor and are explicitly
-symmetrized, since update order can leave ~1e-15 asymmetry that breaks
-symmetric-eigensolver preconditions downstream.
+The running m2 stays exactly symmetric: numpy forms ``c.T @ c`` with
+``syrk`` and mirrors the triangle, and a sum of exactly symmetric terms is
+exactly symmetric. Finalized matrices use the unbiased 1/(n-1) divisor and
+are symmetrized once more, so an accumulator built by hand (or by a BLAS
+without that path) still meets the symmetric-eigensolver preconditions
+downstream.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
-from spectrune.store import EmbeddingMatrix, _frozen, iter_classes
+from spectrune.store import EmbeddingDump, EmbeddingMatrix, _frozen, iter_classes
 
 COV_MODALITIES = (
     "image",
@@ -120,7 +123,6 @@ def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> Covariance
     mean = batch.data.mean(axis=0)
     centered = batch.data - mean
     m2 = centered.T @ centered
-    m2 = (m2 + m2.T) * 0.5
     return merge(acc, CovarianceAccumulator(batch.n, mean, m2, batch.modality))
 
 
@@ -146,8 +148,6 @@ def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccum
     mean = (a.mean * a.count + b.mean * b.count) / n
     delta = b.mean - a.mean
     m2 = a.m2 + b.m2 + np.outer(delta, delta) * (a.count * b.count / n)
-    # keep the stored state symmetric despite fp update noise
-    m2 = (m2 + m2.T) * 0.5
     return CovarianceAccumulator(n, mean, m2, modality)
 
 
@@ -245,14 +245,17 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
-def per_class_covariances(m: EmbeddingMatrix) -> Iterator[tuple[int, int, CovarianceMatrix | None]]:
+def per_class_covariances(
+    m: EmbeddingMatrix | EmbeddingDump,
+) -> Iterator[tuple[int, int, CovarianceMatrix | None]]:
     """``(label, n_rows, covariance)`` per class id, in ascending id order,
-    each trace-normalized covariance built only when its class is reached.
-    A class with fewer than 2 rows, or whose rows are all exactly equal, has
-    no covariance and yields ``None``.
+    each trace-normalized covariance built only when its class is reached
+    (from a dump, that is when the class's rows are read). A class with
+    fewer than 2 rows, or whose rows are all exactly equal, has no
+    covariance and yields ``None``.
 
     Raises:
-        MissingLabelsError: on iteration, the matrix carries no labels.
+        MissingLabelsError: on iteration, the matrix or dump carries no labels.
     """
     for label, part in iter_classes(m):
         if part.n < 2 or (part.data == part.data[0]).all():

@@ -15,10 +15,11 @@ The writer always emits little-endian payloads with the preamble padded to a
 v1.0 file whose dtype is in the caller's allow-list; Fortran-ordered files
 and other format versions are rejected loudly rather than converted.
 
-Files can be read whole (``read_npy``) or in blocks of rows along the first
-axis (``NpyReader.row_blocks``), and written whole (``write_npy``) or from
-consecutive row blocks (``write_npy_rows``); JSON reports and sidecars go
-through ``write_json`` and ``read_json``. Every output of the package,
+Files can be read whole (``read_npy``), in blocks of rows along the first
+axis (``NpyReader.row_blocks``) or as chosen rows (``NpyReader.rows_at``),
+and written whole (``write_npy``) or from consecutive row blocks
+(``write_npy_rows``); JSON reports and sidecars go through ``write_json``
+and ``read_json``. Every output of the package,
 NPY or text, goes through ``replace_on_success``, so a failed write never
 leaves a truncated file behind.
 """
@@ -174,9 +175,9 @@ class NpyReader:
 
     Opening checks the magic, version, header keys, dtype allow-list,
     order, shape and rank, and the payload size against the file size,
-    before any payload byte is read. ``read`` then returns the whole array;
-    ``row_blocks`` streams it in blocks of rows. Close the reader, or use
-    it as a context manager.
+    before any payload byte is read. ``read`` then returns the whole array,
+    ``row_blocks`` streams it in blocks of rows, and ``rows_at`` gathers
+    chosen rows. Close the reader, or use it as a context manager.
 
     Raises (from the constructor):
         IoError: file unreadable.
@@ -201,6 +202,7 @@ class NpyReader:
             self._fh.close()
             raise
         self._offset = self._fh.tell()
+        self._fd = self._fh.fileno()
 
     def _read_header(
         self, allowed_descrs: tuple[str, ...], ndim: int | None
@@ -262,13 +264,14 @@ class NpyReader:
             )
         return dtype, shape
 
-    def _fill(self, out: np.ndarray) -> None:
-        """Read the next ``out.nbytes`` payload bytes straight into ``out``."""
-        view = out.reshape(-1).view(np.uint8)
+    def _fill(self, view: np.ndarray, offset: int) -> None:
+        """Read ``view.size`` payload bytes from byte ``offset`` of the
+        payload straight into the byte array ``view``."""
+        pos = self._offset + offset
         got = 0
         try:
             while got < view.size:
-                count = self._fh.readinto(view[got:])
+                count = os.preadv(self._fd, [view[got:]], pos + got)
                 if not count:
                     break
                 got += count
@@ -277,12 +280,16 @@ class NpyReader:
         if got < view.size:
             raise FormatError(f"{self.path}: payload ended early (file shrank while read)")
 
+    def _row_bytes(self) -> int:
+        if not self.shape:
+            raise ShapeError(f"{self.path}: a 0-D array has no rows")
+        return math.prod(self.shape[1:]) * self.dtype.itemsize
+
     def read(self) -> np.ndarray:
         """The whole array: a fresh, writable ndarray in C order with the
         file's exact values, read straight from the file into place."""
         out = np.empty(self.shape, self.dtype)
-        self._fh.seek(self._offset)
-        self._fill(out)
+        self._fill(out.reshape(-1).view(np.uint8), 0)
         return out
 
     def row_blocks(self, block_rows: int = BLOCK_ROWS) -> Iterator[tuple[int, np.ndarray]]:
@@ -296,15 +303,34 @@ class NpyReader:
         Raises:
             ShapeError: the array is 0-D and has no rows.
         """
-        if not self.shape:
-            raise ShapeError(f"{self.path}: a 0-D array has no rows")
+        row_bytes = self._row_bytes()
         n = self.shape[0]
         buffer = np.empty((min(block_rows, n),) + self.shape[1:], self.dtype)
-        self._fh.seek(self._offset)
         for start in range(0, n, block_rows):
             rows = buffer[: min(block_rows, n - start)]
-            self._fill(rows)
+            self._fill(rows.reshape(-1).view(np.uint8), start * row_bytes)
             yield start, rows
+
+    def rows_at(self, index: np.ndarray) -> np.ndarray:
+        """The rows at ``index`` along the first axis, in that order, as one
+        fresh array. Each run of consecutive indices is one positional read.
+
+        Raises:
+            ShapeError: the array is 0-D and has no rows.
+        """
+        row_bytes = self._row_bytes()
+        index = np.asarray(index, dtype=np.int64)
+        out = np.empty((index.size,) + self.shape[1:], self.dtype)
+        view = out.reshape(-1).view(np.uint8)
+        # the runs are [bounds[i], bounds[i + 1]); -2 never continues a run
+        bounds = np.flatnonzero(np.diff(index, prepend=-2, append=-2) != 1)
+        for a, b, row in zip(
+            (bounds[:-1] * row_bytes).tolist(),
+            (bounds[1:] * row_bytes).tolist(),
+            (index[bounds[:-1]] * row_bytes).tolist(),
+        ):
+            self._fill(view[a:b], row)
+        return out
 
     def close(self) -> None:
         self._fh.close()

@@ -8,7 +8,8 @@ magnitude and 32-bit accumulation is unsafe.
 
 Loaded matrices are immutable (read-only buffers). A dump too large to
 hold can be opened as an ``EmbeddingDump``, which yields the same checked
-matrices one block of rows at a time.
+matrices one block of rows at a time, or one class at a time through
+``iter_classes``, reading each class's rows only when it is reached.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ class EmbeddingMatrix:
         ``EmbeddingDump.blocks``."""
         yield self
 
+    def take(self, rows: np.ndarray, source: str) -> "EmbeddingMatrix":
+        """The rows at ascending indices ``rows``, in that order, as a new
+        matrix named ``source``: the in-memory case of ``EmbeddingDump.take``."""
+        data = self.data[rows]
+        data.flags.writeable = False  # a fresh copy: hand it over
+        labels = None if self.labels is None else self.labels[rows]
+        return EmbeddingMatrix(data, self.modality, labels, source)
+
 
 def load_array_file(
     path: Path | str,
@@ -213,6 +222,20 @@ class EmbeddingDump:
                 raise type(exc)(f"{self.path}: {exc}") from exc
             yield block
 
+    def take(self, rows: np.ndarray, source: str) -> EmbeddingMatrix:
+        """The rows at ascending indices ``rows``, in that order, read from
+        the file only now and checked as ``blocks`` checks them, as a new
+        matrix named ``source``; errors name the row's index in the dump."""
+        data = self._reader.rows_at(rows).astype(np.float64, copy=False)
+        labels = None if self.labels is None else self.labels[rows]
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{self.path}: non-finite entry in row {rows[finite.argmin()]}")
+        if labels is not None and (labels < 0).any():
+            raise DataError(f"{self.path}: negative label id at row {rows[(labels < 0).argmax()]}")
+        data.flags.writeable = False  # a fresh array: hand it over
+        return EmbeddingMatrix(data, self.modality, labels, source)
+
     def close(self) -> None:
         self._reader.close()
 
@@ -241,27 +264,20 @@ def save_label_file(labels: np.ndarray, path: Path | str) -> None:
     write_npy(path, np.asarray(labels, dtype=np.int64))
 
 
-def iter_classes(m: EmbeddingMatrix) -> Iterator[tuple[int, EmbeddingMatrix]]:
+def iter_classes(m: EmbeddingMatrix | EmbeddingDump) -> Iterator[tuple[int, EmbeddingMatrix]]:
     """Each class's rows as its own matrix, in ascending class id order and
-    copied only when reached: one stable sort groups the rows, which keep
-    their order within a class.
+    taken only when reached (from a dump, read from the file only then):
+    one stable sort groups the rows, which keep their order within a class.
 
     Raises:
-        MissingLabelsError: the matrix carries no labels.
+        MissingLabelsError: the matrix or dump carries no labels.
     """
     if m.labels is None:
         raise MissingLabelsError(f"matrix {m.source!r} has no labels")
     order = np.argsort(m.labels, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(m.labels[order])) + 1):
         label = int(m.labels[rows[0]])
-        data = m.data[rows]
-        data.flags.writeable = False  # a fresh copy: hand it over
-        yield label, EmbeddingMatrix(
-            data=data,
-            modality=m.modality,
-            labels=m.labels[rows],
-            source=f"{m.source}[label={label}]",
-        )
+        yield label, m.take(rows, source=f"{m.source}[label={label}]")
 
 
 def split_by_label(m: EmbeddingMatrix) -> dict[int, EmbeddingMatrix]:

@@ -26,7 +26,8 @@ from spectrune.errors import (
     InsufficientSamplesError,
     PreconditionError,
 )
-from spectrune.store import EmbeddingMatrix
+from spectrune.npy import BLOCK_ROWS, write_npy
+from spectrune.store import EmbeddingDump, EmbeddingMatrix
 
 
 def two_pass_covariance(x: np.ndarray) -> np.ndarray:
@@ -138,8 +139,30 @@ def test_m2_stays_symmetric_through_updates():
     acc = CovarianceAccumulator.empty()
     for _ in range(25):
         acc = accumulate(acc, as_matrix(rng.standard_normal((rng.integers(1, 40), 12))))
-    asym = np.abs(acc.m2 - acc.m2.T).max()
-    assert asym <= 1e-12 * max(np.abs(acc.m2).max(), 1e-300)
+    assert np.array_equal(acc.m2, acc.m2.T)
+
+
+def test_m2_is_exactly_symmetric_after_dump_blocks_and_merge(tmp_path):
+    # accumulate and merge never symmetrize: c.T @ c is exactly symmetric
+    # and so is every sum of such terms
+    rng = np.random.default_rng(16)
+    path = tmp_path / "img.npy"
+    write_npy(path, (rng.standard_normal((3 * BLOCK_ROWS + 11, 33)) * 5.0 + 2.0).astype(np.float32))
+    parts = []
+    with EmbeddingDump(path) as dump:
+        for half in (0, 1):
+            acc = CovarianceAccumulator.empty()
+            for i, block in enumerate(dump.blocks()):
+                if i % 2 == half:
+                    acc = accumulate(acc, block)
+            assert np.array_equal(acc.m2, acc.m2.T)
+            parts.append(acc)
+    before = [(p.mean.copy(), p.m2.copy()) for p in parts]
+    merged = merge(*parts)
+    assert merged.count == 3 * BLOCK_ROWS + 11
+    assert np.array_equal(merged.m2, merged.m2.T)
+    for p, (mean, m2) in zip(parts, before):  # the inputs are left as they were
+        assert np.array_equal(p.mean, mean) and np.array_equal(p.m2, m2)
 
 
 def test_finalized_matrix_is_psd():

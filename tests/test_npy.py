@@ -198,6 +198,29 @@ def test_row_blocks_reassemble_the_array(tmp_path):
         assert np.array_equal(read_in_blocks(path, FLOAT_DESCRS), arr)
 
 
+def test_rows_at_gathers_rows_in_the_order_given(tmp_path):
+    arr = np.random.default_rng(8).standard_normal((10, 3, 2)).astype(np.float32)
+    path = tmp_path / "rows.npy"
+    write_npy(path, arr)
+    with NpyReader(path, FLOAT_DESCRS) as reader:
+        for index in ([], [4], [0, 1, 2, 7, 8, 9], list(range(10)), [9, 3, 3, 0]):
+            rows = reader.rows_at(index)
+            assert rows.dtype == np.float32 and rows.flags.writeable
+            assert np.array_equal(rows, arr[index])
+
+
+def test_payload_that_shrinks_after_open_is_format_error(tmp_path):
+    path = tmp_path / "shrinks.npy"
+    write_npy(path, np.ones((4, 4)))
+    with NpyReader(path, FLOAT_DESCRS) as reader:
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="payload ended early"):
+            reader.rows_at([0, 2, 3])
+        with pytest.raises(FormatError, match="payload ended early"):
+            reader.read()
+        assert np.array_equal(reader.rows_at([1, 2]), np.ones((2, 4)))
+
+
 def test_write_rows_matches_whole_write(tmp_path):
     arr = np.random.default_rng(7).standard_normal((10, 4))
     write_npy(tmp_path / "whole.npy", arr)

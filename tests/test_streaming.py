@@ -1,6 +1,7 @@
 """Streamed reading of embedding dumps: accumulate, project and activations
-work one block of rows at a time, agree with the whole-matrix functions,
-and hold memory bounded by the block, not by the file."""
+work one block of rows at a time, and class-overlap one class at a time;
+they agree with the whole-matrix functions and hold memory bounded by the
+block or the class, not by the file."""
 
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from spectrune.store import (
     EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
+    iter_classes,
     load_array_file,
+    save_label_file,
     save_manifest,
 )
 from spectrune.subspaces import Subspace, apply_removal, save_subspace
@@ -75,7 +78,7 @@ def _peak_alloc(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", ["accumulate", "project", "activations"])
+@pytest.mark.parametrize("command", ["accumulate", "project", "activations", "class-overlap"])
 def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
     d = 64
     block_bytes = BLOCK_ROWS * d * 8
@@ -84,13 +87,18 @@ def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
     for n in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
         run = tmp_path / str(n)
         run.mkdir()
-        rows = np.random.default_rng(n).standard_normal((n, d))
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, d))
         manifest = _write_manifest(run, {"img.npy": ("image", rows), "txt.npy": ("text", rows[::-1])})
         save_subspace(basis, run / "noise_basis.npy")
+        # classes of 128 rows each, scattered over the dump
+        save_label_file(rng.permutation(n) % (n // 128), run / "labels.npy")
         argv = {
             "accumulate": ["accumulate", "--manifest", str(manifest), "--out", str(run), "--kernel"],
             "project": ["project", "--out", str(run), str(run / "img.npy"), str(run / "clean.npy")],
             "activations": ["activations", "--out", str(run)],
+            "class-overlap": ["class-overlap", "--out", str(run), "--embeddings", str(run / "img.npy"),
+                              "--labels", str(run / "labels.npy")],
         }[command]
         peaks.append(_peak_alloc(argv))
     # each larger dump has 6 blocks more than the smaller one; a whole-file
@@ -123,6 +131,25 @@ def test_streamed_project_and_activations_match_whole_matrix(tmp_path):
         assert rank_activations(dump, basis, top=top) == expected
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_classes_read_from_the_dump_equal_classes_of_the_loaded_matrix(tmp_path, dtype):
+    rng = np.random.default_rng(9)
+    n = BLOCK_ROWS + 300
+    write_npy(tmp_path / "img.npy", rng.standard_normal((n, 7)).astype(dtype))
+    labels = rng.integers(0, 40, size=n)  # shuffled, classes of unequal size
+    whole = load_array_file(tmp_path / "img.npy", labels=labels)
+    with EmbeddingDump(tmp_path / "img.npy", labels=labels) as dump:
+        streamed = list(iter_classes(dump))
+    expected = list(iter_classes(whole))
+    assert [label for label, _ in streamed] == [label for label, _ in expected] == list(range(40))
+    for (_, got), (_, want) in zip(streamed, expected):
+        assert got.n == want.n
+        assert got.data.dtype == np.float64 and not got.data.flags.writeable
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.source == want.source
+
+
 def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
     rows = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS, 5))
     bad = BLOCK_ROWS + 7
@@ -131,13 +158,20 @@ def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
     write_npy(path, rows)
     with EmbeddingDump(path) as dump, pytest.raises(DataError, match=f"{path}: non-finite entry in row {bad}"):
         list(dump.blocks())
+    # classes interleave, so the bad row lies in class 4 of 7, read after
+    # classes 0-3 are finished
+    save_label_file(np.arange(rows.shape[0]) % 7, tmp_path / "labels.npy")
+    save_subspace(_basis(5, 2, 5), tmp_path / "noise_basis.npy")
+    assert main(["class-overlap", "--out", str(tmp_path), "--embeddings", str(path),
+                 "--labels", str(tmp_path / "labels.npy")]) == 2
+    assert f"{path}: non-finite entry in row {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
     rows[bad] = 0.0
     manifest = _write_manifest(tmp_path, {"img.npy": ("image", rows)})
     assert main(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"]) == 2
     assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
     assert not list(tmp_path.glob("sigma_*"))
-    save_subspace(_basis(5, 2, 5), tmp_path / "noise_basis.npy")
     assert main(["activations", "--out", str(tmp_path)]) == 2
     assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
 
@@ -152,6 +186,8 @@ def test_dump_checks_shape_and_labels_on_open(tmp_path):
     with EmbeddingDump(tmp_path / "img.npy", labels=[0, -1, 2]) as dump:
         with pytest.raises(DataError, match="negative label id at row 1"):
             list(dump.blocks())
+        with pytest.raises(DataError, match="negative label id at row 1"):
+            list(iter_classes(dump))
 
 
 def test_failed_project_leaves_no_partial_output(tmp_path):
