@@ -16,6 +16,10 @@ Subcommands chain the analysis end to end::
 All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
 identical bytes, and a failed command leaves no partial output behind.
+Each output rule lives in one place: ``_report`` builds every JSON
+report's envelope, ``_cell`` writes every CSV float (NaN, an undefined
+value, as the empty cell), and ``npy.replace_on_success`` turns every
+failed write into an ``IoError`` naming the destination (exit code 2).
 ``accumulate``, ``project`` and ``activations`` read embedding dumps in
 blocks of rows, and ``class-overlap`` reads one class's rows at a time, so
 their memory does not grow with the dump's size.
@@ -30,6 +34,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -109,23 +114,27 @@ def _sigma_file(tag: str) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    try:
-        with replace_on_success(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with replace_on_success(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cell(x: float) -> str:
+    """A CSV cell: empty for an undefined (NaN) value, else the float's repr."""
+    return "" if math.isnan(x) else repr(float(x))
+
+
+def _report(command: str, config: dict, **fields) -> dict:
+    """A JSON report: the schema version, the command and its config, then
+    the command's own fields."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **fields}
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _float_cell(x: float) -> str:
-    return repr(float(x))
 
 
 # --- synth ---
@@ -168,26 +177,19 @@ def cmd_synth(args) -> int:
         ),
         out / "manifest.json",
     )
-    write_json(
-        out / "synth.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "synth",
-            "config": {
-                "n": args.n,
-                "d": args.d,
-                "p": args.p,
-                "signal_var": args.signal_var,
-                "noise_var": args.noise_var,
-                "classes": args.classes,
-                "queries_per_class": args.queries_per_class,
-                "top_k": args.top_k,
-                "gap_scale": args.gap_scale,
-                "seed": args.seed,
-            },
-            "planted_noise_dims": args.p,
-        },
-    )
+    config = {
+        "n": args.n,
+        "d": args.d,
+        "p": args.p,
+        "signal_var": args.signal_var,
+        "noise_var": args.noise_var,
+        "classes": args.classes,
+        "queries_per_class": args.queries_per_class,
+        "top_k": args.top_k,
+        "gap_scale": args.gap_scale,
+        "seed": args.seed,
+    }
+    write_json(out / "synth.json", _report("synth", config, planted_noise_dims=args.p))
     logger.info("synthetic dataset written to %s", out)
     return 0
 
@@ -237,23 +239,14 @@ def cmd_accumulate(args) -> int:
         )
     for tag, cov in covs.items():
         save_covariance(cov, out / _sigma_file(tag))
-    write_json(
-        out / "accumulate.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "accumulate",
-            "config": {
-                "manifest": str(args.manifest),
-                "out": str(args.out),
-                "trace_normalize": args.trace_normalize,
-                "kernel": args.kernel,
-            },
-            "written": {
-                tag: {"file": _sigma_file(tag), "n_samples": cov.n_samples}
-                for tag, cov in covs.items()
-            },
-        },
-    )
+    config = {
+        "manifest": str(args.manifest),
+        "out": str(args.out),
+        "trace_normalize": args.trace_normalize,
+        "kernel": args.kernel,
+    }
+    written = {tag: {"file": _sigma_file(tag), "n_samples": cov.n_samples} for tag, cov in covs.items()}
+    write_json(out / "accumulate.json", _report("accumulate", config, written=written))
     return 0
 
 
@@ -280,35 +273,19 @@ def cmd_spectrum(args) -> int:
             out / f"spectrum_{path.stem}.csv",
             ["index", "eigenvalue", "log10_eigenvalue"],
             (
-                (i, _float_cell(eigs_desc[i]), _float_cell(curve[i]))
+                (i, _cell(eigs_desc[i]), _cell(curve[i]))
                 for i in range(curve.size)
             ),
         )
+        knee = {"knee_index": None, "log10_value": None, "d": spectrum.d, "source": spectrum.source}
         try:
-            knee = detect_knee(curve)
-            knees[path.stem] = {
-                "knee_index": knee,
-                "log10_value": float(curve[knee]),
-                "d": spectrum.d,
-                "source": spectrum.source,
-            }
+            index = detect_knee(curve)
+            knee.update(knee_index=index, log10_value=float(curve[index]))
         except NoKneeError as exc:
-            knees[path.stem] = {
-                "knee_index": None,
-                "log10_value": None,
-                "d": spectrum.d,
-                "source": spectrum.source,
-                "error": str(exc),
-            }
-    write_json(
-        out / "knees.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "spectrum",
-            "config": {"out": str(args.out), "sigmas": [str(p) for p in args.sigmas]},
-            "knees": knees,
-        },
-    )
+            knee["error"] = str(exc)
+        knees[path.stem] = knee
+    config = {"out": str(args.out), "sigmas": [str(p) for p in args.sigmas]}
+    write_json(out / "knees.json", _report("spectrum", config, knees=knees))
     return 0
 
 
@@ -327,23 +304,23 @@ def cmd_threshold(args) -> int:
 
     basis = noise_subspace(spectra[0], threshold)
     save_subspace(basis, out / "noise_basis.npy")
+    config = {
+        "out": str(args.out),
+        "sigmas": [str(p) for p in paths],
+        "threshold_mode": threshold.method,
+        "fixed_log10": args.fixed_log10,
+        "kernel": args.kernel,
+    }
     write_json(
         out / "threshold.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "threshold",
-            "config": {
-                "out": str(args.out),
-                "sigmas": [str(p) for p in paths],
-                "threshold_mode": threshold.method,
-                "fixed_log10": args.fixed_log10,
-                "kernel": args.kernel,
-            },
-            "log10_value": threshold.log10_value,
-            "noise_count": threshold.noise_count,
-            "method": threshold.method,
-            "per_spectrum_knees": list(threshold.knees),
-        },
+        _report(
+            "threshold",
+            config,
+            log10_value=threshold.log10_value,
+            noise_count=threshold.noise_count,
+            method=threshold.method,
+            per_spectrum_knees=list(threshold.knees),
+        ),
     )
     logger.info(
         "threshold 10^%.4f flags %d of %d dimensions as noise",
@@ -359,17 +336,9 @@ def cmd_threshold(args) -> int:
 
 def cmd_mscsa(args) -> int:
     report = mscsa(load_subspace(args.subspace_a), load_subspace(args.subspace_b))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mscsa",
-        "config": {
-            "subspace_a": str(args.subspace_a),
-            "subspace_b": str(args.subspace_b),
-        },
-        **report.to_dict(),
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
+    config = {"subspace_a": str(args.subspace_a), "subspace_b": str(args.subspace_b)}
+    doc = _report("mscsa", config, **report.to_dict())
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     if args.out is not None:
         out = _out_dir(args)
         write_json(out / "mscsa.json", doc)
@@ -449,10 +418,7 @@ def cmd_eval(args) -> int:
         _write_csv(
             out / "alignment_deltas.csv",
             ["pair", "delta"],
-            (
-                (i, "" if np.isnan(v) else _float_cell(v))
-                for i, v in enumerate(delta.per_pair)
-            ),
+            ((i, _cell(v)) for i, v in enumerate(delta.per_pair)),
         )
     else:
         logger.warning("no alignment pairs found, skipping cosine deltas")
@@ -466,32 +432,32 @@ def cmd_eval(args) -> int:
     _write_csv(
         out / "ablation.csv",
         ["trial", "accuracy"],
-        ((t, _float_cell(a)) for t, a in enumerate(ablation)),
+        ((t, _cell(a)) for t, a in enumerate(ablation)),
     )
     std_trials = float(ablation.std(ddof=1)) if ablation.size > 1 else 0.0
+    config = {
+        "out": str(args.out),
+        "seed": args.seed,
+        "trials": args.trials,
+        "top_k": args.top_k,
+        "query_only": args.query_only,
+        "removed_dimensions": basis.p,
+    }
     write_json(
         out / "eval_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "eval",
-            "config": {
-                "out": str(args.out),
-                "seed": args.seed,
-                "trials": args.trials,
-                "top_k": args.top_k,
-                "query_only": args.query_only,
-                "removed_dimensions": basis.p,
-            },
-            "baseline_top_k": baseline,
-            "alignment_pairs_undefined": n_undefined,
-            "projected_undefined": projected_undefined(task, basis, not args.query_only),
-            "report": report.to_dict(),
-            "ablation_summary": {
+        _report(
+            "eval",
+            config,
+            baseline_top_k=baseline,
+            alignment_pairs_undefined=n_undefined,
+            projected_undefined=projected_undefined(task, basis, not args.query_only),
+            report=report.to_dict(),
+            ablation_summary={
                 "mean": float(ablation.mean()),
                 "std_over_trials": std_trials,
                 "std_of_mean": std_trials / float(np.sqrt(ablation.size)),
             },
-        },
+        ),
     )
     logger.info(
         "top-%d accuracy: baseline %.4f, noise-free %.4f, random %.4f",
@@ -524,30 +490,21 @@ def cmd_class_overlap(args) -> int:
     # rows, or every row equal) has empty mscsa and distance cells
     with EmbeddingDump(_default(args.embeddings, out, "queries.npy"), labels=labels) as dump:
         classes = [one_class(item) for item in per_class_covariances(dump)]
-    ids = [label for label, *_ in classes]
-    cells = {label: _float_cell(v) for label, _, v, _ in classes if not np.isnan(v)}
-    if len(cells) < len(ids):
+    undefined = sum(math.isnan(v) for _, _, v, _ in classes)
+    if undefined:
         logger.warning("%d of %d classes have no defined lowest-%d span: mscsa left empty",
-                       len(ids) - len(cells), len(ids), basis.p)
+                       undefined, len(classes), basis.p)
     _write_csv(
         out / "class_overlap.csv",
         ["label", "n_samples", "mscsa"],
-        ((label, n, cells.get(label, "")) for label, n, _, _ in classes),
+        ((label, n, _cell(v)) for label, n, v, _ in classes),
     )
-    distances = class_spectrum_distance({label: w for label, _, _, w in classes if w is not None})
-    at = {label: i for i, label in enumerate(distances.labels)}
-    columns = [at.get(b) for b in ids]  # None: the class has no spectrum
-
-    def distance_row(a: int) -> list:
-        if a not in at:
-            return [a] + [""] * len(ids)
-        row = distances.distances[at[a]].tolist()
-        return [a] + ["" if j is None else repr(row[j]) for j in columns]
-
+    distances = class_spectrum_distance({label: w for label, _, _, w in classes})
     _write_csv(
         out / "class_spectrum_distance.csv",
-        ["label"] + [str(l) for l in ids],
-        (distance_row(a) for a in ids),
+        ["label"] + [str(l) for l in distances.labels],
+        # one row of Python floats at a time, not C^2 of them
+        ([a] + [_cell(x) for x in row.tolist()] for a, row in zip(distances.labels, distances.distances)),
     )
     return 0
 
@@ -562,7 +519,7 @@ def cmd_activations(args) -> int:
         out / "activations.csv",
         ["rank", "row_index", "score", "source"],
         (
-            (rank, act.row_index, _float_cell(act.norm), dump.source)
+            (rank, act.row_index, _cell(act.norm), dump.source)
             for rank, act in enumerate(ranked)
         ),
     )
@@ -628,10 +585,7 @@ plot 'class_overlap.csv' using 1:3 with points pt 7 notitle
 def cmd_plot_script(args) -> int:
     out = _out_dir(args)
     name = f"plot_{args.figure.replace('-', '_')}.gp"
-    try:
-        write_text(out / name, _GNUPLOT_TEMPLATES[args.figure])
-    except OSError as exc:
-        raise IoError(f"cannot write {out / name}: {exc}") from exc
+    write_text(out / name, _GNUPLOT_TEMPLATES[args.figure])
     print(out / name)
     return 0
 

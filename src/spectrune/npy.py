@@ -21,7 +21,8 @@ and written whole (``write_npy``) or from consecutive row blocks
 (``write_npy_rows``); JSON reports and sidecars go through ``write_json``
 and ``read_json``. Every output of the package,
 NPY or text, goes through ``replace_on_success``, so a failed write never
-leaves a truncated file behind.
+leaves a truncated file behind, and is reported in one way: an ``IoError``
+that names the destination (the CLI's exit code 2).
 """
 
 from __future__ import annotations
@@ -61,7 +62,12 @@ def replace_on_success(path: Path | str, mode: str = "wb", **open_kwargs):
 
     Readers see either the previous file or the complete new one; when the
     block raises, the temporary file is removed and ``path`` keeps its
-    previous bytes, or stays absent. OSError propagates to the caller.
+    previous bytes, or stays absent. This is the one place where a failed
+    write becomes an error: any other exception propagates unchanged.
+
+    Raises:
+        IoError: opening, writing or moving the file failed (an ``OSError``,
+            in the block or here); the message names ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -69,14 +75,20 @@ def replace_on_success(path: Path | str, mode: str = "wb", **open_kwargs):
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
         raise
 
 
 def write_text(path: Path | str, text: str) -> None:
-    """Write UTF-8 text through ``replace_on_success``."""
+    """Write UTF-8 text through ``replace_on_success``.
+
+    Raises:
+        IoError: destination cannot be written.
+    """
     with replace_on_success(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -87,11 +99,7 @@ def write_json(path: Path | str, doc: dict) -> None:
     Raises:
         IoError: destination cannot be written.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    try:
-        write_text(path, text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path: Path | str):
@@ -127,7 +135,8 @@ def write_npy(path: Path | str, array: np.ndarray) -> None:
     Raises:
         IoError: destination cannot be written.
     """
-    arr = np.ascontiguousarray(array)
+    # not ascontiguousarray, which turns a 0-D array into shape (1,)
+    arr = np.asarray(array, order="C")
     write_npy_rows(path, arr.shape, arr.dtype, [arr])
 
 
@@ -153,21 +162,18 @@ def write_npy_rows(
         dtype = dtype.newbyteorder("<")
     header = format_header(dtype.str, shape)
     expected = math.prod(shape) * dtype.itemsize
-    try:
-        with replace_on_success(path) as fh:
-            fh.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header)
-            written = 0
-            for block in blocks:
-                block = np.ascontiguousarray(block, dtype=dtype)
-                fh.write(block.reshape(-1).view(np.uint8))
-                written += block.nbytes
-            if written != expected:
-                raise ShapeError(
-                    f"{path}: blocks hold {written} bytes, shape {tuple(shape)} "
-                    f"with dtype {dtype.str} needs {expected}"
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write array file {path}: {exc}") from exc
+    with replace_on_success(path) as fh:
+        fh.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header)
+        written = 0
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=dtype)
+            fh.write(block.reshape(-1).view(np.uint8))
+            written += block.nbytes
+        if written != expected:
+            raise ShapeError(
+                f"{path}: blocks hold {written} bytes, shape {tuple(shape)} "
+                f"with dtype {dtype.str} needs {expected}"
+            )
 
 
 class NpyReader:

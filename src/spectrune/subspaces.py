@@ -193,26 +193,31 @@ class ClassSpectrumDistances:
     distances: np.ndarray
 
 
-def class_spectrum_distance(eigenvalues: dict[int, np.ndarray]) -> ClassSpectrumDistances:
+def class_spectrum_distance(
+    eigenvalues: dict[int, np.ndarray | None],
+) -> ClassSpectrumDistances:
     """RMS distance between mean-centered per-class log10 eigenvalue vectors.
 
     ``eigenvalues`` maps class ids to the eigenvalues of the decompositions
-    that ``per_class_overlap`` takes. Mean-centering in log10 cancels
-    constant log-shifts, i.e. global rescalings of a class; eigenvalues below
-    ``LOG_FLOOR`` count as ``LOG_FLOOR``.
+    that ``per_class_overlap`` takes, or to None for a class without a
+    spectrum; such a class reads NaN in its whole row and column, diagonal
+    included. Mean-centering in log10 cancels constant log-shifts, i.e.
+    global rescalings of a class; eigenvalues below ``LOG_FLOOR`` count as
+    ``LOG_FLOOR``.
     """
     labels = sorted(eigenvalues)
+    defined = [i for i, label in enumerate(labels) if eigenvalues[label] is not None]
     curves: list[np.ndarray] = []
-    for label in labels:
-        vec = np.log10(np.maximum(eigenvalues[label], LOG_FLOOR))
+    for i in defined:
+        vec = np.log10(np.maximum(eigenvalues[labels[i]], LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     # one row at a time: O(C * d) memory instead of a C x C x d broadcast
-    dist = np.empty((len(curves), len(curves)))
-    for i, curve in enumerate(stack):
-        dist[i] = np.sqrt(np.mean((curve - stack) ** 2, axis=1))
+    dist = np.full((len(labels), len(labels)), np.nan)
+    for i, curve in zip(defined, stack):
+        dist[i, defined] = np.sqrt(np.mean((curve - stack) ** 2, axis=1))
     dist = (dist + dist.T) * 0.5
-    np.fill_diagonal(dist, 0.0)
+    dist[defined, defined] = 0.0
     return ClassSpectrumDistances(labels=tuple(labels), distances=dist)
 
 

@@ -250,7 +250,7 @@ def test_zero_shot_matches_brute_force_oracle():
         assert zero_shot_topk(task) == hits / n_queries
 
 
-def test_eval_report_bytes_identical_across_threads(tmp_path):
+def test_eval_report_bytes_identical_across_reruns(tmp_path):
     """Two runs at the same seed write byte-identical EvalReport JSON."""
     out = str(tmp_path)
     assert main(["synth", "--out", out, "--n", "3000", "--d", "48", "--p", "8",

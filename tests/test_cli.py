@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectrune
 from spectrune.cli import main
 from spectrune.covariance import load_covariance
 from spectrune.evaluation import trial_rng
@@ -143,7 +149,7 @@ def test_spectrum_csv_is_descending(pipeline_dir):
     assert len(eigenvalues) == 48
 
 
-def test_eval_rerun_is_byte_identical_across_thread_counts(pipeline_dir):
+def test_eval_rerun_is_byte_identical(pipeline_dir):
     report = pipeline_dir / "eval_report.json"
     argv = ["eval", "--out", str(pipeline_dir), "--seed", "5", "--trials", "40",
             "--top-k", "5"]
@@ -230,6 +236,23 @@ def test_class_overlap_keeps_classes_too_small_for_a_covariance(tmp_path, caplog
     assert float(dist[0][3]) == float(dist[2][1]) > 0.0
 
 
+def test_class_overlap_without_any_spectrum_leaves_every_cell_empty(tmp_path, caplog):
+    # classes of one row and of two equal rows: no distance is defined, and
+    # nothing warns (pytest turns warnings into errors)
+    labels = np.array([0, 1, 2, 2])
+    queries = np.random.default_rng(12).standard_normal((4, 3))
+    queries[3] = queries[2]
+    write_npy(tmp_path / "queries.npy", queries)
+    save_label_file(labels, tmp_path / "labels.npy")
+    write_npy(tmp_path / "basis.npy", np.eye(3)[:, [2]])
+    assert main(_class_overlap_argv(
+        tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+    )) == 0
+    assert "3 of 3 classes have no defined lowest-1 span" in caplog.text
+    assert (tmp_path / "class_overlap.csv").read_text() == "label,n_samples,mscsa\n0,1,\n1,1,\n2,2,\n"
+    assert (tmp_path / "class_spectrum_distance.csv").read_text() == "label,0,1,2\n0,,,\n1,,,\n2,,,\n"
+
+
 def test_class_overlap_leaves_a_class_of_equal_rows_empty(tmp_path, caplog):
     # exactly equal rows (1.0) have a zero covariance, and rows equal up to
     # representation (0.1) a roundoff one: neither class has a spectrum
@@ -254,7 +277,7 @@ def test_class_overlap_leaves_a_class_of_equal_rows_empty(tmp_path, caplog):
     assert caplog.text.count("1 of 2 classes have no defined lowest-1 span") == 2
 
 
-def test_class_overlap_is_byte_identical_across_thread_counts(pipeline_dir, tmp_path, caplog):
+def test_class_overlap_in_another_directory_rewrites_the_same_bytes(pipeline_dir, tmp_path, caplog):
     # a second run on the pipeline's inputs, in another directory, rewrites
     # the pipeline's bytes
     assert main([
@@ -314,6 +337,26 @@ def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
     assert peak < 0.5 * classes * d * d * 8 + queries.nbytes, peak
 
 
+def test_class_overlap_formats_the_distance_csv_one_row_at_a_time(tmp_path):
+    # C^2 Python floats hold 4x the bytes of the C x C float64 distances,
+    # which peak near 2 * C^2 * 8 while they are symmetrized
+    classes = 500
+    rng = np.random.default_rng(13)
+    write_npy(tmp_path / "queries.npy", rng.standard_normal((2 * classes, 2)))
+    save_label_file(np.repeat(np.arange(classes), 2), tmp_path / "labels.npy")
+    write_npy(tmp_path / "basis.npy", np.eye(2)[:, [1]])
+    argv = _class_overlap_argv(
+        tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+    )
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * classes * classes * 8, peak
+
+
 def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
     # every pair lies inside the noise span, so removing it leaves no pair
     basis = read_npy(pipeline_dir / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
@@ -356,6 +399,54 @@ def test_exit_code_2_for_manifest_without_entries(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 2
     assert not (tmp_path / "accumulate.json").exists()
+
+
+def test_exit_code_2_when_an_output_cannot_be_written(pipeline_dir, tmp_path, capsys):
+    # a directory at each destination: the temporary file is complete, and
+    # moving it onto the destination fails
+    commands = {
+        "activations.csv": ["activations", "--out", str(tmp_path),
+                            "--embeddings", str(pipeline_dir / "img.npy"),
+                            "--basis", str(pipeline_dir / "noise_basis.npy")],
+        "plot_spectrum.gp": ["plot-script", "--out", str(tmp_path), "--figure", "spectrum"],
+    }
+    for name, argv in commands.items():
+        (tmp_path / name).mkdir()
+        assert main(argv) == 2, name
+        assert f"error: cannot write {tmp_path / name}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(commands)
+
+
+def test_chain_writes_the_same_bytes_in_fresh_processes(tmp_path):
+    # outputs depend on the flags and --seed alone: two runs of the chain,
+    # each command in its own interpreter with another hash seed, into the
+    # same directory, write the same files byte for byte
+    out = str(tmp_path / "run")
+    chain = [
+        ["synth", "--out", out, "--n", "2000", "--d", "24", "--p", "4", "--classes", "8",
+         "--queries-per-class", "40", "--seed", "3"],
+        ["accumulate", "--manifest", f"{out}/manifest.json", "--out", out, "--kernel"],
+        ["spectrum", "--out", out],
+        ["threshold", "--out", out],
+        ["project", "--out", out, f"{out}/img.npy", f"{out}/img_clean.npy"],
+        ["eval", "--out", out, "--seed", "3", "--trials", "20"],
+        ["class-overlap", "--out", out],
+        ["activations", "--out", out],
+    ]
+    src = str(Path(spectrune.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        for argv in chain:
+            subprocess.run([sys.executable, "-m", "spectrune.cli", *argv],
+                           env=env, check=True, capture_output=True)
+        runs.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(tmp_path.joinpath("run").iterdir())})
+        for p in tmp_path.joinpath("run").iterdir():
+            p.unlink()
+    assert len(runs[0]) == 42
+    assert runs[0] == runs[1]
 
 
 def test_threads_option_is_a_usage_error(tmp_path, capsys):

@@ -183,7 +183,7 @@ def _signal_on_one_axis_task():
     return task, decompose(sigma)
 
 
-def test_random_ablation_is_deterministic_and_thread_invariant():
+def test_random_ablation_is_deterministic_and_draws_each_trial_from_its_own_stream():
     task, spectrum = _signal_on_one_axis_task()
     a = random_ablation(task, spectrum, p=1, trials=40, seed=9)
     b = random_ablation(task, spectrum, p=1, trials=40, seed=9)

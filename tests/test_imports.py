@@ -1,12 +1,14 @@
 """Every name a module of the package imports is used in that module (the
 package's ``__init__.py`` imports names only to re-export them, so it is
 left out), every module-level private name (``_x``) is referenced
-somewhere in the package, so no helper outlives its last caller, and no
-module imports a thread or process pool."""
+somewhere in the package, so no helper outlives its last caller, no
+module imports a thread or process pool, and only ``npy.py`` turns an
+``OSError`` into an error (``cli.main`` maps what escapes to exit 2)."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -123,3 +125,67 @@ def test_module_imports_no_pool(module):
     # BLAS threads every gemm and eigh; a Python pool on top only costs
     # memory, and a second code path
     assert pool_imports(module.read_text(encoding="utf-8")) == []
+
+
+def catches_oserror(node: ast.expr | None) -> bool:
+    """Whether an ``except`` clause or ``suppress`` argument of this type
+    catches an OSError: OSError, a subclass or a base of it, or a bare
+    ``except``."""
+    if node is None:
+        return True
+    if isinstance(node, ast.Tuple):
+        return any(catches_oserror(elt) for elt in node.elts)
+    cls = getattr(builtins, node.id, None) if isinstance(node, ast.Name) else None
+    return isinstance(cls, type) and (issubclass(cls, OSError) or issubclass(OSError, cls))
+
+
+def oserror_catches(source: str) -> list[tuple[str, int]]:
+    """``(function, line)`` of each ``except`` clause and ``suppress(...)``
+    call that catches an OSError; ``function`` is the innermost enclosing
+    function, or ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and catches_oserror(child.type):
+                found.append((function, child.lineno))
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name == "suppress" and any(catches_oserror(arg) for arg in child.args):
+                    found.append((function, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_oserror_catches_are_found():
+    source = (
+        "import contextlib\n"
+        "def f():\n"
+        "    try:\n        pass\n"
+        "    except (ValueError, OSError):\n        pass\n"  # line 5
+        "    except KeyError:\n        pass\n"
+        "    def g():\n"
+        "        with contextlib.suppress(FileNotFoundError):\n            pass\n"  # line 10
+        "    with suppress(KeyError):\n        pass\n"
+        "try:\n    pass\n"
+        "except Exception:\n    pass\n"  # line 16
+        "except np.linalg.LinAlgError:\n    pass\n"
+        "except:\n    pass\n"  # line 20
+    )
+    assert oserror_catches(source) == [("f", 5), ("g", 10), ("<module>", 16), ("<module>", 20)]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "npy.py"),
+    ids=lambda path: path.name,
+)
+def test_only_npy_catches_oserror(module):
+    # npy.replace_on_success turns every failed write into an IoError that
+    # names the destination; a second wrapper would be a second message
+    allowed = ["main"] if module.name == "cli.py" else []
+    catches = oserror_catches(module.read_text(encoding="utf-8"))
+    assert [function for function, _ in catches] == allowed, catches

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -13,8 +14,10 @@ from spectrune.npy import (
     INT_DESCRS,
     NpyReader,
     read_npy,
+    write_json,
     write_npy,
     write_npy_rows,
+    write_text,
 )
 
 
@@ -62,6 +65,15 @@ def test_numpy_reads_our_files(tmp_path):
         loaded = np.load(path)
         assert loaded.dtype == arr.dtype
         assert np.array_equal(loaded, arr)
+
+
+def test_zero_d_and_empty_arrays_keep_their_shape(tmp_path):
+    for arr in (np.array(1.5), np.zeros((0, 4)), np.arange(6.0).reshape(2, 3)):
+        path = tmp_path / "shape.npy"
+        write_npy(path, arr)
+        for back in (read_npy(path, FLOAT_DESCRS), np.load(path)):
+            assert back.shape == arr.shape
+            assert np.array_equal(back, arr)
 
 
 def test_we_read_numpy_files(tmp_path):
@@ -243,3 +255,24 @@ def test_failed_write_leaves_previous_file(tmp_path):
         write_npy_rows(path, (3, 2), np.float64, [np.ones((2, 2))])
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.npy"]
+
+
+WRITERS = {
+    "write_npy": lambda path: write_npy(path, np.zeros((2, 2))),
+    "write_npy_rows": lambda path: write_npy_rows(path, (2, 2), np.float64, [np.zeros((2, 2))]),
+    "write_json": lambda path: write_json(path, {"a": 1}),
+    "write_text": lambda path: write_text(path, "a\n"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_is_io_error_naming_the_destination(tmp_path, writer):
+    # a directory at the destination: the temporary file is complete, and
+    # moving it onto the destination fails
+    path = tmp_path / "out"
+    path.mkdir()
+    with pytest.raises(IoError, match=f"^cannot write {re.escape(str(path))}: ") as exc:
+        WRITERS[writer](path)
+    assert isinstance(exc.value.__cause__, OSError)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(path.iterdir()) == []

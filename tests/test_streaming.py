@@ -44,7 +44,7 @@ def _basis(d: int, p: int, seed: int) -> Subspace:
     return Subspace(q)
 
 
-def test_accumulate_is_thread_invariant_and_matches_covariance_of(tmp_path):
+def test_accumulate_rerun_is_byte_identical_and_matches_covariance_of(tmp_path):
     rng = np.random.default_rng(0)
     img_a = rng.standard_normal((2 * BLOCK_ROWS + 17, 6)) * 3.0 + 1.0
     img_b = rng.standard_normal((BLOCK_ROWS - 5, 6))

@@ -293,6 +293,26 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     assert class_spectrum_distance(eigenvalues).distances.tobytes() == expected.tobytes()
 
 
+def test_class_spectrum_distance_leaves_classes_without_a_spectrum_undefined():
+    rng = np.random.default_rng(52)
+    data = rng.standard_normal((300, 6)) * rng.uniform(0.1, 3.0, size=6)
+    eigenvalues = class_eigenvalues(
+        EmbeddingMatrix(data, modality="image", labels=rng.integers(0, 6, size=300))
+    )
+    full = class_spectrum_distance(eigenvalues).distances
+    result = class_spectrum_distance({**eigenvalues, 1: None, 4: None, 9: None})
+    assert result.labels == (0, 1, 2, 3, 4, 5, 9)
+    # a defined pair keeps its bytes; classes 1, 4 and 9 read NaN throughout
+    defined, undefined = [0, 2, 3, 5], [1, 4, 6]
+    got = result.distances[np.ix_(defined, defined)]
+    assert got.tobytes() == full[np.ix_(defined, defined)].tobytes()
+    nan = np.isnan(result.distances)
+    assert nan[undefined].all() and nan[:, undefined].all()
+    assert nan.sum() == 7 * 7 - 4 * 4
+    # no class has a spectrum: every cell is NaN, and nothing warns
+    assert np.isnan(class_spectrum_distance({0: None, 3: None}).distances).all()
+
+
 def test_subspace_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(50)
     sub = random_subspace(8, 3, rng)
