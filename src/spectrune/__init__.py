@@ -80,7 +80,6 @@ from spectrune.subspaces import (
     apply_removal,
     class_spectrum_distance,
     load_subspace,
-    lowest_k_subspace,
     mscsa,
     noise_subspace,
     per_class_overlap,

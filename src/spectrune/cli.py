@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import os
@@ -70,7 +69,7 @@ from spectrune.evaluation import (
     synth_benchmark,
     zero_shot_topk,
 )
-from spectrune.npy import replace_on_success, write_json, write_npy_rows, write_text
+from spectrune.npy import json_text, replace_on_success, write_json, write_npy_rows, write_text
 from spectrune.spectral import (
     NoiseThreshold,
     Spectrum,
@@ -337,11 +336,10 @@ def cmd_threshold(args) -> int:
 def cmd_mscsa(args) -> int:
     report = mscsa(load_subspace(args.subspace_a), load_subspace(args.subspace_b))
     config = {"subspace_a": str(args.subspace_a), "subspace_b": str(args.subspace_b)}
-    doc = _report("mscsa", config, **report.to_dict())
-    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    text = json_text(_report("mscsa", config, **report.to_dict()))
+    print(text, end="")
     if args.out is not None:
-        out = _out_dir(args)
-        write_json(out / "mscsa.json", doc)
+        write_text(_out_dir(args) / "mscsa.json", text)
     return 0
 
 

@@ -31,6 +31,7 @@ from spectrune.errors import (
     InsufficientSamplesError,
     NumericalError,
     PreconditionError,
+    in_file,
 )
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
 from spectrune.store import EmbeddingDump, EmbeddingMatrix, _frozen, iter_classes
@@ -228,12 +229,13 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     invariant to positive per-row rescaling of ``m``.
 
     Raises:
-        DataError: a row has zero norm.
+        DataError: a row has zero norm; the message names ``m.source``.
     """
     norms = np.linalg.norm(m.data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DataError(f"zero-norm row {m.first_row + int(zero[0])} cannot be normalized")
+        where = f"{m.source}: " if m.source else ""
+        raise DataError(f"{where}zero-norm row {m.first_row + int(zero[0])} cannot be normalized")
     unit = m.data / norms[:, None]
     unit.flags.writeable = False  # a fresh array: the matrix may keep it uncopied
     return EmbeddingMatrix(
@@ -283,15 +285,17 @@ def save_covariance(c: CovarianceMatrix, npy_path: Path | str) -> None:
 
 
 def load_covariance(npy_path: Path | str) -> CovarianceMatrix:
+    """A covariance saved by ``save_covariance``; errors name the file."""
     sigma = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
     side = sidecar_path(npy_path)
     meta = read_json(side)
     for key in ("n_samples", "modality", "trace_normalized"):
         if key not in meta:
             raise FormatError(f"{side}: missing key {key!r}")
-    return CovarianceMatrix(
-        sigma=sigma,
-        n_samples=int(meta["n_samples"]),
-        modality=str(meta["modality"]),
-        trace_normalized=bool(meta["trace_normalized"]),
-    )
+    with in_file(npy_path):
+        return CovarianceMatrix(
+            sigma=sigma,
+            n_samples=int(meta["n_samples"]),
+            modality=str(meta["modality"]),
+            trace_normalized=bool(meta["trace_normalized"]),
+        )

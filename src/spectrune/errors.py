@@ -10,6 +10,9 @@ Two families, distinguished by the CLI exit code they map to:
 
 from __future__ import annotations
 
+import contextlib
+from pathlib import Path
+
 
 class SpectruneError(Exception):
     """Base class for all spectrune errors."""
@@ -78,3 +81,14 @@ class NoKneeError(SpectruneError):
 
 class EmptySubspaceError(SpectruneError):
     """No eigenvalues fall below the requested threshold."""
+
+
+@contextlib.contextmanager
+def in_file(path: Path | str):
+    """Prefix ``path`` to any spectrune error raised in the block, keeping
+    its type and so its exit code. Wrap only the construction of what was
+    read: the readers' own errors already name the file."""
+    try:
+        yield
+    except SpectruneError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

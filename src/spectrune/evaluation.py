@@ -25,6 +25,10 @@ NORM_EPS = 1e-12
 # under this share of |x|^2, |x|^2 - |x B|^2 may be cancellation roundoff (~1e-8
 # for a unit row inside span(B)); the residual x - (x B) B^T gives ~1e-16 there
 CANCEL_SHARE = 1e-4
+# synth_benchmark's noise-span norms of a query and a pair row, and its pair count
+QUERY_NOISE = 0.3
+PAIR_NOISE = 0.5
+N_PAIRS = 500
 
 
 @dataclass(frozen=True)
@@ -361,9 +365,6 @@ def synth_benchmark(
     queries_per_class: int = 20,
     k: int = 5,
     query_jitter: float = 3.5,
-    query_noise: float = 0.3,
-    n_pairs: int = 500,
-    pair_noise: float = 0.5,
     gap: np.ndarray | None = None,
     seed: int = 0,
 ) -> SyntheticBenchmark:
@@ -417,7 +418,7 @@ def synth_benchmark(
     jitter = rng.standard_normal((n_queries, d - p)) * (
         query_jitter / np.sqrt(d - p)
     )
-    noise_part = rng.standard_normal((n_queries, p)) * (query_noise / np.sqrt(p))
+    noise_part = rng.standard_normal((n_queries, p)) * (QUERY_NOISE / np.sqrt(p))
     queries = (
         protos[query_labels] + jitter @ signal_basis.T + noise_part @ noise_basis.T
     )
@@ -434,14 +435,14 @@ def synth_benchmark(
         k=k,
     )
 
-    shared = rng.standard_normal((n_pairs, d - p))
+    shared = rng.standard_normal((N_PAIRS, d - p))
     shared = (shared / np.linalg.norm(shared, axis=1)[:, None]) @ signal_basis.T
-    pair_noise_scale = pair_noise / np.sqrt(p)
+    pair_noise_scale = PAIR_NOISE / np.sqrt(p)
     pairs_img = shared + (
-        rng.standard_normal((n_pairs, p)) * pair_noise_scale
+        rng.standard_normal((N_PAIRS, p)) * pair_noise_scale
     ) @ noise_basis.T
     pairs_txt = shared + (
-        rng.standard_normal((n_pairs, p)) * pair_noise_scale
+        rng.standard_normal((N_PAIRS, p)) * pair_noise_scale
     ) @ noise_basis.T
 
     return SyntheticBenchmark(

@@ -15,11 +15,11 @@ The writer always emits little-endian payloads with the preamble padded to a
 v1.0 file whose dtype is in the caller's allow-list; Fortran-ordered files
 and other format versions are rejected loudly rather than converted.
 
-Files can be read whole (``read_npy``), in blocks of rows along the first
-axis (``NpyReader.row_blocks``) or as chosen rows (``NpyReader.rows_at``),
-and written whole (``write_npy``) or from consecutive row blocks
-(``write_npy_rows``); JSON reports and sidecars go through ``write_json``
-and ``read_json``. Every output of the package,
+Files are read whole (``read_npy``) or as chosen rows along the first axis
+(``NpyReader.rows_at``), and written whole (``write_npy``) or from
+consecutive row blocks (``write_npy_rows``); JSON reports and sidecars are
+formatted by ``json_text``, then go through ``write_json`` and
+``read_json``. Every output of the package,
 NPY or text, goes through ``replace_on_success``, so a failed write never
 leaves a truncated file behind, and is reported in one way: an ``IoError``
 that names the destination (the CLI's exit code 2).
@@ -35,7 +35,7 @@ import os
 import struct
 import threading
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -48,7 +48,7 @@ HEADER_ALIGN = 64
 FLOAT_DESCRS = ("<f4", "<f8")
 INT_DESCRS = ("<i4", "<i8")
 
-# Rows per block when a file is read in blocks. A fixed grid keeps the
+# Rows per block when a dump is read in blocks. A fixed grid keeps the
 # floating-point fold order, and so every output byte, independent of the
 # machine. At d = 768 a float64 block is 12 MB, and the per-block O(d^2)
 # combine stays small next to the O(rows * d^2) product.
@@ -93,13 +93,15 @@ def write_text(path: Path | str, text: str) -> None:
         fh.write(text)
 
 
-def write_json(path: Path | str, doc: dict) -> None:
-    """Write a report or sidecar: indented JSON with sorted keys, no NaN.
+def json_text(doc: dict) -> str:
+    """A report or sidecar as text: indented JSON with sorted keys, no NaN,
+    ending in a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    Raises:
-        IoError: destination cannot be written.
-    """
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """Write ``json_text(doc)``; IoError when ``path`` cannot be written."""
+    write_text(path, json_text(doc))
 
 
 def read_json(path: Path | str):
@@ -181,9 +183,10 @@ class NpyReader:
 
     Opening checks the magic, version, header keys, dtype allow-list,
     order, shape and rank, and the payload size against the file size,
-    before any payload byte is read. ``read`` then returns the whole array,
-    ``row_blocks`` streams it in blocks of rows, and ``rows_at`` gathers
-    chosen rows. Close the reader, or use it as a context manager.
+    before any payload byte is read. ``read`` then returns the whole array
+    and ``rows_at`` chosen rows, each as a fresh array. Embedding rows are
+    read through ``store.EmbeddingDump``, which checks every row it hands
+    out. Close the reader, or use it as a context manager.
 
     Raises (from the constructor):
         IoError: file unreadable.
@@ -286,36 +289,12 @@ class NpyReader:
         if got < view.size:
             raise FormatError(f"{self.path}: payload ended early (file shrank while read)")
 
-    def _row_bytes(self) -> int:
-        if not self.shape:
-            raise ShapeError(f"{self.path}: a 0-D array has no rows")
-        return math.prod(self.shape[1:]) * self.dtype.itemsize
-
     def read(self) -> np.ndarray:
         """The whole array: a fresh, writable ndarray in C order with the
         file's exact values, read straight from the file into place."""
         out = np.empty(self.shape, self.dtype)
         self._fill(out.reshape(-1).view(np.uint8), 0)
         return out
-
-    def row_blocks(self, block_rows: int = BLOCK_ROWS) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(start, rows)`` for consecutive blocks of at most
-        ``block_rows`` rows along the first axis, in file order.
-
-        ``rows`` is a view of one buffer that every block is read into:
-        it is overwritten by the next block, so copy what must outlive an
-        iteration step. The pass holds one block, whatever the file size.
-
-        Raises:
-            ShapeError: the array is 0-D and has no rows.
-        """
-        row_bytes = self._row_bytes()
-        n = self.shape[0]
-        buffer = np.empty((min(block_rows, n),) + self.shape[1:], self.dtype)
-        for start in range(0, n, block_rows):
-            rows = buffer[: min(block_rows, n - start)]
-            self._fill(rows.reshape(-1).view(np.uint8), start * row_bytes)
-            yield start, rows
 
     def rows_at(self, index: np.ndarray) -> np.ndarray:
         """The rows at ``index`` along the first axis, in that order, as one
@@ -324,7 +303,9 @@ class NpyReader:
         Raises:
             ShapeError: the array is 0-D and has no rows.
         """
-        row_bytes = self._row_bytes()
+        if not self.shape:
+            raise ShapeError(f"{self.path}: a 0-D array has no rows")
+        row_bytes = math.prod(self.shape[1:]) * self.dtype.itemsize
         index = np.asarray(index, dtype=np.int64)
         out = np.empty((index.size,) + self.shape[1:], self.dtype)
         view = out.reshape(-1).view(np.uint8)

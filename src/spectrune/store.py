@@ -6,10 +6,11 @@ named by the manifest rather than inside the matrix. Everything is widened
 to float64 on load because downstream eigenvalues span many orders of
 magnitude and 32-bit accumulation is unsafe.
 
-Loaded matrices are immutable (read-only buffers). A dump too large to
-hold can be opened as an ``EmbeddingDump``, which yields the same checked
-matrices one block of rows at a time, or one class at a time through
-``iter_classes``, reading each class's rows only when it is reached.
+Loaded matrices are immutable (read-only buffers). Every embedding row is
+read through an ``EmbeddingDump``: whole (``load_array_file``), one block
+of rows at a time (``blocks``), or one class at a time (``iter_classes``,
+which reads each class's rows only when it is reached). Each read lands in
+a fresh array that the matrix takes over without a copy.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from spectrune.errors import (
     MissingLabelsError,
     PreconditionError,
     ShapeError,
-    SpectruneError,
+    in_file,
 )
 from spectrune.npy import (
+    BLOCK_ROWS,
     FLOAT_DESCRS,
     INT_DESCRS,
     NpyReader,
@@ -133,41 +135,17 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(data, self.modality, labels, source)
 
 
-def load_array_file(
-    path: Path | str,
-    modality: str = "image",
-    labels: np.ndarray | None = None,
-    source: str | None = None,
-) -> EmbeddingMatrix:
-    """Load a 2-D float NPY file as an EmbeddingMatrix.
-
-    Accepts ``<f4``/``<f8`` and widens to float64; any other dtype is a
-    FormatError. Non-2-D or empty shapes raise ShapeError, non-finite
-    entries raise DataError naming the first offending row.
-    """
-    arr = read_npy(path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
-    arr.flags.writeable = False  # hand the buffer over: no second copy
-    try:
-        return EmbeddingMatrix(
-            data=arr,
-            modality=modality,
-            labels=labels,
-            source=source if source is not None else str(path),
-        )
-    except SpectruneError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 class EmbeddingDump:
-    """A 2-D float NPY dump on disk, read one block of rows at a time.
+    """A 2-D float NPY dump on disk (``<f4`` or ``<f8``; any other dtype is
+    a FormatError, never cast), read only when its rows are asked for.
 
     Opening reads and checks only the header, the size and the labels.
     ``blocks`` then yields the rows as EmbeddingMatrix blocks of at most
-    ``npy.BLOCK_ROWS`` rows, widened to float64 and checked as
-    ``load_array_file`` checks the whole matrix; errors name the path and
-    the row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the
-    dump in memory, whatever its size. Close the dump, or use it as a
-    context manager.
+    ``npy.BLOCK_ROWS`` consecutive rows, each read into a fresh array,
+    widened to float64 and checked as one matrix; ``load_array_file`` is
+    the one-block case. Errors name the path and the row's index in the
+    dump. A pass holds O(BLOCK_ROWS * d) of the dump in memory, whatever
+    its size. Close the dump, or use it as a context manager.
     """
 
     def __init__(
@@ -207,20 +185,19 @@ class EmbeddingDump:
     def d(self) -> int:
         return self._reader.shape[1]
 
+    def _matrix(self, rows: np.ndarray, start: int) -> EmbeddingMatrix:
+        """The dump's rows from ``start`` on, freshly read into ``rows``, as
+        a checked matrix that takes the widened buffer over without a copy."""
+        data = rows.astype(np.float64, copy=False)
+        data.flags.writeable = False  # a fresh array: hand it over
+        labels = None if self.labels is None else self.labels[start : start + len(data)]
+        with in_file(self.path):
+            return EmbeddingMatrix(data, self.modality, labels, self.source, first_row=start)
+
     def blocks(self) -> Iterator[EmbeddingMatrix]:
-        for start, rows in self._reader.row_blocks():
-            stop = start + rows.shape[0]
-            try:
-                block = EmbeddingMatrix(
-                    data=rows.astype(np.float64, copy=False),
-                    modality=self.modality,
-                    labels=None if self.labels is None else self.labels[start:stop],
-                    source=self.source,
-                    first_row=start,
-                )
-            except SpectruneError as exc:
-                raise type(exc)(f"{self.path}: {exc}") from exc
-            yield block
+        for start in range(0, self.n, BLOCK_ROWS):
+            index = np.arange(start, min(start + BLOCK_ROWS, self.n))
+            yield self._matrix(self._reader.rows_at(index), start)
 
     def take(self, rows: np.ndarray, source: str) -> EmbeddingMatrix:
         """The rows at ascending indices ``rows``, in that order, read from
@@ -244,6 +221,20 @@ class EmbeddingDump:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def load_array_file(
+    path: Path | str,
+    modality: str = "image",
+    labels: np.ndarray | None = None,
+    source: str | None = None,
+) -> EmbeddingMatrix:
+    """The whole dump at ``path`` as one EmbeddingMatrix, read once and
+    checked as ``EmbeddingDump.blocks`` checks each block: non-2-D or empty
+    shapes raise ShapeError, non-finite entries DataError naming the first
+    offending row, and every error names ``path``."""
+    with EmbeddingDump(path, modality, labels, source) as dump:
+        return dump._matrix(dump._reader.read(), 0)
 
 
 def save_array_file(m: EmbeddingMatrix, path: Path | str) -> None:

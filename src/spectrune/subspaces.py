@@ -20,6 +20,7 @@ from spectrune.errors import (
     EmptySubspaceError,
     NumericalError,
     PreconditionError,
+    in_file,
 )
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
 from spectrune.spectral import LOG_FLOOR, NoiseThreshold, Spectrum, count_noise
@@ -92,16 +93,6 @@ def noise_subspace(s: Spectrum, t: NoiseThreshold) -> Subspace:
     return Subspace(
         basis=s.eigenvectors[:, :p],
         origin=f"{s.source} eigenvalues[0:{p}] below 10^{t.log10_value:.6g}",
-    )
-
-
-def lowest_k_subspace(s: Spectrum, k: int) -> Subspace:
-    """Span of the eigenvectors paired with the k smallest eigenvalues."""
-    if not 1 <= k <= s.d:
-        raise PreconditionError(f"need 1 <= k <= {s.d}, got {k}")
-    return Subspace(
-        basis=s.eigenvectors[:, :k],
-        origin=f"{s.source} eigenvalues[0:{k}]",
     )
 
 
@@ -179,7 +170,7 @@ def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:
     d, k = spectrum.d, global_noise.p
     if d != global_noise.d:
         raise DimError(f"class spectrum width {d} != subspace width {global_noise.d}")
-    overlap = mscsa(lowest_k_subspace(spectrum, k), global_noise).mscsa
+    overlap = mscsa(Subspace(spectrum.eigenvectors[:, :k]), global_noise).mscsa
     w = spectrum.eigenvalues
     rank = np.count_nonzero(w > w[-1] * d * np.finfo(float).eps)
     return overlap if d - rank <= k else float("nan")
@@ -230,7 +221,9 @@ def save_subspace(v: Subspace, npy_path: Path | str) -> None:
 
 
 def load_subspace(npy_path: Path | str) -> Subspace:
+    """A basis saved by ``save_subspace``; errors name the file."""
     basis = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
     side = sidecar_path(npy_path)
     origin = str(read_json(side).get("origin", "")) if side.is_file() else ""
-    return Subspace(basis=basis, origin=origin)
+    with in_file(npy_path):
+        return Subspace(basis=basis, origin=origin)

@@ -88,9 +88,9 @@ def test_mscsa_command_reports_high_overlap(pipeline_dir, capsys):
         str(pipeline_dir / "noise_basis.npy"),
         "--out", str(pipeline_dir),
     ]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["mscsa"] >= 0.99
-    assert json.loads((pipeline_dir / "mscsa.json").read_text())["mscsa"] == doc["mscsa"]
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["mscsa"] >= 0.99
+    assert printed.encode() == (pipeline_dir / "mscsa.json").read_bytes()
 
 
 def test_eval_report_contents(pipeline_dir):
@@ -487,6 +487,22 @@ def test_exit_code_1_for_dim_mismatch_in_mscsa(tmp_path, pipeline_dir):
     code = main(["mscsa", str(tmp_path / "planted_basis.npy"),
                  str(pipeline_dir / "planted_basis.npy")])
     assert code == 1
+
+
+def test_inputs_that_fail_their_checks_are_named(tmp_path, capsys):
+    basis = tmp_path / "a.npy"
+    write_npy(basis, np.ones((4, 2)))
+    write_npy(tmp_path / "b.npy", np.eye(4)[:, :2])
+    assert main(["mscsa", str(basis), str(tmp_path / "b.npy")]) == 1
+    assert f"{basis}: basis not orthonormal" in capsys.readouterr().err
+
+    sigma = tmp_path / "sigma_image.npy"
+    write_npy(sigma, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    (tmp_path / "sigma_image.json").write_text(
+        json.dumps({"n_samples": 10, "modality": "image", "trace_normalized": True})
+    )
+    assert main(["spectrum", "--out", str(tmp_path)]) == 1
+    assert f"{sigma}: covariance asymmetry" in capsys.readouterr().err
 
 
 def test_no_trace_normalize_skips_average(tmp_path):

@@ -2,8 +2,10 @@
 package's ``__init__.py`` imports names only to re-export them, so it is
 left out), every module-level private name (``_x``) is referenced
 somewhere in the package, so no helper outlives its last caller, no
-module imports a thread or process pool, and only ``npy.py`` turns an
-``OSError`` into an error (``cli.main`` maps what escapes to exit 2)."""
+module imports a thread or process pool, only ``npy.py`` turns an
+``OSError`` into an error (``cli.main`` maps what escapes to exit 2), and
+only ``npy.py`` and ``store.py`` name ``NpyReader``, so every embedding row
+is read through ``store.EmbeddingDump`` and its checks."""
 
 from __future__ import annotations
 
@@ -189,3 +191,39 @@ def test_only_npy_catches_oserror(module):
     allowed = ["main"] if module.name == "cli.py" else []
     catches = oserror_catches(module.read_text(encoding="utf-8"))
     assert [function for function, _ in catches] == allowed, catches
+
+
+def npy_reader_uses(source: str) -> list[int]:
+    """Lines that import or name ``NpyReader``, directly or as an attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = any(alias.name == "NpyReader" for alias in node.names)
+        else:
+            named = "NpyReader" in (getattr(node, "id", None), getattr(node, "attr", None))
+        if named:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_npy_reader_uses_are_found():
+    source = (
+        "from spectrune.npy import NpyReader, read_npy\n"
+        "import spectrune.npy as npy\n"
+        "r = npy.NpyReader(path, descrs)\n"
+        "x = read_npy(path, descrs)\n"
+        "'NpyReader in a string'\n"
+        "cls = NpyReader\n"
+    )
+    assert npy_reader_uses(source) == [1, 3, 6]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("npy.py", "store.py")),
+    ids=lambda path: path.name,
+)
+def test_only_npy_and_store_name_npy_reader(module):
+    # a module that opened dumps with NpyReader would hand out rows that
+    # EmbeddingDump never checked
+    assert npy_reader_uses(module.read_text(encoding="utf-8")) == []

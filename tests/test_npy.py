@@ -22,14 +22,16 @@ from spectrune.npy import (
 
 
 def read_in_blocks(path, allowed_descrs, ndim=None, block_rows=3):
-    """The row-block reader, gathered into one array."""
+    """The array gathered from consecutive ``rows_at`` ranges of
+    ``block_rows`` rows, the way ``EmbeddingDump.blocks`` reads a dump."""
     with NpyReader(path, allowed_descrs, ndim) as reader:
+        n = reader.shape[0]
         return np.concatenate(
-            [rows.copy() for _, rows in reader.row_blocks(block_rows)]
+            [reader.rows_at(range(start, min(start + block_rows, n))) for start in range(0, n, block_rows)]
         )
 
 
-# every malformed file must be rejected by both readers alike
+# every malformed file must be rejected by the whole read and the block read alike
 READERS = (read_npy, read_in_blocks)
 
 
@@ -198,16 +200,18 @@ def test_result_is_writable_copy(tmp_path):
     out[0, 0] = 1.0  # must not raise
 
 
-def test_row_blocks_reassemble_the_array(tmp_path):
+def test_consecutive_row_ranges_reassemble_the_array(tmp_path):
     rng = np.random.default_rng(6)
     for shape in ((1, 4), (7, 3), (9, 2), (10, 5, 2), (4,)):
         arr = rng.standard_normal(shape)
         path = tmp_path / "blocks.npy"
         write_npy(path, arr)
         with NpyReader(path, FLOAT_DESCRS) as reader:
-            starts = [start for start, _ in reader.row_blocks(3)]
-        assert starts == list(range(0, shape[0], 3))
-        assert np.array_equal(read_in_blocks(path, FLOAT_DESCRS), arr)
+            blocks = [reader.rows_at(range(start, min(start + 3, shape[0])))
+                      for start in range(0, shape[0], 3)]
+        # every range lands in its own array: none is overwritten by the next
+        assert all(rows.flags.owndata for rows in blocks)
+        assert np.array_equal(np.concatenate(blocks), arr)
 
 
 def test_rows_at_gathers_rows_in_the_order_given(tmp_path):

@@ -170,10 +170,30 @@ def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
     rows[bad] = 0.0
     manifest = _write_manifest(tmp_path, {"img.npy": ("image", rows)})
     assert main(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"]) == 2
-    assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
+    assert f"{path}: zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
     assert not list(tmp_path.glob("sigma_*"))
     assert main(["activations", "--out", str(tmp_path)]) == 2
-    assert f"zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
+    assert f"{path}: zero-norm row {bad} cannot be normalized" in capsys.readouterr().err
+
+
+def test_dump_blocks_are_fresh_arrays_and_a_pass_holds_few_blocks(tmp_path):
+    d = 64
+    block_bytes = BLOCK_ROWS * d * 8
+    rows = np.random.default_rng(11).standard_normal((8 * BLOCK_ROWS, d))
+    write_npy(tmp_path / "img.npy", rows)
+    with EmbeddingDump(tmp_path / "img.npy") as dump:
+        tracemalloc.start()
+        try:
+            for _ in dump.blocks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block in hand, the next one being read and its finiteness mask;
+        # reading into a shared buffer and copying out would add a third block
+        assert peak <= 2.5 * block_bytes, peak / block_bytes
+        kept = list(dump.blocks())
+    assert np.array_equal(np.vstack([block.data for block in kept]), rows)
 
 
 def test_dump_checks_shape_and_labels_on_open(tmp_path):

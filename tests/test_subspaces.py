@@ -20,7 +20,6 @@ from spectrune.subspaces import (
     apply_removal,
     class_spectrum_distance,
     load_subspace,
-    lowest_k_subspace,
     mscsa,
     noise_subspace,
     per_class_overlap,
@@ -166,14 +165,13 @@ def test_noise_subspace_from_threshold():
         noise_subspace(high, fixed_threshold(-3.6, high))
 
 
-def test_lowest_k_subspace_bounds():
+def test_per_class_overlap_reads_the_lowest_k_eigenvectors():
     s = decompose(
         CovarianceMatrix(np.diag([1.0, 2.0, 3.0]), n_samples=10, modality="average")
     )
-    assert np.allclose(lowest_k_subspace(s, 2).basis, np.eye(3)[:, :2], atol=1e-12)
-    for bad in (0, 4):
-        with pytest.raises(PreconditionError):
-            lowest_k_subspace(s, bad)
+    # the class's lowest-2 span is axes {0, 1}
+    assert per_class_overlap(s, axes(3, [0, 1])) == pytest.approx(1.0, abs=1e-12)
+    assert per_class_overlap(s, axes(3, [1, 2])) == pytest.approx(0.5, abs=1e-12)
 
 
 def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
