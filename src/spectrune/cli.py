@@ -20,9 +20,10 @@ Each output rule lives in one place: ``_report`` builds every JSON
 report's envelope, ``_cell`` writes every CSV float (NaN, an undefined
 value, as the empty cell), and ``npy.replace_on_success`` turns every
 failed write into an ``IoError`` naming the destination (exit code 2).
-``accumulate``, ``project`` and ``activations`` read embedding dumps in
-blocks of rows, and ``class-overlap`` reads one class's rows at a time, so
-their memory does not grow with the dump's size.
+``accumulate``, ``project``, ``activations`` and ``eval`` (its queries)
+read embedding dumps in blocks of rows, and ``class-overlap`` reads one
+class's rows at a time, so their memory does not grow with the dump's
+size; ``eval`` loads only its prototypes and pairs whole.
 Every subcommand draws randomness only from ``--seed``.
 Exit codes: 0 success, 1 numerical/precondition error, 2 I/O or format
 error. Set ``SPECTRUNE_LOG=DEBUG|INFO|WARNING`` for verbosity.
@@ -372,34 +373,26 @@ def _labels_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + "_labels.npy")
 
 
-def _load_task(args, out: Path) -> ZeroShotTask:
+def cmd_eval(args) -> int:
+    out = _out_dir(args)
     protos_path = _default(args.prototypes, out, "prototypes.npy")
     queries_path = _default(args.queries, out, "queries.npy")
     protos = load_array_file(
-        protos_path,
-        modality="text",
-        labels=load_label_file(_labels_sidecar(protos_path)),
+        protos_path, modality="text", labels=load_label_file(_labels_sidecar(protos_path))
     )
-    queries = load_array_file(
-        queries_path,
-        modality="image",
-        labels=load_label_file(_labels_sidecar(queries_path)),
-    )
-    return ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
-
-
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    task = _load_task(args, out)
-    basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    spectrum = decompose(load_covariance(_default(args.sigma, out, _sigma_file("average"))))
-
-    baseline = zero_shot_topk(task)
-    noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
-    ablation = random_ablation(
-        task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
-        project_prototypes=not args.query_only,
-    )
+    # every score reads the queries one block at a time, and every output is
+    # written only after the last score
+    with EmbeddingDump(queries_path, labels=load_label_file(_labels_sidecar(queries_path))) as queries:
+        task = ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
+        basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
+        spectrum = decompose(load_covariance(_default(args.sigma, out, _sigma_file("average"))))
+        baseline = zero_shot_topk(task)
+        noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
+        ablation = random_ablation(
+            task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
+            project_prototypes=not args.query_only,
+        )
+        undefined = projected_undefined(task, basis, not args.query_only)
 
     mean_delta: float | None = None
     n_undefined: int | None = None
@@ -448,7 +441,7 @@ def cmd_eval(args) -> int:
             config,
             baseline_top_k=baseline,
             alignment_pairs_undefined=n_undefined,
-            projected_undefined=projected_undefined(task, basis, not args.query_only),
+            projected_undefined=undefined,
             report=report.to_dict(),
             ablation_summary={
                 "mean": float(ablation.mean()),

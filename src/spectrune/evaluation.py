@@ -8,14 +8,13 @@ produce identical results down to the byte.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from spectrune.covariance import normalize_rows
 from spectrune.errors import DimError, PreconditionError
-from spectrune.npy import BLOCK_ROWS
 from spectrune.spectral import Spectrum
 from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
@@ -37,11 +36,12 @@ class ZeroShotTask:
 
     ``class_prototypes`` holds one text embedding per class (labels are the
     class ids, unique); ``queries`` are image embeddings with ground-truth
-    labels drawn from the same id set; ``k`` is the top-k cutoff.
+    labels drawn from the same id set, in memory or as a dump that every
+    score reads one block at a time; ``k`` is the top-k cutoff.
     """
 
     class_prototypes: EmbeddingMatrix
-    queries: EmbeddingMatrix
+    queries: EmbeddingMatrix | EmbeddingDump
     k: int
 
     def __post_init__(self) -> None:
@@ -62,12 +62,6 @@ class ZeroShotTask:
     @property
     def d(self) -> int:
         return self.class_prototypes.d
-
-    @cached_property
-    def _shared(self) -> tuple[np.ndarray, ...]:
-        """What every score reads (see :func:`_share`), built on the first
-        score: ``synth_benchmark`` makes a task that it never scores."""
-        return _share(self)
 
 
 @dataclass(frozen=True)
@@ -148,37 +142,35 @@ def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
     return int(np.count_nonzero(at_least <= k))
 
 
-def _share(task: ZeroShotTask) -> tuple[np.ndarray, ...]:
-    """The queries Q, the prototypes P in class-id order, their squared
-    norms, each query's true column in P, and ``G = Q P^T``."""
+def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
+            project_prototypes: bool) -> np.ndarray:
+    """Top-k accuracy with the span of columns ``cols`` of the orthonormal
+    d×m ``frame`` removed from the queries and, optionally, the prototypes,
+    for each ``cols`` in ``removals``, from one pass over the query blocks.
+    Either way a projected query's dot products are ``G - (Q B)(P B)^T``
+    for ``B = frame[:, cols]``; only the prototype norms differ. A block
+    forms ``G = Q P^T`` and ``Q frame`` once, and each removal gathers its
+    columns from them and from ``P frame``: O(nq nc p) per removal."""
     order = np.argsort(task.class_prototypes.labels)
-    q, p = task.queries.data, task.class_prototypes.data[order]
-    true_col = np.searchsorted(task.class_prototypes.labels[order], task.queries.labels)
-    return q, p, _sq_norms(q), _sq_norms(p), true_col, q @ p.T
-
-
-def _score(task: ZeroShotTask, basis: np.ndarray, project_prototypes: bool, coords=None) -> float:
-    """Top-k accuracy with the span of the orthonormal ``basis`` removed from
-    the queries and, optionally, the prototypes. Either way a projected
-    query's dot products are ``G - (Q B)(P B)^T``; only the prototype norms
-    differ. ``coords`` is ``((Q V)^T, cols)`` for a basis made of columns
-    ``cols`` of V: each block of queries gathers its coordinates from it, so
-    the score costs O(nq nc p)."""
-    q, p, q_sq, p_sq, true_col, g = task._shared
-    zp, p_proj_sq = _project(p, p_sq, basis)
-    inv_pn = _inverse_norms(p_proj_sq if project_prototypes else p_sq)
-    out = np.empty((min(BLOCK_ROWS, q.shape[0]), p.shape[0]))
-    hits = 0
-    for lo in range(0, q.shape[0], BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        zq = None if coords is None else coords[0][coords[1], rows].T
-        zq, q_proj_sq = _project(q[rows], q_sq[rows], basis, zq)
-        scores = np.matmul(zq, zp.T, out=out[: zq.shape[0]])
-        np.subtract(g[rows], scores, out=scores)
-        scores *= inv_pn  # a query's own norm would scale its row: no rank moves
-        scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
-        hits += _hits(scores, true_col[rows], task.k)
-    return hits / q.shape[0]
+    p, labels = task.class_prototypes.data[order], task.class_prototypes.labels[order]
+    p_sq, pf = _sq_norms(p), p @ frame
+    hits = np.zeros(len(removals), dtype=np.int64)
+    for block in task.queries.blocks():
+        q = block.data
+        q_sq, qf, g = _sq_norms(q), q @ frame, q @ p.T
+        true_col = np.searchsorted(labels, block.labels)
+        scores = np.empty_like(g)  # one buffer for every removal
+        for i, cols in enumerate(removals):
+            basis = frame[:, cols]
+            zp, p_proj_sq = _project(p, p_sq, basis, pf[:, cols])
+            zq, q_proj_sq = _project(q, q_sq, basis, qf[:, cols])
+            np.matmul(zq, zp.T, out=scores)
+            np.subtract(g, scores, out=scores)
+            # a query's own norm would scale its row: no rank moves
+            scores *= _inverse_norms(p_proj_sq if project_prototypes else p_sq)
+            scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
+            hits[i] += _hits(scores, true_col, task.k)
+    return hits / task.queries.n
 
 
 def zero_shot_topk(
@@ -193,11 +185,13 @@ def zero_shot_topk(
     ``noise``, when given, is removed from the queries and (by default)
     the prototypes before scoring; ``None`` is the unprojected baseline.
     A vector projected below norm ``NORM_EPS`` is scored as the zero vector.
+    The queries are read in one pass over their blocks, so a dump's memory
+    is bounded by the block, not by the file.
     """
     if noise is not None and noise.d != task.d:
         raise DimError(f"subspace width {noise.d} does not match d={task.d}")
     basis = np.zeros((task.d, 0)) if noise is None else noise.basis
-    return _score(task, basis, project_prototypes)
+    return float(_scores(task, basis, [np.arange(basis.shape[1])], project_prototypes)[0])
 
 
 def projected_undefined(
@@ -205,10 +199,9 @@ def projected_undefined(
 ) -> int:
     """Projected vectors that ``zero_shot_topk(task, noise,
     project_prototypes)`` scores as the zero vector."""
-    parts = [task.class_prototypes.data] if project_prototypes else []
-    parts += [task.queries.data[i : i + BLOCK_ROWS] for i in range(0, task.queries.n, BLOCK_ROWS)]
-    sq = np.concatenate([_project(x, _sq_norms(x), noise.basis)[1] for x in parts])
-    return int(np.count_nonzero(_inverse_norms(sq) == 0.0))
+    parts = itertools.chain([task.class_prototypes] if project_prototypes else [], task.queries.blocks())
+    sq = (_project(m.data, _sq_norms(m.data), noise.basis)[1] for m in parts)
+    return sum(int(np.count_nonzero(_inverse_norms(x) == 0.0)) for x in sq)
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,21 +276,17 @@ def random_ablation(
     Trial t samples p distinct columns of the spectrum's eigenvector basis
     V from ``trial_rng(seed, t)`` without replacement, removes their span
     from the queries and (by default) the prototypes, and rescores; one
-    accuracy per trial, in trial order. A trial is a rank-p update of the
-    task's ``Q P^T`` from ``Q V``: O(nq nc p)."""
+    accuracy per trial, in trial order. Every trial is scored in one pass
+    over the query blocks, as a rank-p update of each block's ``Q P^T``
+    from its ``Q V``: O(nq nc p) per trial."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
     if not 1 <= p < task.d:
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
-    vecs = spectrum.eigenvectors
-    zq_t = vecs.T @ task._shared[0].T
-    scores = []
-    for t in range(trials):
-        cols = np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False))
-        scores.append(_score(task, vecs[:, cols], project_prototypes, (zq_t, cols)))
-    return np.asarray(scores, dtype=np.float64)
+    draws = [np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False)) for t in range(trials)]
+    return _scores(task, spectrum.eigenvectors, draws, project_prototypes)
 
 
 @dataclass(frozen=True)

@@ -54,3 +54,11 @@ def test_traced_chain_yields_every_per_layer_metric(tracer, tmp_path):
     metrics = tracer.per_layer_metrics(t.spans)
     assert metrics["covariance.per_class_calls"] == 1
     assert metrics["evaluation.ablation_trial_s"] > 0.0
+    # zero_shot_topk_s is a median over calls and ablation_trial_s divides
+    # by the trial count: eval scores the baseline and the noise-free task in
+    # a call each, and every trial in one random_ablation call
+    ev = next(s for s in t.spans if s["name"] == "cli.eval")
+    called = [(s["name"], s["count"]) for s in t.spans
+              if s is not ev and ev["start"] <= s["start"] and s["end"] <= ev["end"]]
+    assert called.count(("evaluation.zero_shot_topk", None)) == 2
+    assert [c for c in called if c[0] == "evaluation.random_ablation"] == [("evaluation.random_ablation", 3)]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spectrune import evaluation
 from spectrune.covariance import CovarianceMatrix
 from spectrune.errors import (
     DataError,
@@ -24,9 +23,9 @@ from spectrune.evaluation import (
     synth_benchmark,
     zero_shot_topk,
 )
-from spectrune.npy import BLOCK_ROWS
+from spectrune.npy import BLOCK_ROWS, write_npy
 from spectrune.spectral import decompose, log_spectrum, detect_knee
-from spectrune.store import EmbeddingMatrix
+from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 from spectrune.evaluation import trial_rng
 
@@ -193,22 +192,38 @@ def test_random_ablation_is_deterministic_and_draws_each_trial_from_its_own_stre
     assert not np.array_equal(a, random_ablation(task, spectrum, p=1, trials=40, seed=10))
 
 
-def test_every_score_of_a_task_reads_one_shared_state(monkeypatch):
-    built = []
-    share = evaluation._share
-    monkeypatch.setattr(evaluation, "_share", lambda task: built.append(task) or share(task))
-    bench = synth_benchmark(n=50, d=16, p=4, n_classes=6, queries_per_class=5, k=2, seed=3)
-    assert built == []  # synth_benchmark makes a task it never scores
-    task, spectrum = bench.task, _random_spectrum(np.random.default_rng(5), 16)
-    baseline = zero_shot_topk(task)
-    noise_free = zero_shot_topk(task, bench.planted)
-    ablation = random_ablation(task, spectrum, p=4, trials=8, seed=2)
-    assert built == [task]  # G = Q P^T, the sort and the norms, built once
-    fresh = make_task(task.class_prototypes.data, task.class_prototypes.labels,
-                      task.queries.data, task.queries.labels, task.k)
-    assert np.array_equal(ablation, random_ablation(fresh, spectrum, 4, 8, 2))
-    assert (zero_shot_topk(fresh), zero_shot_topk(fresh, bench.planted)) == (baseline, noise_free)
-    assert built == [task, fresh]
+def _dump_task(path, task):
+    """``task`` with its queries written to ``path`` and read back as a dump."""
+    write_npy(path, task.queries.data)
+    dump = EmbeddingDump(path, labels=task.queries.labels)
+    return ZeroShotTask(task.class_prototypes, dump, task.k)
+
+
+def test_a_dump_backed_task_scores_as_the_in_memory_task(tmp_path):
+    # three blocks, the last one short; in memory the queries are one block
+    bench = synth_benchmark(n=50, d=16, p=4, n_classes=6, queries_per_class=700, k=2, seed=3)
+    rows = slice(0, 2 * BLOCK_ROWS + 3)
+    task = make_task(bench.task.class_prototypes.data, bench.task.class_prototypes.labels,
+                     bench.task.queries.data[rows], bench.task.queries.labels[rows], 2)
+    spectrum = _random_spectrum(np.random.default_rng(5), 16)
+
+    def every_score(t):
+        scores = [zero_shot_topk(t)]
+        for project in (True, False):
+            scores += [
+                zero_shot_topk(t, bench.planted, project),
+                random_ablation(t, spectrum, p=4, trials=8, seed=2, project_prototypes=project),
+                projected_undefined(t, bench.planted, project),
+            ]
+        return scores
+
+    expected = every_score(task)
+    streamed = _dump_task(tmp_path / "queries.npy", task)
+    with streamed.queries:
+        got = every_score(streamed)
+    for a, b in zip(got, expected, strict=True):
+        assert np.array_equal(a, b)
+    assert len(set(expected[2].tolist())) > 1  # the trials' removals score differently
 
 
 def test_random_ablation_small_d_exhaustive_enumeration():
@@ -271,7 +286,25 @@ def _random_spectrum(rng, d):
     )
 
 
-def test_low_rank_scores_match_direct_removal_reference():
+def _assert_scores_match_reference(scored, task, spectrum, noise):
+    """``scored`` (``task``, or the same task from a dump) against the
+    direct scorer run on ``task``'s data."""
+    queries, qlabels = task.queries.data, task.queries.labels
+    protos, plabels = task.class_prototypes.data, task.class_prototypes.labels
+    assert zero_shot_topk(scored) == reference_topk(queries, qlabels, protos, plabels, task.k)
+    for project in (True, False):
+        assert zero_shot_topk(scored, noise, project) == reference_topk(
+            remove_component(queries, noise.basis),
+            qlabels,
+            remove_component(protos, noise.basis) if project else protos,
+            plabels,
+            task.k,
+        )
+        expected = reference_ablation(task, spectrum, 4, 12, 5, project)
+        assert np.array_equal(random_ablation(scored, spectrum, 4, 12, 5, project), expected)
+
+
+def test_low_rank_scores_match_direct_removal_reference(tmp_path):
     rng = np.random.default_rng(67)
     cases = [
         # (classes, queries, d, k, duplicated prototype pairs)
@@ -291,17 +324,12 @@ def test_low_rank_scores_match_direct_removal_reference():
         task = make_task(protos, plabels, queries, qlabels, k)
         spectrum = _random_spectrum(rng, d)
         noise = Subspace(spectrum.eigenvectors[:, :3])
-        assert zero_shot_topk(task) == reference_topk(queries, qlabels, protos, plabels, k)
-        for project in (True, False):
-            assert zero_shot_topk(task, noise, project) == reference_topk(
-                remove_component(queries, noise.basis),
-                qlabels,
-                remove_component(protos, noise.basis) if project else protos,
-                plabels,
-                k,
-            )
-            expected = reference_ablation(task, spectrum, 4, 12, 5, project)
-            assert np.array_equal(random_ablation(task, spectrum, 4, 12, 5, project), expected)
+        _assert_scores_match_reference(task, task, spectrum, noise)
+        if n_queries > BLOCK_ROWS:
+            # from a dump too, so that a block boundary lies under the reference
+            streamed = _dump_task(tmp_path / "queries.npy", task)
+            with streamed.queries:
+                _assert_scores_match_reference(streamed, task, spectrum, noise)
         if k == n_classes:
             assert zero_shot_topk(task) == 1.0
         if dups:

@@ -1,7 +1,7 @@
-"""Streamed reading of embedding dumps: accumulate, project and activations
-work one block of rows at a time, and class-overlap one class at a time;
-they agree with the whole-matrix functions and hold memory bounded by the
-block or the class, not by the file."""
+"""Streamed reading of embedding dumps: accumulate, project, activations
+and eval (its queries) work one block of rows at a time, and class-overlap
+one class at a time; they agree with the whole-matrix functions and hold
+memory bounded by the block or the class, not by the file."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spectrune.cli import main
-from spectrune.covariance import covariance_of, normalize_trace
+from spectrune.covariance import covariance_of, normalize_trace, save_covariance
 from spectrune.errors import DataError, ShapeError
 from spectrune.evaluation import rank_activations
 from spectrune.npy import BLOCK_ROWS, FLOAT_DESCRS, read_npy, write_npy
@@ -69,6 +69,22 @@ def test_accumulate_rerun_is_byte_identical_and_matches_covariance_of(tmp_path):
     assert meta["n_samples"] == img_a.shape[0] + img_b.shape[0]
 
 
+def _write_eval_inputs(run, d: int, labels: np.ndarray) -> None:
+    """What ``eval`` reads besides the queries ``run/img.npy`` and the noise
+    basis: prototypes for the classes of ``labels``, the queries' label
+    sidecar, a covariance (``run/cov.npy``, for ``--sigma``) and matched
+    pairs."""
+    rng = np.random.default_rng(d)
+    classes = int(labels.max()) + 1
+    write_npy(run / "prototypes.npy", rng.standard_normal((classes, d)))
+    save_label_file(np.arange(classes), run / "prototypes_labels.npy")
+    save_label_file(labels, run / "img_labels.npy")
+    sample = EmbeddingMatrix(rng.standard_normal((4 * d, d)), modality="image")
+    save_covariance(covariance_of(sample), run / "cov.npy")
+    for name in ("pairs_img.npy", "pairs_txt.npy"):
+        write_npy(run / name, rng.standard_normal((10, d)))
+
+
 def _peak_alloc(argv) -> int:
     tracemalloc.start()
     try:
@@ -78,7 +94,7 @@ def _peak_alloc(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", ["accumulate", "project", "activations", "class-overlap"])
+@pytest.mark.parametrize("command", ["accumulate", "project", "activations", "class-overlap", "eval"])
 def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
     d = 64
     block_bytes = BLOCK_ROWS * d * 8
@@ -99,7 +115,16 @@ def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
             "activations": ["activations", "--out", str(run)],
             "class-overlap": ["class-overlap", "--out", str(run), "--embeddings", str(run / "img.npy"),
                               "--labels", str(run / "labels.npy")],
+            "eval": ["eval", "--out", str(run), "--queries", str(run / "img.npy"),
+                     "--sigma", str(run / "cov.npy"), "--trials", "3"],
         }[command]
+        if command == "eval":
+            # a fixed few classes, so that only the query count grows
+            _write_eval_inputs(run, d, rng.permutation(n) % 8)
+        if not peaks:
+            # a first call imports modules lazily (numpy.ma, through
+            # np.unique), and tracemalloc would count them as data
+            assert main(argv) == 0
         peaks.append(_peak_alloc(argv))
     # each larger dump has 6 blocks more than the smaller one; a whole-file
     # read would add at least that much to the peak
@@ -166,6 +191,13 @@ def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
                  "--labels", str(tmp_path / "labels.npy")]) == 2
     assert f"{path}: non-finite entry in row {bad}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+    # eval finds the row in its first pass over the queries, before any output
+    _write_eval_inputs(tmp_path, rows.shape[1], np.arange(rows.shape[0]) % 7)
+    assert main(["eval", "--out", str(tmp_path), "--queries", str(path),
+                 "--sigma", str(tmp_path / "cov.npy"), "--trials", "3"]) == 2
+    assert f"{path}: non-finite entry in row {bad}" in capsys.readouterr().err
+    for name in ("eval_report.json", "ablation.csv", "alignment_deltas.csv"):
+        assert not (tmp_path / name).exists(), name
 
     rows[bad] = 0.0
     manifest = _write_manifest(tmp_path, {"img.npy": ("image", rows)})
