@@ -48,7 +48,7 @@ class ZeroShotTask:
         protos, queries = self.class_prototypes, self.queries
         if protos.labels is None or queries.labels is None:
             raise PreconditionError("prototypes and queries both need labels")
-        if np.unique(protos.labels).size != protos.n:
+        if (np.diff(np.sort(protos.labels)) == 0).any():  # np.unique would import numpy.ma
             raise PreconditionError("prototype labels must be unique")
         if not np.isin(queries.labels, protos.labels).all():
             raise PreconditionError("every query label needs a prototype")
@@ -136,7 +136,8 @@ def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
     descending sort's top k, counted instead of sorted."""
     true = scores[np.arange(scores.shape[0]), true_col][:, None]
     at_least = np.count_nonzero(scores >= true, axis=1)  # every tie as above
-    unsure = np.flatnonzero(at_least > k)
+    # only a tie straddling the cutoff needs the class ids
+    unsure = np.flatnonzero((at_least > k) & (np.count_nonzero(scores > true, axis=1) < k))
     later = np.arange(scores.shape[1]) > true_col[unsure, None]
     at_least[unsure] -= np.count_nonzero((scores[unsure] == true[unsure]) & later, axis=1)
     return int(np.count_nonzero(at_least <= k))
@@ -149,17 +150,25 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     for each ``cols`` in ``removals``, from one pass over the query blocks.
     Either way a projected query's dot products are ``G - (Q B)(P B)^T``
     for ``B = frame[:, cols]``; only the prototype norms differ. A block
-    forms ``G = Q P^T`` and ``Q frame`` once, and each removal gathers its
-    columns from them and from ``P frame``: O(nq nc p) per removal."""
-    order = np.argsort(task.class_prototypes.labels)
-    p, labels = task.class_prototypes.data[order], task.class_prototypes.labels[order]
+    fills ``G = Q P^T`` and ``Q frame`` once, and each removal gathers its
+    columns from them and from ``P frame``: O(nq nc p) per removal. Only
+    one block's working set is held: its G, ``Q frame`` and score buffers
+    are sized by the first (largest) block and reused for every block."""
+    p, labels = task.class_prototypes.data, task.class_prototypes.labels
+    if (labels[1:] < labels[:-1]).any():  # columns in class-id order, for the tie-break
+        order = np.argsort(labels)
+        p, labels = p[order], labels[order]
     p_sq, pf = _sq_norms(p), p @ frame
     hits = np.zeros(len(removals), dtype=np.int64)
+    buffers = None
     for block in task.queries.blocks():
-        q = block.data
-        q_sq, qf, g = _sq_norms(q), q @ frame, q @ p.T
-        true_col = np.searchsorted(labels, block.labels)
-        scores = np.empty_like(g)  # one buffer for every removal
+        q, rows = block.data, block.n
+        if buffers is None:  # the first block is the largest
+            buffers = [np.empty((rows, m)) for m in (p.shape[0], frame.shape[1], p.shape[0])]
+        g = np.matmul(q, p.T, out=buffers[0][:rows])
+        qf = np.matmul(q, frame, out=buffers[1][:rows])
+        scores = buffers[2][:rows]  # one buffer for every removal
+        q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels)
         for i, cols in enumerate(removals):
             basis = frame[:, cols]
             zp, p_proj_sq = _project(p, p_sq, basis, pf[:, cols])
@@ -170,6 +179,7 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
             scores *= _inverse_norms(p_proj_sq if project_prototypes else p_sq)
             scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
             hits[i] += _hits(scores, true_col, task.k)
+        del block, q  # released before the next block is read
     return hits / task.queries.n
 
 
@@ -278,7 +288,8 @@ def random_ablation(
     from the queries and (by default) the prototypes, and rescores; one
     accuracy per trial, in trial order. Every trial is scored in one pass
     over the query blocks, as a rank-p update of each block's ``Q P^T``
-    from its ``Q V``: O(nq nc p) per trial."""
+    from its ``Q V_used``, where ``V_used`` is the sorted union of the
+    drawn columns (at most ``trials * p`` of V's d): O(nq nc p) per trial."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
     if trials < 1:
@@ -286,7 +297,9 @@ def random_ablation(
     if not 1 <= p < task.d:
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
     draws = [np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False)) for t in range(trials)]
-    return _scores(task, spectrum.eigenvectors, draws, project_prototypes)
+    used = np.flatnonzero(np.bincount(np.concatenate(draws), minlength=task.d))
+    return _scores(task, spectrum.eigenvectors[:, used],
+                   [np.searchsorted(used, cols) for cols in draws], project_prototypes)
 
 
 @dataclass(frozen=True)

@@ -408,6 +408,63 @@ def test_ablation_scores_a_query_inside_the_removed_columns_as_zero():
     assert len(set(accs.tolist())) == 2  # column 2 was drawn in some trials
 
 
+@pytest.mark.parametrize("p", [2, 63])
+def test_each_trial_scores_as_removing_its_drawn_columns(tmp_path, p):
+    # d 64: with p 2 the trials draw a few of V's columns, with p 63 all of them
+    rng = np.random.default_rng(70)
+    d, m, trials, seed = 64, 4, 3, 4
+    # classes in opposite pairs: after any removal one of each pair has a
+    # positive cosine, so the top m are those classes whatever the roundoff,
+    # even when one column is left and every cosine is +-1
+    protos = np.vstack([u := rng.standard_normal((m, d)), -u])
+    plabels = rng.permutation(2 * m)
+    qlabels = rng.integers(0, 2 * m, size=BLOCK_ROWS + 5)
+    queries = protos[np.argsort(plabels)[qlabels]] + 6.0 * rng.standard_normal((qlabels.size, d))
+    task = make_task(protos, plabels, queries, qlabels, m)
+    spectrum = _random_spectrum(rng, d)
+    draws = [np.sort(trial_rng(seed, t).choice(d, size=p, replace=False)) for t in range(trials)]
+    drawn = np.unique(np.concatenate(draws)).size
+    assert drawn < d if p == 2 else drawn == d
+    expected = {
+        project: [zero_shot_topk(task, Subspace(spectrum.eigenvectors[:, cols]), project) for cols in draws]
+        for project in (True, False)
+    }
+    assert len(set(expected[True])) == trials  # each trial removes something else
+    streamed = _dump_task(tmp_path / "queries.npy", task)  # two blocks
+    with streamed.queries:
+        for scored in (task, streamed):
+            for project in (True, False):
+                got = random_ablation(scored, spectrum, p, trials, seed, project)
+                assert got.tolist() == expected[project]
+
+
+def test_exact_ties_straddling_the_top_k_cutoff_go_to_the_smaller_class_ids(tmp_path):
+    rng = np.random.default_rng(71)
+    d, k = 16, 2
+    plabels = np.array([7, 4, 5, 0, 6, 1, 3, 2])
+    protos = rng.standard_normal((8, d))
+    tied = protos[[1, 4, 5]] = protos[0]  # classes 7, 4, 6 and 1 tie exactly
+    qlabels = rng.choice([1, 4, 6, 7, 0, 3], size=BLOCK_ROWS + 9)
+    near_tie = np.isin(qlabels, [1, 4, 6, 7])
+    own = protos[np.argsort(plabels)[qlabels]]
+    queries = np.where(near_tie[:, None], tied, own) + 0.05 * rng.standard_normal((qlabels.size, d))
+    task = make_task(protos, plabels, queries, qlabels, k)
+    spectrum = _random_spectrum(rng, d)
+    # every tied class outscores the rest, so ids 1 and 4 take the top 2
+    for classes, hit in (([1, 4], 1.0), ([6, 7], 0.0)):
+        mask = np.isin(qlabels, classes)
+        alone = make_task(protos, plabels, queries[mask], qlabels[mask], k)
+        assert zero_shot_topk(alone) == hit
+        assert np.all(random_ablation(alone, spectrum, 3, 10, 8) == hit)
+    streamed = _dump_task(tmp_path / "queries.npy", task)  # two blocks
+    with streamed.queries:
+        for scored in (task, streamed):
+            assert zero_shot_topk(scored) == reference_topk(queries, qlabels, protos, plabels, k)
+            for project in (True, False):
+                expected = reference_ablation(task, spectrum, 3, 10, 8, project)
+                assert np.array_equal(random_ablation(scored, spectrum, 3, 10, 8, project), expected)
+
+
 def test_rank_activations_extremes_and_oracle():
     noise = Subspace(np.eye(4)[:, [2, 3]])
     inside = np.array([0.0, 0.0, 3.0, 4.0])

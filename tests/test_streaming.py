@@ -15,8 +15,9 @@ import pytest
 from spectrune.cli import main
 from spectrune.covariance import covariance_of, normalize_trace, save_covariance
 from spectrune.errors import DataError, ShapeError
-from spectrune.evaluation import rank_activations
+from spectrune.evaluation import ZeroShotTask, random_ablation, rank_activations
 from spectrune.npy import BLOCK_ROWS, FLOAT_DESCRS, read_npy, write_npy
+from spectrune.spectral import decompose
 from spectrune.store import (
     DatasetManifest,
     EmbeddingDump,
@@ -121,14 +122,32 @@ def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
         if command == "eval":
             # a fixed few classes, so that only the query count grows
             _write_eval_inputs(run, d, rng.permutation(n) % 8)
-        if not peaks:
-            # a first call imports modules lazily (numpy.ma, through
-            # np.unique), and tracemalloc would count them as data
-            assert main(argv) == 0
         peaks.append(_peak_alloc(argv))
     # each larger dump has 6 blocks more than the smaller one; a whole-file
     # read would add at least that much to the peak
     assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
+
+
+def test_the_scoring_pass_holds_one_block_working_set(tmp_path):
+    d, n_classes, n = 256, 512, 4 * BLOCK_ROWS
+    rng = np.random.default_rng(12)
+    write_npy(tmp_path / "queries.npy", rng.standard_normal((n, d)))
+    protos = EmbeddingMatrix(rng.standard_normal((n_classes, d)), modality="text",
+                             labels=np.arange(n_classes))
+    spectrum = decompose(covariance_of(EmbeddingMatrix(rng.standard_normal((4 * d, d)), modality="image")))
+    with EmbeddingDump(tmp_path / "queries.npy", labels=rng.permutation(n) % n_classes) as queries:
+        task = ZeroShotTask(protos, queries, k=5)
+        tracemalloc.start()
+        try:
+            random_ablation(task, spectrum, p=8, trials=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one block's G and scores (BLOCK_ROWS x n_classes each) and its queries;
+    # fresh buffers for every block next to the last block's, and Q V over
+    # all d columns, peaked at 1.9 times this
+    working_set = BLOCK_ROWS * (2 * n_classes + d) * 8
+    assert peak <= 1.25 * working_set, peak / working_set
 
 
 def test_streamed_project_and_activations_match_whole_matrix(tmp_path):
