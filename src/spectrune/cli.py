@@ -200,14 +200,18 @@ def cmd_synth(args) -> int:
 def _accumulate_entry(entry: ManifestEntry, kernel: bool) -> dict[str, CovarianceAccumulator]:
     """One pass over an entry's dump, block by block, into one accumulator per
     covariance tag: the entry's modality and, with ``kernel``,
-    ``kernel-<modality>`` over the row-normalized blocks."""
+    ``kernel-<modality>`` over the row-normalized blocks. Each block is
+    released once its unit rows exist, and those before the next block is
+    read, so at most two block-size arrays are live at once."""
     raw, ker = entry.modality, f"kernel-{entry.modality}"
     accs = dict.fromkeys([raw, ker] if kernel else [raw], CovarianceAccumulator.empty())
     with open_entry(entry) as dump:
         for block in dump.blocks():
             accs[raw] = accumulate(accs[raw], block)
             if kernel:
-                accs[ker] = accumulate(accs[ker], normalize_rows(block))
+                block = normalize_rows(block)  # the raw rows are done
+                accs[ker] = accumulate(accs[ker], block)
+            del block  # before the next block is read
     return accs
 
 
@@ -225,10 +229,14 @@ def cmd_accumulate(args) -> int:
         if modality not in accs:
             logger.warning("manifest has no %s entries", modality)
 
-    # every covariance is finished before the first file is written
-    covs = {tag: finalize(acc, modality=tag) for tag, acc in accs.items()}
+    # every covariance is finished before the first file is written, one tag
+    # at a time, each accumulator released as its covariance is made
+    covs = {}
+    for tag in list(accs):
+        covs[tag] = finalize(accs.pop(tag), modality=tag)
+        if args.trace_normalize:
+            covs[tag] = normalize_trace(covs[tag])
     if args.trace_normalize:
-        covs = {tag: normalize_trace(cov) for tag, cov in covs.items()}
         for prefix in ("", "kernel-"):
             if f"{prefix}image" in covs and f"{prefix}text" in covs:
                 covs[f"{prefix}average"] = average(covs[f"{prefix}image"], covs[f"{prefix}text"])

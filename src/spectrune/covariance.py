@@ -115,7 +115,9 @@ class CovarianceMatrix:
 
 def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> CovarianceAccumulator:
     """Fold a batch of rows into the running state: the batch's own
-    (count, mean, m2) merged into ``acc``.
+    (count, mean, m2) merged into ``acc``. The batch's centered copy is
+    released before the merge, so the merge's d-by-d temporaries never sit
+    beside a second array of the batch's size.
 
     Raises:
         DimError: batch width differs from a non-empty accumulator's.
@@ -124,6 +126,7 @@ def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> Covariance
     mean = batch.data.mean(axis=0)
     centered = batch.data - mean
     m2 = centered.T @ centered
+    del centered
     return merge(acc, CovarianceAccumulator(batch.n, mean, m2, batch.modality))
 
 

@@ -412,6 +412,7 @@ def synth_benchmark(
         if gap.shape != (d,):
             raise PreconditionError(f"gap must have shape ({d},), got {gap.shape}")
         img = img + gap
+    img.flags.writeable = txt.flags.writeable = False  # fresh arrays: hand them over
 
     protos = rng.standard_normal((n_classes, d - p))
     protos = (protos / np.linalg.norm(protos, axis=1)[:, None]) @ signal_basis.T

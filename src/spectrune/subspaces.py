@@ -149,7 +149,9 @@ def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
     explicit ``m.data @ projection_remove(v)`` to within 1e-12."""
     if v.d != m.d:
         raise DimError(f"subspace width {v.d} != embedding width {m.d}")
-    return m.with_data(remove_component(m.data, v.basis), source_suffix="|projected")
+    data = remove_component(m.data, v.basis)
+    data.flags.writeable = False  # a fresh array: hand it over
+    return m.with_data(data, source_suffix="|projected")
 
 
 def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from spectrune.cli import main
+from spectrune.npy import BLOCK_ROWS
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -54,11 +55,23 @@ def test_traced_chain_yields_every_per_layer_metric(tracer, tmp_path):
     metrics = tracer.per_layer_metrics(t.spans)
     assert metrics["covariance.per_class_calls"] == 1
     assert metrics["evaluation.ablation_trial_s"] > 0.0
+
+    def called_in(command):
+        cmd = next(s for s in t.spans if s["name"] == f"cli.{command}")
+        return [(s["name"], s["count"]) for s in t.spans
+                if s is not cmd and cmd["start"] <= s["start"] and s["end"] <= cmd["end"]]
+
+    # accumulate_rows_per_s counts the rows of every accumulate call: with
+    # --kernel each block is folded raw and row-normalized, two calls and
+    # one normalize_rows per block, over both 600-row entries
+    blocks = 2 * -(-600 // BLOCK_ROWS)
+    called = called_in("accumulate")
+    folds = [count for name, count in called if name == "covariance.accumulate"]
+    assert len(folds) == 2 * blocks and sum(folds) == 2 * 2 * 600
+    assert called.count(("covariance.normalize_rows", None)) == blocks
     # zero_shot_topk_s is a median over calls and ablation_trial_s divides
     # by the trial count: eval scores the baseline and the noise-free task in
     # a call each, and every trial in one random_ablation call
-    ev = next(s for s in t.spans if s["name"] == "cli.eval")
-    called = [(s["name"], s["count"]) for s in t.spans
-              if s is not ev and ev["start"] <= s["start"] and s["end"] <= ev["end"]]
+    called = called_in("eval")
     assert called.count(("evaluation.zero_shot_topk", None)) == 2
     assert [c for c in called if c[0] == "evaluation.random_ablation"] == [("evaluation.random_ablation", 3)]

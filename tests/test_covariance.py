@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,22 @@ def test_m2_is_exactly_symmetric_after_dump_blocks_and_merge(tmp_path):
     assert np.array_equal(merged.m2, merged.m2.T)
     for p, (mean, m2) in zip(parts, before):  # the inputs are left as they were
         assert np.array_equal(p.mean, mean) and np.array_equal(p.m2, m2)
+
+
+def test_accumulate_releases_the_centered_copy_before_merging():
+    d = 128
+    rng = np.random.default_rng(17)
+    acc = accumulate(CovarianceAccumulator.empty(), as_matrix(rng.standard_normal((8, d))))
+    batch = as_matrix(rng.standard_normal((4 * d, d)))  # centered copy: 4 d x d
+    tracemalloc.start()
+    try:
+        accumulate(acc, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the centered copy and the batch's m2 make 5 d x d, then that m2 with
+    # merge's temporaries and result 4; the copy kept through the merge makes 8
+    assert peak <= 6 * d * d * 8, peak / (d * d * 8)
 
 
 def test_finalized_matrix_is_psd():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -519,6 +521,21 @@ def test_synth_benchmark_shapes_and_determinism():
     ):
         with pytest.raises(PreconditionError):
             synth_benchmark(**bad)
+
+
+@pytest.mark.parametrize("gap", [None, np.ones(64)])
+def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap):
+    n, d = 20_000, 64
+    tracemalloc.start()
+    try:
+        synth_benchmark(n=n, d=d, p=8, gap=gap, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawing txt holds img, txt and one scaled draw; a copy of img and txt
+    # taken when they are wrapped pushes the peak past four corpus matrices
+    corpus = n * d * 8
+    assert peak <= 3.5 * corpus, peak / corpus
 
 
 def test_synth_gap_shifts_the_means():

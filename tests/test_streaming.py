@@ -128,6 +128,22 @@ def test_streamed_commands_hold_one_block_not_the_dump(tmp_path, command):
     assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
 
 
+@pytest.mark.parametrize("d, n", [(256, 4 * BLOCK_ROWS), (768, BLOCK_ROWS)])
+def test_accumulate_holds_two_block_sized_arrays(tmp_path, d, n):
+    rng = np.random.default_rng(13)
+    manifest = _write_manifest(tmp_path, {
+        "img.npy": ("image", rng.standard_normal((n, d))),
+        "txt.npy": ("text", rng.standard_normal((n, d))),
+    })
+    peak = _peak_alloc(["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"])
+    # the kernel fold needs a block's unit rows and their centered copy, and
+    # the d x d terms of the accumulators, a merge and the finished outputs.
+    # The raw block kept beside both goes past this at d 256, and every
+    # accumulator kept while the outputs are finished at d 768
+    bound = 2 * BLOCK_ROWS * d * 8 + 8 * d * d * 8
+    assert peak <= bound, peak / bound
+
+
 def test_the_scoring_pass_holds_one_block_working_set(tmp_path):
     d, n_classes, n = 256, 512, 4 * BLOCK_ROWS
     rng = np.random.default_rng(12)
