@@ -39,7 +39,6 @@ from spectrune.errors import (
 from spectrune.evaluation import (
     Activation,
     AlignmentDeltaReport,
-    EvalReport,
     SyntheticBenchmark,
     ZeroShotTask,
     alignment_delta,

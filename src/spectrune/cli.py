@@ -61,7 +61,6 @@ from spectrune.errors import (
     SpectruneError,
 )
 from spectrune.evaluation import (
-    EvalReport,
     ZeroShotTask,
     alignment_delta,
     projected_undefined,
@@ -225,6 +224,7 @@ def cmd_accumulate(args) -> int:
     for entry in manifest.entries:
         for tag, acc in _accumulate_entry(entry, args.kernel).items():
             accs[tag] = merge(accs[tag], acc) if tag in accs else acc
+    del acc  # the last entry's accumulator would outlive its pop below
     for modality in ("image", "text"):
         if modality not in accs:
             logger.warning("manifest has no %s entries", modality)
@@ -412,7 +412,8 @@ def cmd_eval(args) -> int:
             load_array_file(pairs_txt_path, modality="text"),
             basis,
         )
-        mean_delta = delta.mean_delta
+        # NaN when no pair survived the projection: undefined, like no pairs
+        mean_delta = None if math.isnan(delta.mean_delta) else delta.mean_delta
         n_undefined = delta.n_undefined
         _write_csv(
             out / "alignment_deltas.csv",
@@ -422,12 +423,6 @@ def cmd_eval(args) -> int:
     else:
         logger.warning("no alignment pairs found, skipping cosine deltas")
 
-    report = EvalReport(
-        top_k_accuracy=noise_free,
-        mean_cos_delta=mean_delta,
-        ablation_samples=ablation,
-        seed=args.seed,
-    )
     _write_csv(
         out / "ablation.csv",
         ["trial", "accuracy"],
@@ -450,7 +445,12 @@ def cmd_eval(args) -> int:
             baseline_top_k=baseline,
             alignment_pairs_undefined=n_undefined,
             projected_undefined=undefined,
-            report=report.to_dict(),
+            report={
+                "top_k_accuracy": noise_free,
+                "mean_cos_delta": mean_delta,
+                "ablation_samples": ablation.tolist(),
+                "seed": args.seed,
+            },
             ablation_summary={
                 "mean": float(ablation.mean()),
                 "std_over_trials": std_trials,

@@ -78,37 +78,6 @@ class AlignmentDeltaReport:
     n_undefined: int = 0
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Serializable evaluation results. A NaN ``mean_cos_delta`` (no pair
-    survived the projection) is reported as undefined, like None."""
-
-    top_k_accuracy: float
-    mean_cos_delta: float | None
-    ablation_samples: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.ablation_samples, dtype=np.float64)
-        if samples.size and (samples.min() < 0.0 or samples.max() > 1.0):
-            raise PreconditionError("ablation accuracies must lie in [0, 1]")
-        if not 0.0 <= self.top_k_accuracy <= 1.0:
-            raise PreconditionError("top_k_accuracy must lie in [0, 1]")
-        object.__setattr__(self, "ablation_samples", samples)
-
-    def to_dict(self) -> dict:
-        return {
-            "top_k_accuracy": float(self.top_k_accuracy),
-            "mean_cos_delta": (
-                None
-                if self.mean_cos_delta is None or np.isnan(self.mean_cos_delta)
-                else float(self.mean_cos_delta)
-            ),
-            "ablation_samples": [float(a) for a in self.ablation_samples],
-            "seed": int(self.seed),
-        }
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 

@@ -111,16 +111,6 @@ class EmbeddingMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def with_data(self, data: np.ndarray, source_suffix: str = "") -> "EmbeddingMatrix":
-        """Same metadata, new values (used by projections)."""
-        return EmbeddingMatrix(
-            data=data,
-            modality=self.modality,
-            labels=self.labels,
-            source=self.source + source_suffix,
-            first_row=self.first_row,
-        )
-
     def blocks(self) -> Iterator["EmbeddingMatrix"]:
         """The matrix as a stream of row blocks: the one-block case of
         ``EmbeddingDump.blocks``."""
@@ -153,11 +143,10 @@ class EmbeddingDump:
         path: Path | str,
         modality: str = "image",
         labels: np.ndarray | None = None,
-        source: str | None = None,
     ) -> None:
         self.path = path
         self.modality = modality
-        self.source = source if source is not None else str(path)
+        self.source = str(path)
         self._reader = NpyReader(path, FLOAT_DESCRS, ndim=2)
         try:
             if min(self._reader.shape) < 1:
@@ -172,7 +161,10 @@ class EmbeddingDump:
                         f"{path}: labels must be a length-{self.n} vector, "
                         f"got shape {labels.shape}"
                     )
-        except ShapeError:
+                if (labels < 0).any():
+                    bad = int(np.flatnonzero(labels < 0)[0])
+                    raise DataError(f"{path}: negative label id at row {bad}")
+        except (ShapeError, DataError):
             self.close()
             raise
         self.labels = labels
@@ -208,8 +200,6 @@ class EmbeddingDump:
         finite = np.isfinite(data).all(axis=1)
         if not finite.all():
             raise DataError(f"{self.path}: non-finite entry in row {rows[finite.argmin()]}")
-        if labels is not None and (labels < 0).any():
-            raise DataError(f"{self.path}: negative label id at row {rows[(labels < 0).argmax()]}")
         data.flags.writeable = False  # a fresh array: hand it over
         return EmbeddingMatrix(data, self.modality, labels, source)
 
@@ -227,13 +217,12 @@ def load_array_file(
     path: Path | str,
     modality: str = "image",
     labels: np.ndarray | None = None,
-    source: str | None = None,
 ) -> EmbeddingMatrix:
     """The whole dump at ``path`` as one EmbeddingMatrix, read once and
     checked as ``EmbeddingDump.blocks`` checks each block: non-2-D or empty
     shapes raise ShapeError, non-finite entries DataError naming the first
     offending row, and every error names ``path``."""
-    with EmbeddingDump(path, modality, labels, source) as dump:
+    with EmbeddingDump(path, modality, labels) as dump:
         return dump._matrix(dump._reader.read(), 0)
 
 

@@ -251,7 +251,7 @@ def test_zero_shot_matches_brute_force_oracle():
 
 
 def test_eval_report_bytes_identical_across_reruns(tmp_path):
-    """Two runs at the same seed write byte-identical EvalReport JSON."""
+    """Two runs at the same seed write byte-identical eval_report.json."""
     out = str(tmp_path)
     assert main(["synth", "--out", out, "--n", "3000", "--d", "48", "--p", "8",
                  "--classes", "20", "--queries-per-class", "10", "--seed", "9"]) == 0

@@ -96,6 +96,7 @@ def test_mscsa_command_reports_high_overlap(pipeline_dir, capsys):
 def test_eval_report_contents(pipeline_dir):
     doc = json.loads((pipeline_dir / "eval_report.json").read_text())
     report = doc["report"]
+    assert set(report) == {"ablation_samples", "mean_cos_delta", "seed", "top_k_accuracy"}
     assert doc["baseline_top_k"] == pytest.approx(report["top_k_accuracy"], abs=1e-3)
     assert len(report["ablation_samples"]) == 40
     assert report["seed"] == 5
@@ -106,6 +107,7 @@ def test_eval_report_contents(pipeline_dir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "accuracy"]
     assert len(rows) == 41
+    assert report["ablation_samples"] == [float(a) for _, a in rows[1:]]
 
 
 def test_project_command_round_trip(pipeline_dir):
@@ -376,6 +378,19 @@ def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
     with open(tmp_path / "alignment_deltas.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [r[1] for r in rows] == [""] * basis.shape[1]
+
+
+def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path, caplog):
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "eval_report.json").read_text())
+    assert doc["report"]["mean_cos_delta"] is None
+    assert doc["alignment_pairs_undefined"] is None
+    assert not (tmp_path / "alignment_deltas.csv").exists()
+    assert "no alignment pairs found" in caplog.text
 
 
 def test_synth_rerun_overwrites_identically(tmp_path):

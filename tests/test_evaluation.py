@@ -16,7 +16,6 @@ from spectrune.errors import (
 )
 from spectrune.evaluation import (
     NORM_EPS,
-    EvalReport,
     ZeroShotTask,
     alignment_delta,
     projected_undefined,
@@ -583,22 +582,3 @@ def test_trial_rng_streams_are_stable():
     c = trial_rng(1234, 8).choice(100, size=10, replace=False)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_eval_report_validation():
-    with pytest.raises(PreconditionError):
-        EvalReport(top_k_accuracy=1.5, mean_cos_delta=0.0, ablation_samples=[], seed=0)
-    with pytest.raises(PreconditionError):
-        EvalReport(
-            top_k_accuracy=0.5, mean_cos_delta=0.0, ablation_samples=[1.2], seed=0
-        )
-    report = EvalReport(
-        top_k_accuracy=0.5, mean_cos_delta=None, ablation_samples=[0.1, 0.9], seed=3
-    )
-    doc = report.to_dict()
-    assert doc["mean_cos_delta"] is None
-    assert doc["ablation_samples"] == [0.1, 0.9]
-    undefined = EvalReport(
-        top_k_accuracy=0.5, mean_cos_delta=float("nan"), ablation_samples=[], seed=3
-    )
-    assert undefined.to_dict()["mean_cos_delta"] is None
