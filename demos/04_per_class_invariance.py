@@ -16,10 +16,9 @@ import numpy as np
 from spectrune import (
     EmbeddingMatrix,
     Subspace,
+    class_overlap,
     class_spectrum_distance,
-    decompose,
     per_class_covariances,
-    per_class_overlap,
 )
 
 rng = np.random.default_rng(2)
@@ -44,14 +43,15 @@ data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labe
 # One trace-normalized covariance per class, built when its class is
 # reached and decomposed once; only the overlap and the eigenvalues are
 # kept, so at most one d x d covariance is alive at a time. (A class under
-# 2 rows, or of equal rows, would come with None instead of a covariance.)
+# 2 rows, or of equal rows, would come with None instead of a covariance;
+# one of fewer than d rows with a factor F, F^T F its covariance, which
+# class_overlap takes without a d x d decomposition when the class has at
+# most d - p rows, too few for a defined lowest-p span.)
 print(f"chance level p/d = {p / d:.3f}")
 print("per-class overlap with the planted span:")
 span, eigenvalues = Subspace(planted), {}
 for label, n_rows, cov in per_class_covariances(data):
-    spectrum = decompose(cov)
-    overlap = per_class_overlap(spectrum, span)
-    eigenvalues[label] = spectrum.eigenvalues
+    overlap, eigenvalues[label] = class_overlap(cov, span)
     print(f"  class {label} ({n_rows} rows): {overlap:.4f}")
 
 # Per-class eigenvalue curves, compared after mean-centering in log space

@@ -77,6 +77,7 @@ from spectrune.subspaces import (
     OverlapReport,
     Subspace,
     apply_removal,
+    class_overlap,
     class_spectrum_distance,
     load_subspace,
     mscsa,

@@ -73,6 +73,7 @@ from spectrune.npy import json_text, replace_on_success, write_json, write_npy_r
 from spectrune.spectral import (
     NoiseThreshold,
     Spectrum,
+    count_noise,
     decompose,
     detect_knee,
     fixed_threshold,
@@ -93,12 +94,13 @@ from spectrune.store import (
     save_manifest,
 )
 from spectrune.subspaces import (
+    Subspace,
     apply_removal,
+    class_overlap,
     class_spectrum_distance,
     load_subspace,
     mscsa,
     noise_subspace,
-    per_class_overlap,
     save_subspace,
 )
 
@@ -273,8 +275,10 @@ def _spectrum_inputs(args, out: Path) -> list[Path]:
 def cmd_spectrum(args) -> int:
     out = _out_dir(args)
     knees: dict[str, dict] = {}
+    spans: dict[str, list[tuple[str, Subspace]]] = {}  # modality -> [(stem, noise span)]
     for path in _spectrum_inputs(args, out):
-        spectrum = decompose(load_covariance(path))
+        cov = load_covariance(path)
+        spectrum = decompose(cov)
         curve = log_spectrum(spectrum)
         eigs_desc = spectrum.eigenvalues[::-1]
         _write_csv(
@@ -289,11 +293,19 @@ def cmd_spectrum(args) -> int:
         try:
             index = detect_knee(curve)
             knee.update(knee_index=index, log10_value=float(curve[index]))
+            if width := count_noise(spectrum, float(curve[index])):
+                span = Subspace(spectrum.eigenvectors[:, :width])
+                spans.setdefault(cov.modality, []).append((path.stem, span))
         except NoKneeError as exc:
             knee["error"] = str(exc)
         knees[path.stem] = knee
+    cross_modal = {  # the mSCSA of each image/text pair's own noise spans
+        f"{a}|{b}": {"mscsa": mscsa(span_a, span_b).mscsa, "noise_counts": [span_a.p, span_b.p]}
+        for img, txt in (("image", "text"), ("kernel-image", "kernel-text"))
+        for a, span_a in spans.get(img, []) for b, span_b in spans.get(txt, [])
+    }
     config = {"out": str(args.out), "sigmas": [str(p) for p in args.sigmas]}
-    write_json(out / "knees.json", _report("spectrum", config, knees=knees))
+    write_json(out / "knees.json", _report("spectrum", config, knees=knees, cross_modal=cross_modal))
     return 0
 
 
@@ -476,19 +488,13 @@ def cmd_class_overlap(args) -> int:
     labels = load_label_file(_default(args.labels, out, "queries_labels.npy"))
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
 
-    def one_class(item):
-        # only the overlap and the eigenvalues outlive the call: the class's
-        # rows, covariance and eigenvectors are dropped before the next class
-        label, n, cov = item
-        if cov is None:
-            return label, n, float("nan"), None
-        spectrum = decompose(cov)
-        return label, n, per_class_overlap(spectrum, basis), spectrum.eigenvalues
-
     # every class gets a row and a column; one without a covariance (under 2
-    # rows, or every row equal) has empty mscsa and distance cells
+    # rows, or every row equal) has empty mscsa and distance cells. Only the
+    # overlap and the eigenvalues outlive a class: its rows, covariance and
+    # eigenvectors are dropped before the next class
     with EmbeddingDump(_default(args.embeddings, out, "queries.npy"), labels=labels) as dump:
-        classes = [one_class(item) for item in per_class_covariances(dump)]
+        classes = [(label, n, *class_overlap(cov, basis))
+                   for label, n, cov in per_class_covariances(dump)]
     undefined = sum(math.isnan(v) for _, _, v, _ in classes)
     if undefined:
         logger.warning("%d of %d classes have no defined lowest-%d span: mscsa left empty",

@@ -252,12 +252,14 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
 
 def per_class_covariances(
     m: EmbeddingMatrix | EmbeddingDump,
-) -> Iterator[tuple[int, int, CovarianceMatrix | None]]:
+) -> Iterator[tuple[int, int, CovarianceMatrix | np.ndarray | None]]:
     """``(label, n_rows, covariance)`` per class id, in ascending id order,
     each trace-normalized covariance built only when its class is reached
-    (from a dump, that is when the class's rows are read). A class with
-    fewer than 2 rows, or whose rows are all exactly equal, has no
-    covariance and yields ``None``.
+    (from a dump, that is when the class's rows are read). A class of fewer
+    than d rows yields it as a factor, never as a d-by-d matrix: its rows,
+    centered and scaled to unit Frobenius norm, an n_rows-by-d F whose
+    F^T F is the covariance. A class with fewer than 2 rows, or whose rows
+    are all exactly equal, has no covariance and yields ``None``.
 
     Raises:
         MissingLabelsError: on iteration, the matrix or dump carries no labels.
@@ -265,8 +267,11 @@ def per_class_covariances(
     for label, part in iter_classes(m):
         if part.n < 2 or (part.data == part.data[0]).all():
             yield label, part.n, None
-        else:
+        elif part.n >= part.d:
             yield label, part.n, normalize_trace(covariance_of(part))
+        else:
+            centered = part.data - part.data.mean(axis=0)
+            yield label, part.n, centered / np.linalg.norm(centered)
 
 
 # --- persistence: NPY matrix + JSON sidecar ---

@@ -394,6 +394,7 @@ def synth_benchmark(
     queries = (
         protos[query_labels] + jitter @ signal_basis.T + noise_part @ noise_basis.T
     )
+    protos.flags.writeable = queries.flags.writeable = query_labels.flags.writeable = False
     task = ZeroShotTask(
         class_prototypes=EmbeddingMatrix(
             protos,
@@ -416,6 +417,7 @@ def synth_benchmark(
     pairs_txt = shared + (
         rng.standard_normal((N_PAIRS, p)) * pair_noise_scale
     ) @ noise_basis.T
+    pairs_img.flags.writeable = pairs_txt.flags.writeable = False
 
     return SyntheticBenchmark(
         img=EmbeddingMatrix(img, modality="image", source=source),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spectrune.covariance import sidecar_path
+from spectrune.covariance import CovarianceMatrix, sidecar_path
 from spectrune.errors import (
     DimError,
     EmptySubspaceError,
@@ -23,7 +23,14 @@ from spectrune.errors import (
     in_file,
 )
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
-from spectrune.spectral import LOG_FLOOR, NoiseThreshold, Spectrum, count_noise
+from spectrune.spectral import (
+    LOG_FLOOR,
+    NoiseThreshold,
+    Spectrum,
+    clamp_psd_eigenvalues,
+    count_noise,
+    decompose,
+)
 from spectrune.store import EmbeddingMatrix, _frozen
 
 _ORTHO_TOL = 1e-8
@@ -158,9 +165,9 @@ def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:
     """mSCSA between the global noise span and one class's own
     lowest-variance span of the same dimension.
 
-    ``spectrum`` is the decomposition of the class's covariance, as
-    ``per_class_covariances`` builds it (trace-normalized, the global
-    pipeline's convention). A class whose numerical rank r leaves more than
+    ``spectrum`` is the decomposition of the class's trace-normalized
+    covariance (the global pipeline's convention), as ``class_overlap``
+    takes it. A class whose numerical rank r leaves more than
     k = ``global_noise.p`` null directions (d - r > k) has no defined
     lowest-k span, only an arbitrary slice of its null space, and reads NaN.
     r counts the eigenvalues above ``max eigenvalue * d * eps``, the rule of
@@ -178,6 +185,34 @@ def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:
     return overlap if d - rank <= k else float("nan")
 
 
+def class_overlap(
+    cov: CovarianceMatrix | np.ndarray | None, global_noise: Subspace
+) -> tuple[float, np.ndarray | None]:
+    """A class's ``per_class_overlap`` and its d ascending eigenvalues, from
+    what ``per_class_covariances`` yields for it (NaN and None for None).
+    A factor F of n <= d - k rows has rank at most n - 1, too low for a
+    lowest-k span: it reads NaN at once, and its eigenvalues are those of
+    the n-by-n Gram matrix F F^T (trace 1), clamped and padded with d - n
+    zeros. A factor of more rows is decomposed as the d-by-d F^T F.
+
+    Raises:
+        DimError: the class's width differs from the subspace's.
+    """
+    if cov is None:
+        return float("nan"), None
+    if isinstance(cov, np.ndarray):
+        (n, d), k = cov.shape, global_noise.p
+        if d != global_noise.d:
+            raise DimError(f"class width {d} != subspace width {global_noise.d}")
+        if n <= d - k:
+            w = clamp_psd_eigenvalues(np.linalg.eigvalsh(cov @ cov.T), 1.0)
+            return float("nan"), np.concatenate([np.zeros(d - n), w])
+        # the tag names no file: only the overlap and the eigenvalues leave
+        cov = CovarianceMatrix(cov.T @ cov, n, "image", trace_normalized=True)
+    spectrum = decompose(cov)
+    return per_class_overlap(spectrum, global_noise), spectrum.eigenvalues
+
+
 @dataclass(frozen=True)
 class ClassSpectrumDistances:
     """Pairwise RMS distances between per-class eigenvalue curves."""
@@ -191,12 +226,11 @@ def class_spectrum_distance(
 ) -> ClassSpectrumDistances:
     """RMS distance between mean-centered per-class log10 eigenvalue vectors.
 
-    ``eigenvalues`` maps class ids to the eigenvalues of the decompositions
-    that ``per_class_overlap`` takes, or to None for a class without a
-    spectrum; such a class reads NaN in its whole row and column, diagonal
-    included. Mean-centering in log10 cancels constant log-shifts, i.e.
-    global rescalings of a class; eigenvalues below ``LOG_FLOOR`` count as
-    ``LOG_FLOOR``.
+    ``eigenvalues`` maps class ids to the eigenvalues that ``class_overlap``
+    returns, or to None for a class without a spectrum; such a class reads
+    NaN in its whole row and column, diagonal included. Mean-centering in
+    log10 cancels constant log-shifts, i.e. global rescalings of a class;
+    eigenvalues below ``LOG_FLOOR`` count as ``LOG_FLOOR``.
     """
     labels = sorted(eigenvalues)
     defined = [i for i, label in enumerate(labels) if eigenvalues[label] is not None]

@@ -16,7 +16,7 @@ import pytest
 
 import spectrune
 from spectrune.cli import main
-from spectrune.covariance import load_covariance
+from spectrune.covariance import CovarianceMatrix, load_covariance, save_covariance
 from spectrune.evaluation import trial_rng
 from spectrune.npy import FLOAT_DESCRS, read_npy, write_npy
 from spectrune.spectral import decompose
@@ -79,6 +79,43 @@ def test_threshold_report_recovers_planted_count(pipeline_dir):
     assert abs(doc["noise_count"] - 8) <= 2
     basis = read_npy(pipeline_dir / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
     assert basis.shape == (48, doc["noise_count"])
+
+
+def _sigma_with_noise_span(q, noise_cols, signal_top, modality, path):
+    """A trace-normalized covariance whose eigenvectors are the columns of
+    the rotation q: the columns ``noise_cols`` at eigenvalue 1e-9, the rest
+    log-spaced from 10^signal_top down to a tenth of that, so that the knee
+    flags exactly ``noise_cols``."""
+    d = q.shape[0]
+    w = np.full(d, 1e-9)
+    signal = [i for i in range(d) if i not in noise_cols]
+    w[signal] = np.logspace(signal_top, signal_top - 1.0, len(signal))
+    sigma = (q * (w / w.sum())) @ q.T
+    save_covariance(CovarianceMatrix((sigma + sigma.T) * 0.5, 100, modality, True), path)
+
+
+def test_spectrum_reports_cross_modal_noise_span_agreement(pipeline_dir, tmp_path):
+    # each side's own noise span lies below its own knee: identical spans
+    # read 1.0, spans sharing half their directions read 0.5
+    rng = np.random.default_rng(31)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    for tag, noise_cols, top in [
+        ("image", [12, 13, 14, 15], -1.0),
+        ("text", [12, 13, 14, 15], -1.3),
+        ("kernel_image", [12, 13, 14, 15], -1.0),
+        ("kernel_text", [10, 11, 14, 15], -1.2),
+    ]:
+        _sigma_with_noise_span(q, noise_cols, top, tag.replace("_", "-"), tmp_path / f"sigma_{tag}.npy")
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    cross = json.loads((tmp_path / "knees.json").read_text())["cross_modal"]
+    assert sorted(cross) == ["sigma_image|sigma_text", "sigma_kernel_image|sigma_kernel_text"]
+    assert cross["sigma_image|sigma_text"]["mscsa"] == pytest.approx(1.0, abs=1e-12)
+    assert cross["sigma_kernel_image|sigma_kernel_text"]["mscsa"] == pytest.approx(0.5, abs=1e-12)
+    assert all(pair["noise_counts"] == [4, 4] for pair in cross.values())
+    # synth plants one noise span in both modalities
+    cross = json.loads((pipeline_dir / "knees.json").read_text())["cross_modal"]
+    assert sorted(cross) == ["sigma_image|sigma_text", "sigma_kernel_image|sigma_kernel_text"]
+    assert all(pair["mscsa"] > 0.99 for pair in cross.values())
 
 
 def test_mscsa_command_reports_high_overlap(pipeline_dir, capsys):
@@ -300,20 +337,31 @@ def _class_overlap_argv(out, embeddings, labels, basis):
 
 
 def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
+    solved = []  # (solver, matrix size) of every eigensolver call
+    for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _solver=solver, **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            solved.append((_name, a.shape[0]))
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    # 20 classes of n_c = 10 <= d - k = 48 - 8 rows: one 10 x 10 Gram
+    # solve per class and no d x d solve
     assert main(_class_overlap_argv(
         tmp_path, pipeline_dir / "queries.npy", pipeline_dir / "queries_labels.npy",
         pipeline_dir / "noise_basis.npy",
     )) == 0
-    assert calls == {"eigh": 20, "eigvalsh": 0}
+    assert solved == [("eigvalsh", 10)] * 20
+    # classes of n_c >= d rows are decomposed once each at d x d
+    solved.clear()
+    rng = np.random.default_rng(8)
+    write_npy(tmp_path / "full.npy", rng.standard_normal((3 * 60, 48)))
+    save_label_file(np.repeat(np.arange(3), 60), tmp_path / "full_labels.npy")
+    assert main(_class_overlap_argv(
+        tmp_path, tmp_path / "full.npy", tmp_path / "full_labels.npy", pipeline_dir / "noise_basis.npy",
+    )) == 0
+    assert solved == [("eigh", 48)] * 3
 
 
 def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):

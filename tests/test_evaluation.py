@@ -26,6 +26,7 @@ from spectrune.evaluation import (
 )
 from spectrune.npy import BLOCK_ROWS, write_npy
 from spectrune.spectral import decompose, log_spectrum, detect_knee
+from spectrune import store
 from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 from spectrune.evaluation import trial_rng
@@ -523,11 +524,20 @@ def test_synth_benchmark_shapes_and_determinism():
 
 
 @pytest.mark.parametrize("gap", [None, np.ones(64)])
-def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap):
+def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap, monkeypatch):
+    handed = []  # the arrays that store._frozen took over as they came
+
+    def spy(arr, _frozen=store._frozen):
+        out = _frozen(arr)
+        if out is arr:
+            handed.append(arr)
+        return out
+
+    monkeypatch.setattr(store, "_frozen", spy)
     n, d = 20_000, 64
     tracemalloc.start()
     try:
-        synth_benchmark(n=n, d=d, p=8, gap=gap, seed=3)
+        bench = synth_benchmark(n=n, d=d, p=8, gap=gap, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -535,6 +545,13 @@ def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap):
     # taken when they are wrapped pushes the peak past four corpus matrices
     corpus = n * d * 8
     assert peak <= 3.5 * corpus, peak / corpus
+    # the task's arrays and the pairs are fresh too: none of them is copied
+    for arr in (
+        bench.img.data, bench.txt.data, bench.task.class_prototypes.data,
+        bench.task.queries.data, bench.task.queries.labels, bench.pairs_img.data,
+        bench.pairs_txt.data,
+    ):
+        assert any(arr is h for h in handed)
 
 
 def test_synth_gap_shifts_the_means():

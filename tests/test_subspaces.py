@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spectrune.covariance import CovarianceMatrix, per_class_covariances
+from spectrune.covariance import (
+    CovarianceMatrix,
+    covariance_of,
+    normalize_trace,
+    per_class_covariances,
+)
 from spectrune.errors import (
     DimError,
     EmptySubspaceError,
@@ -18,6 +23,7 @@ from spectrune.store import EmbeddingMatrix
 from spectrune.subspaces import (
     Subspace,
     apply_removal,
+    class_overlap,
     class_spectrum_distance,
     load_subspace,
     mscsa,
@@ -191,17 +197,19 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
     return m, Subspace(noise)
 
 
-def class_spectra(m):
-    """Each class's trace-normalized covariance, decomposed once."""
-    return {label: decompose(cov) for label, _, cov in per_class_covariances(m)}
+def class_spectra(m, noise):
+    """Each class's overlap and eigenvalues, from the covariance that
+    ``per_class_covariances`` yields for it, as class-overlap takes them."""
+    return {label: class_overlap(cov, noise) for label, _, cov in per_class_covariances(m)}
 
 
 def class_overlaps(m, noise):
-    return {label: per_class_overlap(s, noise) for label, s in class_spectra(m).items()}
+    return {label: overlap for label, (overlap, _) in class_spectra(m, noise).items()}
 
 
 def class_eigenvalues(m):
-    return {label: s.eigenvalues for label, s in class_spectra(m).items()}
+    # every class here has at least d rows: the basis only names the width
+    return {label: w for label, (_, w) in class_spectra(m, axes(m.d, [0])).items()}
 
 
 def test_per_class_overlap_on_planted_null_space():
@@ -238,8 +246,59 @@ def test_per_class_overlap_requires_labels_and_matching_width():
     classes = per_class_covariances(unlabeled)  # raises only when iterated
     with pytest.raises(MissingLabelsError):
         next(classes)
+    [(_, _, cov)] = per_class_covariances(EmbeddingMatrix(m.data[:40], "image", m.labels[:40]))
     with pytest.raises(DimError):
-        per_class_overlap(class_spectra(m)[0], axes(4, [0]))
+        per_class_overlap(decompose(cov), axes(4, [0]))
+    with pytest.raises(DimError):
+        class_overlap(cov, axes(4, [0]))
+    # a class of fewer than d rows is checked before it is decomposed
+    [(_, _, factor)] = per_class_covariances(EmbeddingMatrix(m.data[:3], "image", m.labels[:3]))
+    with pytest.raises(DimError):
+        class_overlap(factor, axes(4, [0]))
+
+
+def _reference_class(part, noise):
+    """The d x d reference: decompose the trace-normalized covariance."""
+    spectrum = decompose(normalize_trace(covariance_of(part)))
+    return per_class_overlap(spectrum, noise), spectrum.eigenvalues
+
+
+@pytest.mark.parametrize("n_c", [2, 8, 9, 11, 12], ids=["2", "d-k", "d-k+1", "d-1", "d"])
+def test_small_classes_match_the_d_by_d_reference(n_c, monkeypatch):
+    # d 12, k 4: a class of n_c <= d - k rows skips the d x d decomposition,
+    # one of d - k < n_c < d rows is decomposed from its factor, one of d
+    # rows takes the covariance itself; next to them, a 3-row class and a
+    # 40-row class for the distances
+    rng = np.random.default_rng(60 + n_c)
+    d, k = 12, 4
+    sizes = {0: n_c, 1: 3, 2: 40}
+    data = rng.standard_normal((sum(sizes.values()), d)) * rng.uniform(0.2, 3.0, size=d)
+    labels = np.repeat(list(sizes), list(sizes.values()))
+    m = EmbeddingMatrix(data, modality="image", labels=labels)
+    noise = random_subspace(d, k, rng)
+    solved = []  # the size of every matrix an eigensolver takes
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            solved.append(a.shape[0])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = class_spectra(m, noise)
+    monkeypatch.undo()
+    assert solved.count(d) == 1 + (n_c > d - k)
+    want = {
+        label: _reference_class(EmbeddingMatrix(data[labels == label], "image"), noise)
+        for label in sizes
+    }
+    for label in sizes:
+        (overlap, w), (ref_overlap, ref_w) = got[label], want[label]
+        assert np.isnan(overlap) == np.isnan(ref_overlap) == (sizes[label] <= d - k)
+        if not np.isnan(overlap):
+            assert overlap == pytest.approx(ref_overlap, abs=1e-9)
+        assert np.abs(w - ref_w).max() <= 1e-9
+    distances = class_spectrum_distance({label: w for label, (_, w) in got.items()})
+    reference = class_spectrum_distance({label: w for label, (_, w) in want.items()})
+    assert np.abs(distances.distances - reference.distances).max() <= 1e-9
 
 
 def test_class_spectrum_distance_identical_and_scaled_classes():
