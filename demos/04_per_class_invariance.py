@@ -40,18 +40,18 @@ for c in range(classes):
 
 data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labels))
 
-# One trace-normalized covariance per class, built when its class is
-# reached and decomposed once; only the overlap and the eigenvalues are
-# kept, so at most one d x d covariance is alive at a time. (A class under
-# 2 rows, or of equal rows, would come with None instead of a covariance;
-# one of fewer than d rows with a factor F, F^T F its covariance, which
-# class_overlap takes without a d x d decomposition when the class has at
-# most d - p rows, too few for a defined lowest-p span.)
+# One factor F per class, its centered rows scaled to unit norm, so that
+# F^T F is its trace-normalized covariance: built when its class is reached
+# and decomposed once, as the d x d F^T F here, or as the small Gram matrix
+# F F^T for a class of at most d - p rows, too few for a defined lowest-p
+# span. Only the overlap and the eigenvalues are kept, so one class is
+# alive at a time. (A class under 2 rows, or of equal rows, would come with
+# None instead of a factor.)
 print(f"chance level p/d = {p / d:.3f}")
 print("per-class overlap with the planted span:")
 span, eigenvalues = Subspace(planted), {}
-for label, n_rows, cov in per_class_covariances(data):
-    overlap, eigenvalues[label] = class_overlap(cov, span)
+for label, n_rows, factor in per_class_covariances(data):
+    overlap, eigenvalues[label] = class_overlap(factor, span)
     print(f"  class {label} ({n_rows} rows): {overlap:.4f}")
 
 # Per-class eigenvalue curves, compared after mean-centering in log space

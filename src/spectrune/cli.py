@@ -490,11 +490,13 @@ def cmd_class_overlap(args) -> int:
 
     # every class gets a row and a column; one without a covariance (under 2
     # rows, or every row equal) has empty mscsa and distance cells. Only the
-    # overlap and the eigenvalues outlive a class: its rows, covariance and
-    # eigenvectors are dropped before the next class
+    # overlap and the eigenvalues outlive a class: its rows, factor and
+    # eigenvectors are dropped before the next class is read
+    classes = []
     with EmbeddingDump(_default(args.embeddings, out, "queries.npy"), labels=labels) as dump:
-        classes = [(label, n, *class_overlap(cov, basis))
-                   for label, n, cov in per_class_covariances(dump)]
+        for label, n, factor in per_class_covariances(dump):
+            classes.append((label, n, *class_overlap(factor, basis)))
+            del factor
     undefined = sum(math.isnan(v) for _, _, v, _ in classes)
     if undefined:
         logger.warning("%d of %d classes have no defined lowest-%d span: mscsa left empty",

@@ -252,26 +252,25 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
 
 def per_class_covariances(
     m: EmbeddingMatrix | EmbeddingDump,
-) -> Iterator[tuple[int, int, CovarianceMatrix | np.ndarray | None]]:
-    """``(label, n_rows, covariance)`` per class id, in ascending id order,
-    each trace-normalized covariance built only when its class is reached
-    (from a dump, that is when the class's rows are read). A class of fewer
-    than d rows yields it as a factor, never as a d-by-d matrix: its rows,
-    centered and scaled to unit Frobenius norm, an n_rows-by-d F whose
-    F^T F is the covariance. A class with fewer than 2 rows, or whose rows
-    are all exactly equal, has no covariance and yields ``None``.
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """``(label, n_rows, factor)`` per class id, in ascending id order: the
+    class's rows, centered and scaled to unit Frobenius norm, an n_rows-by-d
+    F whose F^T F is its trace-normalized covariance. F is built only when
+    its class is reached (from a dump, when its rows are read), and neither
+    the rows nor F are held while the next class is read. A class with fewer
+    than 2 rows, or whose rows are all exactly equal, yields ``None``.
 
     Raises:
         MissingLabelsError: on iteration, the matrix or dump carries no labels.
     """
     for label, part in iter_classes(m):
-        if part.n < 2 or (part.data == part.data[0]).all():
-            yield label, part.n, None
-        elif part.n >= part.d:
-            yield label, part.n, normalize_trace(covariance_of(part))
-        else:
-            centered = part.data - part.data.mean(axis=0)
-            yield label, part.n, centered / np.linalg.norm(centered)
+        n, factor = part.n, None
+        if n >= 2 and not (part.data == part.data[0]).all():
+            factor = part.data - part.data.mean(axis=0)
+            factor /= np.linalg.norm(factor)
+        del part
+        yield label, n, factor
+        del factor
 
 
 # --- persistence: NPY matrix + JSON sidecar ---

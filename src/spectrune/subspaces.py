@@ -186,30 +186,28 @@ def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:
 
 
 def class_overlap(
-    cov: CovarianceMatrix | np.ndarray | None, global_noise: Subspace
+    factor: np.ndarray | None, global_noise: Subspace
 ) -> tuple[float, np.ndarray | None]:
     """A class's ``per_class_overlap`` and its d ascending eigenvalues, from
-    what ``per_class_covariances`` yields for it (NaN and None for None).
-    A factor F of n <= d - k rows has rank at most n - 1, too low for a
-    lowest-k span: it reads NaN at once, and its eigenvalues are those of
-    the n-by-n Gram matrix F F^T (trace 1), clamped and padded with d - n
-    zeros. A factor of more rows is decomposed as the d-by-d F^T F.
+    the n-by-d factor F that ``per_class_covariances`` yields for it (NaN
+    and None for None). F of n <= d - k rows has rank at most n - 1, too
+    low for a lowest-k span: it reads NaN at once, and its eigenvalues are
+    those of the n-by-n Gram matrix F F^T (trace 1), clamped and padded
+    with d - n zeros. F of more rows is decomposed as the d-by-d F^T F.
 
     Raises:
         DimError: the class's width differs from the subspace's.
     """
-    if cov is None:
+    if factor is None:
         return float("nan"), None
-    if isinstance(cov, np.ndarray):
-        (n, d), k = cov.shape, global_noise.p
-        if d != global_noise.d:
-            raise DimError(f"class width {d} != subspace width {global_noise.d}")
-        if n <= d - k:
-            w = clamp_psd_eigenvalues(np.linalg.eigvalsh(cov @ cov.T), 1.0)
-            return float("nan"), np.concatenate([np.zeros(d - n), w])
-        # the tag names no file: only the overlap and the eigenvalues leave
-        cov = CovarianceMatrix(cov.T @ cov, n, "image", trace_normalized=True)
-    spectrum = decompose(cov)
+    (n, d), k = factor.shape, global_noise.p
+    if d != global_noise.d:
+        raise DimError(f"class width {d} != subspace width {global_noise.d}")
+    if n <= d - k:
+        w = clamp_psd_eigenvalues(np.linalg.eigvalsh(factor @ factor.T), 1.0)
+        return float("nan"), np.concatenate([np.zeros(d - n), w])
+    # the tag names no file: only the overlap and the eigenvalues leave
+    spectrum = decompose(CovarianceMatrix(factor.T @ factor, n, "image", trace_normalized=True))
     return per_class_overlap(spectrum, global_noise), spectrum.eigenvalues
 
 

@@ -353,7 +353,7 @@ def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkey
         pipeline_dir / "noise_basis.npy",
     )) == 0
     assert solved == [("eigvalsh", 10)] * 20
-    # classes of n_c >= d rows are decomposed once each at d x d
+    # classes of n_c > d - k rows are decomposed once each at d x d
     solved.clear()
     rng = np.random.default_rng(8)
     write_npy(tmp_path / "full.npy", rng.standard_normal((3 * 60, 48)))
@@ -385,6 +385,34 @@ def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * classes * d * d * 8 + queries.nbytes, peak
+
+
+@pytest.mark.parametrize(
+    "classes, per_class, d", [(3, 600, 1024), (2, 10_000, 64)], ids=["gram", "d-by-d"]
+)
+def test_class_overlap_holds_one_class_at_a_time(tmp_path, classes, per_class, d):
+    # a class's rows and its factor are alive together only while the factor
+    # is built: neither the rows of a class under decomposition nor the
+    # factor of the last class is held while the next class is read
+    k = 4
+    rng = np.random.default_rng(14)
+    write_npy(tmp_path / "queries.npy", rng.standard_normal((classes * per_class, d)))
+    save_label_file(np.repeat(np.arange(classes), per_class), tmp_path / "labels.npy")
+    basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    write_npy(tmp_path / "basis.npy", basis)
+    argv = _class_overlap_argv(
+        tmp_path, tmp_path / "queries.npy", tmp_path / "labels.npy", tmp_path / "basis.npy"
+    )
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram route (n_c <= d - k) forms no d x d matrix; the other route
+    # holds a few: F^T F, its eigenvectors and the solver's copies
+    square = 8 * d * d * 8 if per_class > d - k else 0
+    assert peak < 2.5 * per_class * d * 8 + square, peak
 
 
 def test_class_overlap_formats_the_distance_csv_one_row_at_a_time(tmp_path):

@@ -296,21 +296,20 @@ def test_kernel_rejects_zero_norm_row():
 
 
 def test_per_class_covariances_skip_small_classes():
-    # a class under 2 rows and a class of equal rows have no covariance; a
-    # class of fewer than d rows has it only as a factor
+    # a class under 2 rows and a class of equal rows have no covariance;
+    # every other class, of fewer, exactly d or more than d rows, has it as
+    # a factor
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((15, 4))
+    x = rng.standard_normal((22, 4))
     x[9:12] = 0.1
-    labels = np.array([3, 3, 3, 3, 1, 1, 1, 1, 2, 0, 0, 0, 4, 4, 4])
+    labels = np.array([3, 3, 3, 3, 1, 1, 1, 1, 2, 0, 0, 0, 4, 4, 4] + [5] * 7)
     out = list(per_class_covariances(as_matrix(x, labels=labels)))
-    assert [(label, n) for label, n, _ in out] == [(0, 3), (1, 4), (2, 1), (3, 4), (4, 3)]
+    assert [(label, n) for label, n, _ in out] == [(0, 3), (1, 4), (2, 1), (3, 4), (4, 3), (5, 7)]
     assert out[0][2] is None and out[2][2] is None
-    assert all(c.trace_normalized for _, _, c in (out[1], out[3]))
-    assert np.array_equal(out[3][2].sigma, normalize_trace(covariance_of(as_matrix(x[:4]))).sigma)
-    factor = out[4][2]
-    assert factor.shape == (3, 4)
-    reference = normalize_trace(covariance_of(as_matrix(x[12:]))).sigma
-    assert np.abs(factor.T @ factor - reference).max() <= 1e-15
+    for label, n, factor in (out[1], out[3], out[4], out[5]):
+        assert factor.shape == (n, 4)
+        reference = normalize_trace(covariance_of(as_matrix(x[labels == label]))).sigma
+        assert np.abs(factor.T @ factor - reference).max() <= 1e-15, label
 
 
 def test_save_load_round_trip(tmp_path):

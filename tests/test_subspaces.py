@@ -198,9 +198,9 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
 
 
 def class_spectra(m, noise):
-    """Each class's overlap and eigenvalues, from the covariance that
+    """Each class's overlap and eigenvalues, from the factor that
     ``per_class_covariances`` yields for it, as class-overlap takes them."""
-    return {label: class_overlap(cov, noise) for label, _, cov in per_class_covariances(m)}
+    return {label: class_overlap(factor, noise) for label, _, factor in per_class_covariances(m)}
 
 
 def class_overlaps(m, noise):
@@ -246,15 +246,17 @@ def test_per_class_overlap_requires_labels_and_matching_width():
     classes = per_class_covariances(unlabeled)  # raises only when iterated
     with pytest.raises(MissingLabelsError):
         next(classes)
-    [(_, _, cov)] = per_class_covariances(EmbeddingMatrix(m.data[:40], "image", m.labels[:40]))
+    part = EmbeddingMatrix(m.data[:40], "image", m.labels[:40])
     with pytest.raises(DimError):
-        per_class_overlap(decompose(cov), axes(4, [0]))
-    with pytest.raises(DimError):
-        class_overlap(cov, axes(4, [0]))
-    # a class of fewer than d rows is checked before it is decomposed
-    [(_, _, factor)] = per_class_covariances(EmbeddingMatrix(m.data[:3], "image", m.labels[:3]))
-    with pytest.raises(DimError):
-        class_overlap(factor, axes(4, [0]))
+        per_class_overlap(decompose(normalize_trace(covariance_of(part))), axes(4, [0]))
+    # a class of more and one of fewer than d rows, each checked before it
+    # is decomposed
+    for rows in (40, 3):
+        [(_, _, factor)] = per_class_covariances(
+            EmbeddingMatrix(m.data[:rows], "image", m.labels[:rows])
+        )
+        with pytest.raises(DimError):
+            class_overlap(factor, axes(4, [0]))
 
 
 def _reference_class(part, noise):
@@ -266,9 +268,8 @@ def _reference_class(part, noise):
 @pytest.mark.parametrize("n_c", [2, 8, 9, 11, 12], ids=["2", "d-k", "d-k+1", "d-1", "d"])
 def test_small_classes_match_the_d_by_d_reference(n_c, monkeypatch):
     # d 12, k 4: a class of n_c <= d - k rows skips the d x d decomposition,
-    # one of d - k < n_c < d rows is decomposed from its factor, one of d
-    # rows takes the covariance itself; next to them, a 3-row class and a
-    # 40-row class for the distances
+    # and one of more rows is decomposed as its factor's d x d F^T F; next
+    # to them, a 3-row class and a 40-row class for the distances
     rng = np.random.default_rng(60 + n_c)
     d, k = 12, 4
     sizes = {0: n_c, 1: 3, 2: 40}
