@@ -28,6 +28,8 @@ CANCEL_SHARE = 1e-4
 QUERY_NOISE = 0.3
 PAIR_NOISE = 0.5
 N_PAIRS = 500
+# a query tile's G and score buffers hold about this many bytes each
+SCORE_TILE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,10 @@ def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
     descending sort's top k, counted instead of sorted."""
     true = scores[np.arange(scores.shape[0]), true_col][:, None]
     at_least = np.count_nonzero(scores >= true, axis=1)  # every tie as above
-    # only a tie straddling the cutoff needs the class ids
-    unsure = np.flatnonzero((at_least > k) & (np.count_nonzero(scores > true, axis=1) < k))
+    # only a tie straddling the cutoff needs the class ids, and only a row
+    # with more than k columns at or above its own can have one
+    over = np.flatnonzero(at_least > k)
+    unsure = over[np.count_nonzero(scores[over] > true[over], axis=1) < k]
     later = np.arange(scores.shape[1]) > true_col[unsure, None]
     at_least[unsure] -= np.count_nonzero((scores[unsure] == true[unsure]) & later, axis=1)
     return int(np.count_nonzero(at_least <= k))
@@ -118,36 +122,41 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     d×m ``frame`` removed from the queries and, optionally, the prototypes,
     for each ``cols`` in ``removals``, from one pass over the query blocks.
     Either way a projected query's dot products are ``G - (Q B)(P B)^T``
-    for ``B = frame[:, cols]``; only the prototype norms differ. A block
-    fills ``G = Q P^T`` and ``Q frame`` once, and each removal gathers its
-    columns from them and from ``P frame``: O(nq nc p) per removal. Only
-    one block's working set is held: its G, ``Q frame`` and score buffers
-    are sized by the first (largest) block and reused for every block."""
+    for ``B = frame[:, cols]``; only the prototype norms differ. ``P frame``
+    and each removal's prototype inverse norms are formed once per call.
+    Each block is scored in tiles of rows: a tile fills ``G = Q P^T`` and
+    ``Q frame`` once, and each removal gathers its columns from them and
+    from ``P frame``: O(nq nc p) per removal. The tile's G, ``Q frame`` and
+    score buffers, about ``SCORE_TILE_BYTES`` each whatever the class
+    count, are sized by the first (largest) tile and reused."""
     p, labels = task.class_prototypes.data, task.class_prototypes.labels
     if (labels[1:] < labels[:-1]).any():  # columns in class-id order, for the tie-break
         order = np.argsort(labels)
         p, labels = p[order], labels[order]
     p_sq, pf = _sq_norms(p), p @ frame
+    p_inv = np.array([_inverse_norms(_project(p, p_sq, frame[:, cols], pf[:, cols])[1]
+                                     if project_prototypes else p_sq) for cols in removals])
+    nc, m = p.shape[0], frame.shape[1]
+    tile = max(1, SCORE_TILE_BYTES // (8 * max(nc, m)))
     hits = np.zeros(len(removals), dtype=np.int64)
     buffers = None
     for block in task.queries.blocks():
-        q, rows = block.data, block.n
-        if buffers is None:  # the first block is the largest
-            buffers = [np.empty((rows, m)) for m in (p.shape[0], frame.shape[1], p.shape[0])]
-        g = np.matmul(q, p.T, out=buffers[0][:rows])
-        qf = np.matmul(q, frame, out=buffers[1][:rows])
-        scores = buffers[2][:rows]  # one buffer for every removal
-        q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels)
-        for i, cols in enumerate(removals):
-            basis = frame[:, cols]
-            zp, p_proj_sq = _project(p, p_sq, basis, pf[:, cols])
-            zq, q_proj_sq = _project(q, q_sq, basis, qf[:, cols])
-            np.matmul(zq, zp.T, out=scores)
-            np.subtract(g, scores, out=scores)
-            # a query's own norm would scale its row: no rank moves
-            scores *= _inverse_norms(p_proj_sq if project_prototypes else p_sq)
-            scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
-            hits[i] += _hits(scores, true_col, task.k)
+        for start in range(0, block.n, tile):
+            q = block.data[start:start + tile]
+            rows = q.shape[0]
+            if buffers is None:  # the first tile is the largest
+                buffers = [np.empty((rows, w)) for w in (nc, m, nc)]
+            g = np.matmul(q, p.T, out=buffers[0][:rows])
+            qf = np.matmul(q, frame, out=buffers[1][:rows])
+            scores = buffers[2][:rows]  # one buffer for every removal
+            q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels[start:start + tile])
+            for i, cols in enumerate(removals):
+                zq, q_proj_sq = _project(q, q_sq, frame[:, cols], qf[:, cols])
+                np.matmul(zq, pf[:, cols].T, out=scores)
+                np.subtract(g, scores, out=scores)
+                scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
+                scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
+                hits[i] += _hits(scores, true_col, task.k)
         del block, q  # released before the next block is read
     return hits / task.queries.n
 
@@ -374,8 +383,13 @@ def synth_benchmark(
     scales = np.sqrt(
         np.concatenate([np.full(d - p, signal_var), np.full(p, noise_var)])
     )
-    img = (rng.standard_normal((n, d)) * scales) @ rotation.T
-    txt = (rng.standard_normal((n, d)) * scales) @ rotation.T
+
+    def modality() -> np.ndarray:  # the draw scaled in place, not copied
+        draw = rng.standard_normal((n, d))
+        draw *= scales
+        return draw @ rotation.T
+
+    img, txt = modality(), modality()
     if gap is not None:
         gap = np.asarray(gap, dtype=np.float64)
         if gap.shape != (d,):

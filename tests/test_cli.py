@@ -364,10 +364,11 @@ def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkey
     assert solved == [("eigh", 48)] * 3
 
 
-def test_class_overlap_never_holds_every_covariance_and_spectrum(tmp_path):
-    # tiny classes: the queries are small next to C covariances of d x d,
-    # so a peak near C * d^2 * 8 means the covariances or spectra pile up
-    # instead of being dropped class by class
+def test_class_overlap_never_holds_a_d_by_d_matrix_per_factor(tmp_path):
+    # tiny classes: each is a 3 x d factor whose spectrum comes from its
+    # 3 x 3 Gram matrix, so the queries are small next to C matrices of
+    # d x d. A peak near C * d^2 * 8 means a d x d matrix per factor (its
+    # F^T F or eigenvectors) piles up instead of being dropped class by class
     classes, per_class, d = 200, 3, 64
     rng = np.random.default_rng(9)
     queries = rng.standard_normal((classes * per_class, d))

@@ -26,7 +26,7 @@ from spectrune.evaluation import (
 )
 from spectrune.npy import BLOCK_ROWS, write_npy
 from spectrune.spectral import decompose, log_spectrum, detect_knee
-from spectrune import store
+from spectrune import evaluation, store
 from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 from spectrune.evaluation import trial_rng
@@ -465,6 +465,73 @@ def test_exact_ties_straddling_the_top_k_cutoff_go_to_the_smaller_class_ids(tmp_
             for project in (True, False):
                 expected = reference_ablation(task, spectrum, 3, 10, 8, project)
                 assert np.array_equal(random_ablation(scored, spectrum, 3, 10, 8, project), expected)
+
+
+def test_scores_do_not_depend_on_the_tile_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(72)
+    d, n_classes, k, p, trials, seed = 16, 24, 2, 4, 8, 2
+    plabels = rng.permutation(n_classes)
+    protos = rng.standard_normal((n_classes, d))
+    # classes 3, 9 and 17 tie exactly: their queries rank all three at the
+    # top, so the tie straddles k = 2, and only ids 3 and 9 take a place
+    tied = np.flatnonzero(np.isin(plabels, [3, 9, 17]))
+    protos[tied] = protos[tied[0]]
+    qlabels = rng.choice(np.r_[plabels, [3, 9, 17] * 8], size=2 * BLOCK_ROWS + 3)
+    queries = protos[np.argsort(plabels)[qlabels]] + 0.3 * rng.standard_normal((qlabels.size, d))
+    queries[np.isin(qlabels, [3, 9, 17])] = protos[tied[0]]
+    spectrum = _random_spectrum(rng, d)
+    # trial 0 removes the noise span: the queries inside it project to zero
+    # in the noise-free score and in that trial
+    noise = Subspace(spectrum.eigenvectors[:, np.sort(trial_rng(seed, 0).choice(d, size=p, replace=False))])
+    tile = 37  # every removal has m <= d < n_classes columns
+    inside = [tile - 1, tile, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + tile]
+    queries[inside] = rng.standard_normal((len(inside), p)) @ noise.basis.T
+    task = make_task(protos, plabels, queries, qlabels, k)
+    assert BLOCK_ROWS % tile and task.queries.n % tile  # tiles of odd sizes, short ones too
+
+    def every_score(t):
+        scores = [zero_shot_topk(t)]
+        for project in (True, False):
+            scores += [zero_shot_topk(t, noise, project),
+                       random_ablation(t, spectrum, p, trials, seed, project_prototypes=project)]
+        return scores
+
+    expected = every_score(task)
+    assert expected[0] == reference_topk(queries, qlabels, protos, plabels, k)
+    assert projected_undefined(task, noise) == len(inside)
+    monkeypatch.setattr(evaluation, "SCORE_TILE_BYTES", 8 * n_classes * tile)
+    streamed = _dump_task(tmp_path / "queries.npy", task)  # three blocks
+    with streamed.queries:
+        for scored in (task, streamed):
+            for a, b in zip(every_score(scored), expected, strict=True):
+                assert np.array_equal(a, b)
+
+
+def _stable_sort_hits(scores, true_col, k):
+    """Reference: the top k of each row's stable descending argsort."""
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return (top == true_col[:, None]).any(axis=1)
+
+
+def test_hits_counts_a_stable_descending_sorts_top_k():
+    rng = np.random.default_rng(73)
+    k, n_classes = 3, 9
+    # few distinct values, so that most rows have ties at and around the cutoff
+    scores = rng.integers(0, 4, size=(400, n_classes)).astype(float)
+    scores[:20] = 1.0  # every score ties: only ids below k hit
+    true_col = rng.integers(0, n_classes, size=scores.shape[0])
+    true_col[:n_classes] = np.arange(n_classes)
+    expected = _stable_sort_hits(scores, true_col, k)
+    got = [evaluation._hits(scores[[i]], true_col[[i]], k) for i in range(scores.shape[0])]
+    assert got == expected.astype(int).tolist()
+    assert evaluation._hits(scores, true_col, k) == expected.sum()
+    true = scores[np.arange(scores.shape[0]), true_col][:, None]
+    at_least = np.count_nonzero(scores >= true, axis=1)
+    above = np.count_nonzero(scores > true, axis=1)
+    assert (at_least <= k).any()  # sure hits, no tie to break
+    tie_broken = (at_least > k) & (above < k)
+    assert expected[tie_broken].any() and not expected[tie_broken].all()
+    assert got[:n_classes] == [1] * k + [0] * (n_classes - k)
 
 
 def test_rank_activations_extremes_and_oracle():

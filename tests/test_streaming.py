@@ -15,7 +15,7 @@ import pytest
 from spectrune.cli import main
 from spectrune.covariance import covariance_of, normalize_trace, save_covariance
 from spectrune.errors import DataError, ShapeError
-from spectrune.evaluation import ZeroShotTask, random_ablation, rank_activations
+from spectrune.evaluation import SCORE_TILE_BYTES, ZeroShotTask, random_ablation, rank_activations
 from spectrune.npy import BLOCK_ROWS, FLOAT_DESCRS, read_npy, write_npy
 from spectrune.spectral import decompose
 from spectrune.store import (
@@ -144,8 +144,9 @@ def test_accumulate_holds_two_block_sized_arrays(tmp_path, d, n):
     assert peak <= bound, peak / bound
 
 
-def test_the_scoring_pass_holds_one_block_working_set(tmp_path):
-    d, n_classes, n = 256, 512, 4 * BLOCK_ROWS
+def _ablation_peak(tmp_path, d: int, n_classes: int, n: int) -> int:
+    """``tracemalloc`` peak of ``random_ablation`` (3 trials, p 8) over a
+    dump of n random queries against n_classes random prototypes."""
     rng = np.random.default_rng(12)
     write_npy(tmp_path / "queries.npy", rng.standard_normal((n, d)))
     protos = EmbeddingMatrix(rng.standard_normal((n_classes, d)), modality="text",
@@ -156,14 +157,31 @@ def test_the_scoring_pass_holds_one_block_working_set(tmp_path):
         tracemalloc.start()
         try:
             random_ablation(task, spectrum, p=8, trials=3, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # one block's G and scores (BLOCK_ROWS x n_classes each) and its queries;
-    # fresh buffers for every block next to the last block's, and Q V over
-    # all d columns, peaked at 1.9 times this
+
+
+def test_the_scoring_pass_holds_one_block_working_set(tmp_path):
+    d, n_classes = 256, 512
+    peak = _ablation_peak(tmp_path, d, n_classes, 4 * BLOCK_ROWS)
+    # one block's queries and one tile's G and score buffers, at most
+    # BLOCK_ROWS x n_classes each (here a tile is half a block, and the peak
+    # reads 0.85 of this); fresh buffers for every block next to the last
+    # block's, and Q V over all d columns, peaked at 1.9 times this
     working_set = BLOCK_ROWS * (2 * n_classes + d) * 8
     assert peak <= 1.25 * working_set, peak / working_set
+
+
+def test_scoring_memory_is_bounded_by_the_tile_not_the_class_count(tmp_path):
+    # one block against as many classes as it has rows: a G and a score
+    # buffer for the whole block would be 2 x BLOCK_ROWS x n_classes floats
+    d, n_classes = 64, BLOCK_ROWS
+    peak = _ablation_peak(tmp_path, d, n_classes, BLOCK_ROWS)
+    # the block, the prototypes, a tile's G and score buffers and the copy
+    # of a tile's rows that the tie check takes
+    bound = (BLOCK_ROWS + n_classes) * d * 8 + 4 * SCORE_TILE_BYTES
+    assert peak <= bound, peak / bound
 
 
 def test_streamed_project_and_activations_match_whole_matrix(tmp_path):
