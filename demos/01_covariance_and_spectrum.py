@@ -36,20 +36,17 @@ chunks = np.array_split(data, 13)
 # Route A: one accumulator sees every chunk in order.
 acc = CovarianceAccumulator.empty()
 for chunk in chunks:
-    acc = accumulate(acc, EmbeddingMatrix(chunk, modality="image"))
+    acc = accumulate(acc, EmbeddingMatrix(chunk))
 
 # Route B: each chunk gets its own accumulator; merge afterwards. This is
 # the parallel layout, and it must land on the same matrix.
-parts = [
-    accumulate(CovarianceAccumulator.empty(), EmbeddingMatrix(c, modality="image"))
-    for c in chunks
-]
+parts = [accumulate(CovarianceAccumulator.empty(), EmbeddingMatrix(c)) for c in chunks]
 acc_merged = parts[0]
 for part in parts[1:]:
     acc_merged = merge(acc_merged, part)
 
-sequential = finalize(acc)
-parallel = finalize(acc_merged)
+sequential = finalize(acc, "image")
+parallel = finalize(acc_merged, "image")
 gap = np.linalg.norm(sequential.sigma - parallel.sigma) / np.linalg.norm(
     sequential.sigma
 )

@@ -37,8 +37,8 @@ bench = synth_benchmark(
 # Covariance per modality, trace-normalized, then averaged so neither
 # modality biases the threshold.
 avg = average(
-    normalize_trace(covariance_of(bench.img)),
-    normalize_trace(covariance_of(bench.txt)),
+    normalize_trace(covariance_of(bench.img, "image")),
+    normalize_trace(covariance_of(bench.txt, "text")),
 )
 spectrum = decompose(avg)
 threshold = noise_threshold([spectrum])

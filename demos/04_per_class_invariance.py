@@ -38,7 +38,7 @@ for c in range(classes):
     rows.append(coords @ signal.T + noise @ planted.T)
     labels.extend([c] * per_class)
 
-data = EmbeddingMatrix(np.vstack(rows), modality="image", labels=np.asarray(labels))
+data = EmbeddingMatrix(np.vstack(rows), labels=np.asarray(labels))
 
 # One factor F per class, its centered rows scaled to unit norm, so that
 # F^T F is its trace-normalized covariance: built when its class is reached

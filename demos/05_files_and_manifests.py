@@ -32,12 +32,11 @@ tmp = tempfile.TemporaryDirectory(prefix="spectrune-demo-")
 workdir = Path(tmp.name)
 rng = np.random.default_rng(3)
 
-# Write two shards of image embeddings plus labels for the first.
-img_a = EmbeddingMatrix(
-    rng.standard_normal((100, 32)), modality="image", labels=rng.integers(0, 4, 100)
-)
-img_b = EmbeddingMatrix(rng.standard_normal((80, 32)), modality="image")
-txt = EmbeddingMatrix(rng.standard_normal((120, 32)), modality="text")
+# Write two shards of image embeddings plus labels for the first. The rows
+# carry no modality: the manifest below names each shard's.
+img_a = EmbeddingMatrix(rng.standard_normal((100, 32)), labels=rng.integers(0, 4, 100))
+img_b = EmbeddingMatrix(rng.standard_normal((80, 32)))
+txt = EmbeddingMatrix(rng.standard_normal((120, 32)))
 
 save_array_file(img_a, workdir / "img_a.npy")
 save_label_file(img_a.labels, workdir / "img_a_labels.npy")

@@ -235,7 +235,7 @@ def cmd_accumulate(args) -> int:
     # at a time, each accumulator released as its covariance is made
     covs = {}
     for tag in list(accs):
-        covs[tag] = finalize(accs.pop(tag), modality=tag)
+        covs[tag] = finalize(accs.pop(tag), tag)
         if args.trace_normalize:
             covs[tag] = normalize_trace(covs[tag])
     if args.trace_normalize:
@@ -397,21 +397,20 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     protos_path = _default(args.prototypes, out, "prototypes.npy")
     queries_path = _default(args.queries, out, "queries.npy")
-    protos = load_array_file(
-        protos_path, modality="text", labels=load_label_file(_labels_sidecar(protos_path))
-    )
+    protos = load_array_file(protos_path, labels=load_label_file(_labels_sidecar(protos_path)))
     # every score reads the queries one block at a time, and every output is
     # written only after the last score
     with EmbeddingDump(queries_path, labels=load_label_file(_labels_sidecar(queries_path))) as queries:
         task = ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
         basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
         spectrum = decompose(load_covariance(_default(args.sigma, out, _sigma_file("average"))))
-        baseline = zero_shot_topk(task)
-        noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
+        # first, so that a bad --trials is refused before any query is scored
         ablation = random_ablation(
             task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
             project_prototypes=not args.query_only,
         )
+        baseline = zero_shot_topk(task)
+        noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
         undefined = projected_undefined(task, basis, not args.query_only)
 
     mean_delta: float | None = None
@@ -419,11 +418,7 @@ def cmd_eval(args) -> int:
     pairs_img_path = _default(args.pairs_img, out, "pairs_img.npy")
     pairs_txt_path = _default(args.pairs_txt, out, "pairs_txt.npy")
     if pairs_img_path.is_file() and pairs_txt_path.is_file():
-        delta = alignment_delta(
-            load_array_file(pairs_img_path, modality="image"),
-            load_array_file(pairs_txt_path, modality="text"),
-            basis,
-        )
+        delta = alignment_delta(load_array_file(pairs_img_path), load_array_file(pairs_txt_path), basis)
         # NaN when no pair survived the projection: undefined, like no pairs
         mean_delta = None if math.isnan(delta.mean_delta) else delta.mean_delta
         n_undefined = delta.n_undefined
@@ -520,7 +515,7 @@ def cmd_activations(args) -> int:
     out = _out_dir(args)
     data_path = _default(args.embeddings, out, "img.npy")
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    with EmbeddingDump(data_path, modality="image") as dump:
+    with EmbeddingDump(data_path) as dump:
         ranked = rank_activations(dump, basis, top=args.top)
     _write_csv(
         out / "activations.csv",

@@ -58,7 +58,6 @@ class CovarianceAccumulator:
     count: int
     mean: np.ndarray
     m2: np.ndarray
-    modality: str | None = None
 
     @classmethod
     def empty(cls) -> "CovarianceAccumulator":
@@ -121,62 +120,56 @@ def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> Covariance
 
     Raises:
         DimError: batch width differs from a non-empty accumulator's.
-        PreconditionError: batch modality differs from the accumulator's.
     """
     mean = batch.data.mean(axis=0)
     centered = batch.data - mean
     m2 = centered.T @ centered
     del centered
-    return merge(acc, CovarianceAccumulator(batch.n, mean, m2, batch.modality))
+    return merge(acc, CovarianceAccumulator(batch.n, mean, m2))
 
 
 def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccumulator:
     """Combine two accumulators as if their streams were concatenated.
 
-    Commutative and associative to within 1e-10 relative.
+    Commutative and associative to within 1e-10 relative; an empty side
+    returns the other as it is.
 
     Raises:
         DimError: accumulator widths differ.
-        PreconditionError: the accumulators carry different modalities.
     """
-    if a.modality and b.modality and a.modality != b.modality:
-        raise PreconditionError(f"cannot mix modalities {a.modality!r} and {b.modality!r}")
-    modality = a.modality or b.modality
     if a.count == 0:
-        return CovarianceAccumulator(b.count, b.mean, b.m2, modality)
+        return b
     if b.count == 0:
-        return CovarianceAccumulator(a.count, a.mean, a.m2, modality)
+        return a
     if a.dim != b.dim:
         raise DimError(f"cannot merge widths {a.dim} and {b.dim}")
     n = a.count + b.count
     mean = (a.mean * a.count + b.mean * b.count) / n
     delta = b.mean - a.mean
     m2 = a.m2 + b.m2 + np.outer(delta, delta) * (a.count * b.count / n)
-    return CovarianceAccumulator(n, mean, m2, modality)
+    return CovarianceAccumulator(n, mean, m2)
 
 
-def finalize(acc: CovarianceAccumulator, modality: str | None = None) -> CovarianceMatrix:
-    """Turn the running state into an unbiased covariance matrix.
+def finalize(acc: CovarianceAccumulator, modality: str) -> CovarianceMatrix:
+    """Turn the running state into an unbiased covariance matrix tagged
+    ``modality``, one of ``COV_MODALITIES``.
 
     Raises:
         InsufficientSamplesError: fewer than 2 samples seen.
-        PreconditionError: no modality known from either argument.
     """
     if acc.count < 2:
         raise InsufficientSamplesError(
             f"covariance needs at least 2 samples, accumulator has {acc.count}"
         )
-    modality = modality if modality is not None else acc.modality
-    if modality is None:
-        raise PreconditionError("finalize needs a modality tag")
     sigma = acc.m2 / (acc.count - 1)
     sigma = (sigma + sigma.T) * 0.5
     return CovarianceMatrix(sigma=sigma, n_samples=acc.count, modality=modality)
 
 
-def covariance_of(m: EmbeddingMatrix, modality: str | None = None) -> CovarianceMatrix:
-    """One-shot covariance of a single matrix via the accumulator path."""
-    return finalize(accumulate(CovarianceAccumulator.empty(), m), modality=modality)
+def covariance_of(m: EmbeddingMatrix, modality: str) -> CovarianceMatrix:
+    """One-shot covariance of a single matrix via the accumulator path,
+    tagged ``modality``."""
+    return finalize(accumulate(CovarianceAccumulator.empty(), m), modality)
 
 
 def normalize_trace(c: CovarianceMatrix) -> CovarianceMatrix:
@@ -241,13 +234,7 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
         raise DataError(f"{where}zero-norm row {m.first_row + int(zero[0])} cannot be normalized")
     unit = m.data / norms[:, None]
     unit.flags.writeable = False  # a fresh array: the matrix may keep it uncopied
-    return EmbeddingMatrix(
-        unit,
-        modality=m.modality,
-        labels=m.labels,
-        source=m.source,
-        first_row=m.first_row,
-    )
+    return EmbeddingMatrix(unit, m.labels, m.source, m.first_row)
 
 
 def per_class_covariances(

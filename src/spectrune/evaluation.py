@@ -411,14 +411,9 @@ def synth_benchmark(
     protos.flags.writeable = queries.flags.writeable = query_labels.flags.writeable = False
     task = ZeroShotTask(
         class_prototypes=EmbeddingMatrix(
-            protos,
-            modality="text",
-            labels=np.arange(n_classes),
-            source=f"{source} prototypes",
+            protos, labels=np.arange(n_classes), source=f"{source} prototypes"
         ),
-        queries=EmbeddingMatrix(
-            queries, modality="image", labels=query_labels, source=f"{source} queries"
-        ),
+        queries=EmbeddingMatrix(queries, labels=query_labels, source=f"{source} queries"),
         k=k,
     )
 
@@ -434,12 +429,10 @@ def synth_benchmark(
     pairs_img.flags.writeable = pairs_txt.flags.writeable = False
 
     return SyntheticBenchmark(
-        img=EmbeddingMatrix(img, modality="image", source=source),
-        txt=EmbeddingMatrix(txt, modality="text", source=source),
+        img=EmbeddingMatrix(img, source=source),
+        txt=EmbeddingMatrix(txt, source=source),
         planted=Subspace(noise_basis, origin=f"{source} planted noise span"),
         task=task,
-        pairs_img=EmbeddingMatrix(
-            pairs_img, modality="image", source=f"{source} pairs"
-        ),
-        pairs_txt=EmbeddingMatrix(pairs_txt, modality="text", source=f"{source} pairs"),
+        pairs_img=EmbeddingMatrix(pairs_img, source=f"{source} pairs"),
+        pairs_txt=EmbeddingMatrix(pairs_txt, source=f"{source} pairs"),
     )

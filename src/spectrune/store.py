@@ -26,7 +26,6 @@ from spectrune.errors import (
     FormatError,
     IoError,
     MissingLabelsError,
-    PreconditionError,
     ShapeError,
     in_file,
 )
@@ -59,11 +58,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """An n-by-d block of embedding vectors with a modality tag.
+    """An n-by-d block of embedding vectors.
 
     Attributes:
         data: float64 matrix, one embedding per row. Read-only.
-        modality: ``"image"`` or ``"text"``.
         labels: optional int64 class ids, one per row, all >= 0.
         source: free-form provenance string (file path, generator, ...).
         first_row: index of the first row within ``source``, for a block
@@ -71,7 +69,6 @@ class EmbeddingMatrix:
     """
 
     data: np.ndarray
-    modality: str
     labels: np.ndarray | None = None
     source: str = ""
     first_row: int = 0
@@ -87,10 +84,6 @@ class EmbeddingMatrix:
         if not finite_rows.all():
             bad = self.first_row + int(np.flatnonzero(~finite_rows)[0])
             raise DataError(f"non-finite entry in row {bad}")
-        if self.modality not in MODALITIES:
-            raise PreconditionError(
-                f"modality must be one of {MODALITIES}, got {self.modality!r}"
-            )
         object.__setattr__(self, "data", _frozen(data))
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
@@ -122,7 +115,7 @@ class EmbeddingMatrix:
         data = self.data[rows]
         data.flags.writeable = False  # a fresh copy: hand it over
         labels = None if self.labels is None else self.labels[rows]
-        return EmbeddingMatrix(data, self.modality, labels, source)
+        return EmbeddingMatrix(data, labels, source)
 
 
 class EmbeddingDump:
@@ -138,14 +131,8 @@ class EmbeddingDump:
     its size. Close the dump, or use it as a context manager.
     """
 
-    def __init__(
-        self,
-        path: Path | str,
-        modality: str = "image",
-        labels: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, path: Path | str, labels: np.ndarray | None = None) -> None:
         self.path = path
-        self.modality = modality
         self.source = str(path)
         self._reader = NpyReader(path, FLOAT_DESCRS, ndim=2)
         try:
@@ -184,7 +171,7 @@ class EmbeddingDump:
         data.flags.writeable = False  # a fresh array: hand it over
         labels = None if self.labels is None else self.labels[start : start + len(data)]
         with in_file(self.path):
-            return EmbeddingMatrix(data, self.modality, labels, self.source, first_row=start)
+            return EmbeddingMatrix(data, labels, self.source, first_row=start)
 
     def blocks(self) -> Iterator[EmbeddingMatrix]:
         for start in range(0, self.n, BLOCK_ROWS):
@@ -201,7 +188,7 @@ class EmbeddingDump:
         if not finite.all():
             raise DataError(f"{self.path}: non-finite entry in row {rows[finite.argmin()]}")
         data.flags.writeable = False  # a fresh array: hand it over
-        return EmbeddingMatrix(data, self.modality, labels, source)
+        return EmbeddingMatrix(data, labels, source)
 
     def close(self) -> None:
         self._reader.close()
@@ -213,16 +200,12 @@ class EmbeddingDump:
         self.close()
 
 
-def load_array_file(
-    path: Path | str,
-    modality: str = "image",
-    labels: np.ndarray | None = None,
-) -> EmbeddingMatrix:
+def load_array_file(path: Path | str, labels: np.ndarray | None = None) -> EmbeddingMatrix:
     """The whole dump at ``path`` as one EmbeddingMatrix, read once and
     checked as ``EmbeddingDump.blocks`` checks each block: non-2-D or empty
     shapes raise ShapeError, non-finite entries DataError naming the first
     offending row, and every error names ``path``."""
-    with EmbeddingDump(path, modality, labels) as dump:
+    with EmbeddingDump(path, labels) as dump:
         return dump._matrix(dump._reader.read(), 0)
 
 
@@ -263,7 +246,7 @@ def iter_classes(m: EmbeddingMatrix | EmbeddingDump) -> Iterator[tuple[int, Embe
 def split_by_label(m: EmbeddingMatrix) -> dict[int, EmbeddingMatrix]:
     """Partition rows by class id, every class at once.
 
-    The parts are disjoint, exhaustive, and keep the parent's modality.
+    The parts are disjoint and exhaustive.
 
     Raises:
         MissingLabelsError: the matrix carries no labels.
@@ -379,4 +362,4 @@ def check_widths(manifest: DatasetManifest) -> None:
 def open_entry(entry: ManifestEntry) -> EmbeddingDump:
     """The entry's dump with its labels, ready to stream."""
     labels = load_label_file(entry.labels) if entry.labels is not None else None
-    return EmbeddingDump(entry.path, modality=entry.modality, labels=labels)
+    return EmbeddingDump(entry.path, labels=labels)

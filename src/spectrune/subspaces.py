@@ -158,7 +158,7 @@ def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
         raise DimError(f"subspace width {v.d} != embedding width {m.d}")
     data = remove_component(m.data, v.basis)
     data.flags.writeable = False  # a fresh array: hand it over
-    return EmbeddingMatrix(data, m.modality, m.labels, m.source + "|projected", m.first_row)
+    return EmbeddingMatrix(data, m.labels, m.source + "|projected", m.first_row)
 
 
 def per_class_overlap(spectrum: Spectrum, global_noise: Subspace) -> float:

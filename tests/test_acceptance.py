@@ -47,14 +47,14 @@ from spectrune.subspaces import (
 )
 
 
-def matrix(x, modality="image", labels=None):
-    return EmbeddingMatrix(np.asarray(x, dtype=float), modality=modality, labels=labels)
+def matrix(x, labels=None):
+    return EmbeddingMatrix(np.asarray(x, dtype=float), labels=labels)
 
 
-def kernel_of(m):
+def kernel_of(m, modality="image"):
     """The kernel (cosine-similarity) covariance, as ``accumulate --kernel``
     builds it: the covariance of the row-normalized matrix."""
-    return covariance_of(normalize_rows(m), modality=f"kernel-{m.modality}")
+    return covariance_of(normalize_rows(m), f"kernel-{modality}")
 
 
 def random_orthonormal(d, p, rng):
@@ -83,7 +83,7 @@ def test_covariance_streaming_matches_two_pass_oracle():
         acc = CovarianceAccumulator.empty()
         for chunk in chunks:
             acc = accumulate(acc, matrix(chunk))
-        sequential = finalize(acc).sigma
+        sequential = finalize(acc, "image").sigma
         # independent per-chunk accumulators merged pairwise
         parts = [accumulate(CovarianceAccumulator.empty(), matrix(c)) for c in chunks]
         while len(parts) > 1:
@@ -91,7 +91,7 @@ def test_covariance_streaming_matches_two_pass_oracle():
                 merge(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
                 for i in range(0, len(parts), 2)
             ]
-        merged = finalize(parts[0]).sigma
+        merged = finalize(parts[0], "image").sigma
         for sigma in (sequential, merged):
             err = np.linalg.norm(sigma - expected) / np.linalg.norm(expected)
             assert err <= 1e-10
@@ -114,7 +114,7 @@ def test_spectral_decomposition_contract():
         assert abs(w.sum() - trace) <= 1e-10 * max(1.0, abs(trace))
     for _ in range(100):
         cov = normalize_trace(
-            covariance_of(matrix(rng.standard_normal((96, 64))))
+            covariance_of(matrix(rng.standard_normal((96, 64))), "image")
         )
         assert abs(decompose(cov).eigenvalues.sum() - 1.0) <= 1e-10
 
@@ -170,8 +170,8 @@ def _planted_pipeline(seed=2026):
     )
     spectrum = decompose(
         average(
-            normalize_trace(covariance_of(bench.img)),
-            normalize_trace(covariance_of(bench.txt)),
+            normalize_trace(covariance_of(bench.img, "image")),
+            normalize_trace(covariance_of(bench.txt, "text")),
         )
     )
     threshold = noise_threshold([spectrum])
@@ -233,7 +233,7 @@ def test_zero_shot_matches_brute_force_oracle():
         queries = rng.standard_normal((n_queries, d))
         qlabels = rng.choice(plabels, size=n_queries)
         task = ZeroShotTask(
-            class_prototypes=matrix(protos, modality="text", labels=plabels),
+            class_prototypes=matrix(protos, labels=plabels),
             queries=matrix(queries, labels=qlabels),
             k=k,
         )
@@ -305,12 +305,12 @@ def test_kernel_covariance_rescale_invariance_and_knee_agreement():
 
     bench = synth_benchmark(n=10_000, d=128, p=20, noise_var=1e-5, seed=2027)
     sample_avg = average(
-        normalize_trace(covariance_of(bench.img)),
-        normalize_trace(covariance_of(bench.txt)),
+        normalize_trace(covariance_of(bench.img, "image")),
+        normalize_trace(covariance_of(bench.txt, "text")),
     )
     kernel_avg = average(
         normalize_trace(kernel_of(bench.img)),
-        normalize_trace(kernel_of(bench.txt)),
+        normalize_trace(kernel_of(bench.txt, "text")),
     )
     sample_knee = detect_knee(log_spectrum(decompose(sample_avg)))
     kernel_knee = detect_knee(log_spectrum(decompose(kernel_avg)))

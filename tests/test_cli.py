@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spectrune
+from spectrune import evaluation
 from spectrune.cli import main
 from spectrune.covariance import CovarianceMatrix, load_covariance, save_covariance
 from spectrune.evaluation import trial_rng
@@ -61,15 +62,14 @@ def test_pipeline_produces_expected_files(pipeline_dir):
 
 
 def test_sidecars_record_true_modalities(pipeline_dir):
+    # each covariance's tag is named once, by its manifest entry or its
+    # average, and every sidecar records the tag its file is named after
+    tags = ("image", "text", "average", "kernel-image", "kernel-text", "kernel-average")
     modalities = {
-        name: json.loads((pipeline_dir / f"{name}.json").read_text())["modality"]
-        for name in ("sigma_average", "sigma_kernel_average", "sigma_kernel_image")
+        tag: json.loads((pipeline_dir / f"sigma_{tag.replace('-', '_')}.json").read_text())["modality"]
+        for tag in tags
     }
-    assert modalities == {
-        "sigma_average": "average",
-        "sigma_kernel_average": "kernel-average",
-        "sigma_kernel_image": "kernel-image",
-    }
+    assert modalities == {tag: tag for tag in tags}
 
 
 def test_threshold_report_recovers_planted_count(pipeline_dir):
@@ -468,6 +468,19 @@ def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path,
     assert doc["alignment_pairs_undefined"] is None
     assert not (tmp_path / "alignment_deltas.csv").exists()
     assert "no alignment pairs found" in caplog.text
+
+
+def test_eval_refuses_zero_trials_before_scoring_any_query(pipeline_dir, tmp_path, monkeypatch):
+    scored = []
+    real = evaluation._scores
+    monkeypatch.setattr(evaluation, "_scores", lambda *a, **kw: scored.append(1) or real(*a, **kw))
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "0"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 1
+    assert scored == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_rerun_overwrites_identically(tmp_path):

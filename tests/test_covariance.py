@@ -38,22 +38,22 @@ def two_pass_covariance(x: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (x.shape[0] - 1)
 
 
-def as_matrix(x, modality="image", labels=None):
-    return EmbeddingMatrix(np.asarray(x, dtype=float), modality=modality, labels=labels)
+def as_matrix(x, labels=None):
+    return EmbeddingMatrix(np.asarray(x, dtype=float), labels=labels)
 
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def kernel_of(m):
+def kernel_of(m, modality="image"):
     """The kernel (cosine-similarity) covariance, as ``accumulate --kernel``
     builds it: the covariance of the row-normalized matrix."""
-    return covariance_of(normalize_rows(m), modality=f"kernel-{m.modality}")
+    return covariance_of(normalize_rows(m), f"kernel-{modality}")
 
 
 def test_hand_computed_two_row_example():
-    cov = covariance_of(as_matrix([(1, 0), (0, 1)]))
+    cov = covariance_of(as_matrix([(1, 0), (0, 1)]), "image")
     assert np.allclose(cov.sigma, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
@@ -67,20 +67,20 @@ def test_single_row_accumulator_state():
 def test_finalize_needs_two_samples():
     acc = accumulate(CovarianceAccumulator.empty(), as_matrix([[1.0, 2.0]]))
     with pytest.raises(InsufficientSamplesError):
-        finalize(acc)
+        finalize(acc, "image")
     with pytest.raises(InsufficientSamplesError):
         finalize(CovarianceAccumulator.empty(), modality="image")
 
 
 def test_identical_rows_give_zero_matrix():
-    cov = covariance_of(as_matrix(np.tile([1.0, -2.0, 3.0], (20, 1))))
+    cov = covariance_of(as_matrix(np.tile([1.0, -2.0, 3.0], (20, 1))), "image")
     assert np.allclose(cov.sigma, 0.0, atol=1e-12)
 
 
 def test_streaming_matches_two_pass_oracle():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((500, 16))
-    cov = covariance_of(as_matrix(x))
+    cov = covariance_of(as_matrix(x), "image")
     assert rel_frobenius(cov.sigma, two_pass_covariance(x)) < 1e-10
     assert cov.n_samples == 500
 
@@ -96,7 +96,7 @@ def test_chunked_orders_match_two_pass_oracle():
         acc = CovarianceAccumulator.empty()
         for k in order:
             acc = accumulate(acc, as_matrix(chunks[k]))
-        cov = finalize(acc)
+        cov = finalize(acc, "image")
         assert cov.n_samples == 2000
         assert rel_frobenius(cov.sigma, expected) < 1e-10
 
@@ -105,11 +105,11 @@ def test_merge_equals_concatenation_and_commutes():
     rng = np.random.default_rng(12)
     x, y, z = (rng.standard_normal((n, 8)) for n in (40, 70, 25))
     acc = lambda arr: accumulate(CovarianceAccumulator.empty(), as_matrix(arr))
-    joint = finalize(acc(np.vstack([x, y, z])))
+    joint = finalize(acc(np.vstack([x, y, z])), "image")
 
-    ab_c = finalize(merge(merge(acc(x), acc(y)), acc(z)))
-    a_bc = finalize(merge(acc(x), merge(acc(y), acc(z))))
-    cba = finalize(merge(acc(z), merge(acc(y), acc(x))))
+    ab_c = finalize(merge(merge(acc(x), acc(y)), acc(z)), "image")
+    a_bc = finalize(merge(acc(x), merge(acc(y), acc(z))), "image")
+    cba = finalize(merge(acc(z), merge(acc(y), acc(x))), "image")
     for combined in (ab_c, a_bc, cba):
         assert rel_frobenius(combined.sigma, joint.sigma) < 1e-10
         assert combined.n_samples == 135
@@ -118,22 +118,13 @@ def test_merge_equals_concatenation_and_commutes():
 def test_merge_with_empty_and_dim_mismatch():
     rng = np.random.default_rng(13)
     full = accumulate(CovarianceAccumulator.empty(), as_matrix(rng.standard_normal((5, 4))))
-    merged = merge(CovarianceAccumulator.empty(), full)
-    assert merged.count == 5
+    assert merge(CovarianceAccumulator.empty(), full) is full
+    assert merge(full, CovarianceAccumulator.empty()) is full
     other = accumulate(CovarianceAccumulator.empty(), as_matrix(rng.standard_normal((5, 3))))
     with pytest.raises(DimError):
         merge(full, other)
     with pytest.raises(DimError):
         accumulate(full, as_matrix(rng.standard_normal((2, 3))))
-
-
-def test_modalities_cannot_mix():
-    img = accumulate(CovarianceAccumulator.empty(), as_matrix(np.ones((3, 2))))
-    with pytest.raises(PreconditionError):
-        accumulate(img, as_matrix(np.ones((3, 2)), modality="text"))
-    txt = accumulate(CovarianceAccumulator.empty(), as_matrix(np.ones((3, 2)), modality="text"))
-    with pytest.raises(PreconditionError):
-        merge(img, txt)
 
 
 def test_m2_stays_symmetric_through_updates():
@@ -186,7 +177,7 @@ def test_accumulate_releases_the_centered_copy_before_merging():
 def test_finalized_matrix_is_psd():
     rng = np.random.default_rng(15)
     for _ in range(10):
-        cov = covariance_of(as_matrix(rng.standard_normal((50, 10))))
+        cov = covariance_of(as_matrix(rng.standard_normal((50, 10))), "image")
         smallest = np.linalg.eigvalsh(cov.sigma).min()
         assert smallest >= -1e-10 * np.trace(cov.sigma)
 
@@ -200,14 +191,14 @@ def test_normalize_trace_identity_example():
 
 
 def test_normalize_trace_rejects_zero_matrix():
-    cov = covariance_of(as_matrix(np.tile([1.0, 1.0], (5, 1))))
+    cov = covariance_of(as_matrix(np.tile([1.0, 1.0], (5, 1))), "image")
     with pytest.raises(DegenerateCovarianceError):
         normalize_trace(cov)
 
 
 def test_normalize_trace_scales_eigenvalues_keeps_eigenvectors():
     rng = np.random.default_rng(16)
-    cov = covariance_of(as_matrix(rng.standard_normal((60, 6))))
+    cov = covariance_of(as_matrix(rng.standard_normal((60, 6))), "image")
     trace = np.trace(cov.sigma)
     w_before, v_before = np.linalg.eigh(cov.sigma)
     w_after, v_after = np.linalg.eigh(normalize_trace(cov).sigma)
@@ -218,10 +209,8 @@ def test_normalize_trace_scales_eigenvalues_keeps_eigenvectors():
 
 def test_average_examples_and_trace():
     rng = np.random.default_rng(17)
-    a = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 5)))))
-    b = normalize_trace(
-        covariance_of(as_matrix(rng.standard_normal((40, 5)), modality="text"))
-    )
+    a = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 5))), "image"))
+    b = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 5))), "text"))
     assert np.allclose(average(a, a).sigma, a.sigma, atol=1e-15)
     avg = average(a, b)
     assert avg.modality == "average"
@@ -235,25 +224,21 @@ def test_average_examples_and_trace():
 def test_average_of_kernel_covariances_is_tagged_kernel_average():
     rng = np.random.default_rng(18)
     img = normalize_trace(kernel_of(as_matrix(rng.standard_normal((30, 4)))))
-    txt = normalize_trace(
-        kernel_of(as_matrix(rng.standard_normal((30, 4)), modality="text"))
-    )
+    txt = normalize_trace(kernel_of(as_matrix(rng.standard_normal((30, 4))), "text"))
     assert (img.modality, txt.modality) == ("kernel-image", "kernel-text")
     assert average(img, txt).modality == "kernel-average"
-    raw_txt = normalize_trace(
-        covariance_of(as_matrix(rng.standard_normal((30, 4)), modality="text"))
-    )
+    raw_txt = normalize_trace(covariance_of(as_matrix(rng.standard_normal((30, 4))), "text"))
     with pytest.raises(PreconditionError, match="kernel"):
         average(img, raw_txt)
 
 
 def test_average_preconditions():
-    raw = covariance_of(as_matrix(np.random.default_rng(0).standard_normal((10, 3))))
+    raw = covariance_of(as_matrix(np.random.default_rng(0).standard_normal((10, 3))), "image")
     normed = normalize_trace(raw)
     with pytest.raises(PreconditionError):
         average(raw, normed)
     other = normalize_trace(
-        covariance_of(as_matrix(np.random.default_rng(1).standard_normal((10, 4))))
+        covariance_of(as_matrix(np.random.default_rng(1).standard_normal((10, 4))), "image")
     )
     with pytest.raises(PreconditionError):
         average(normed, other)
@@ -264,7 +249,7 @@ def test_kernel_equals_plain_covariance_on_unit_rows():
     x = rng.standard_normal((30, 5))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     kern = kernel_of(as_matrix(x))
-    plain = covariance_of(as_matrix(x))
+    plain = covariance_of(as_matrix(x), "image")
     assert np.allclose(kern.sigma, plain.sigma, atol=1e-14)
     assert kern.modality == "kernel-image"
 
@@ -308,13 +293,13 @@ def test_per_class_covariances_skip_small_classes():
     assert out[0][2] is None and out[2][2] is None
     for label, n, factor in (out[1], out[3], out[4], out[5]):
         assert factor.shape == (n, 4)
-        reference = normalize_trace(covariance_of(as_matrix(x[labels == label]))).sigma
+        reference = normalize_trace(covariance_of(as_matrix(x[labels == label]), "image")).sigma
         assert np.abs(factor.T @ factor - reference).max() <= 1e-15, label
 
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(22)
-    cov = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 6)))))
+    cov = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 6))), "image"))
     save_covariance(cov, tmp_path / "sigma.npy")
     back = load_covariance(tmp_path / "sigma.npy")
     assert np.array_equal(back.sigma, cov.sigma)

@@ -34,12 +34,8 @@ from spectrune.evaluation import trial_rng
 
 def make_task(protos, plabels, queries, qlabels, k):
     return ZeroShotTask(
-        class_prototypes=EmbeddingMatrix(
-            np.asarray(protos, dtype=float), modality="text", labels=plabels
-        ),
-        queries=EmbeddingMatrix(
-            np.asarray(queries, dtype=float), modality="image", labels=qlabels
-        ),
+        class_prototypes=EmbeddingMatrix(np.asarray(protos, dtype=float), labels=plabels),
+        queries=EmbeddingMatrix(np.asarray(queries, dtype=float), labels=qlabels),
         k=k,
     )
 
@@ -140,8 +136,8 @@ def test_alignment_delta_identity_projection_is_zero():
     # the pairs never enter the last axis, so removing it changes no bit
     rng = np.random.default_rng(63)
     pad = np.zeros((20, 1))
-    img = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]), modality="image")
-    txt = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]), modality="text")
+    img = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]))
+    txt = EmbeddingMatrix(np.hstack([rng.standard_normal((20, 6)), pad]))
     report = alignment_delta(img, txt, Subspace(np.eye(7)[:, [6]]))
     assert np.array_equal(report.per_pair, np.zeros(20))
     assert report.mean_delta == 0.0
@@ -150,25 +146,23 @@ def test_alignment_delta_identity_projection_is_zero():
 
 def test_alignment_delta_constructed_pair():
     # pair differs only inside the removed axis: before cos 0, after cos 1
-    img = EmbeddingMatrix(np.array([[1.0, 0.0, 1.0]]), modality="image")
-    txt = EmbeddingMatrix(np.array([[1.0, 0.0, -1.0]]), modality="text")
+    img = EmbeddingMatrix(np.array([[1.0, 0.0, 1.0]]))
+    txt = EmbeddingMatrix(np.array([[1.0, 0.0, -1.0]]))
     report = alignment_delta(img, txt, Subspace(np.eye(3)[:, [2]]))
     assert report.per_pair[0] == pytest.approx(1.0, abs=1e-12)
     assert report.mean_delta == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alignment_delta_counts_degenerate_pairs():
-    img = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), modality="image")
-    txt = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), modality="text")
+    img = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    txt = EmbeddingMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
     kill_axis_1 = Subspace(np.eye(2)[:, [1]])
     report = alignment_delta(img, txt, kill_axis_1)
     assert report.n_undefined == 1
     assert np.isnan(report.per_pair[0])
     assert not np.isnan(report.per_pair[1])
     with pytest.raises(PreconditionError):
-        alignment_delta(
-            img, EmbeddingMatrix(np.ones((3, 2)), modality="text"), kill_axis_1
-        )
+        alignment_delta(img, EmbeddingMatrix(np.ones((3, 2))), kill_axis_1)
     with pytest.raises(DimError):
         alignment_delta(img, txt, Subspace(np.eye(3)[:, [1]]))
 
@@ -538,7 +532,7 @@ def test_rank_activations_extremes_and_oracle():
     noise = Subspace(np.eye(4)[:, [2, 3]])
     inside = np.array([0.0, 0.0, 3.0, 4.0])
     outside = np.array([1.0, 2.0, 0.0, 0.0])
-    m = EmbeddingMatrix(np.vstack([outside, inside]), modality="image")
+    m = EmbeddingMatrix(np.vstack([outside, inside]))
     ranked = rank_activations(m, noise, top=2)
     assert ranked[0].row_index == 1
     assert ranked[0].norm == pytest.approx(1.0, abs=1e-12)
@@ -547,7 +541,7 @@ def test_rank_activations_extremes_and_oracle():
     rng = np.random.default_rng(65)
     data = rng.standard_normal((200, 8))
     basis = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-    m = EmbeddingMatrix(data, modality="image")
+    m = EmbeddingMatrix(data)
     ranked = rank_activations(m, Subspace(basis), top=200)
     # oracle: per-row computation plus (-score, index) sort
     unit = data / np.linalg.norm(data, axis=1, keepdims=True)
@@ -564,8 +558,8 @@ def test_rank_activations_errors():
     bad = np.ones((3, 3))
     bad[1] = 0.0
     with pytest.raises(DataError, match="row 1"):
-        rank_activations(EmbeddingMatrix(bad, modality="image"), noise, top=2)
-    ok = EmbeddingMatrix(np.ones((3, 3)), modality="image")
+        rank_activations(EmbeddingMatrix(bad), noise, top=2)
+    ok = EmbeddingMatrix(np.ones((3, 3)))
     with pytest.raises(PreconditionError):
         rank_activations(ok, noise, top=4)
 
@@ -577,7 +571,6 @@ def test_synth_benchmark_shapes_and_determinism():
     assert np.array_equal(out.img.data, again.img.data)
     assert np.array_equal(out.txt.data, again.txt.data)
     assert out.img.data.shape == out.txt.data.shape == (100, 16)
-    assert out.img.modality == "image" and out.txt.modality == "text"
     assert out.planted.p == 4
     for bad in (
         dict(n=0, d=8, p=2),

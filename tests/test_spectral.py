@@ -80,7 +80,7 @@ def test_reconstruction_and_trace_on_random_symmetric():
 
 def test_eigen_residual_contract():
     rng = np.random.default_rng(32)
-    c = covariance_of(EmbeddingMatrix(rng.standard_normal((80, 12)), modality="image"))
+    c = covariance_of(EmbeddingMatrix(rng.standard_normal((80, 12))), "image")
     s = decompose(c)
     residual = c.sigma @ s.eigenvectors - s.eigenvectors * s.eigenvalues
     assert np.abs(residual).max() <= 1e-8 * s.eigenvalues.max()
@@ -88,7 +88,7 @@ def test_eigen_residual_contract():
 
 def test_rotation_equivariance_of_eigenvalues():
     rng = np.random.default_rng(33)
-    c = covariance_of(EmbeddingMatrix(rng.standard_normal((60, 8)), modality="image"))
+    c = covariance_of(EmbeddingMatrix(rng.standard_normal((60, 8))), "image")
     q = random_rotation(8, 34)
     rotated = cov(q @ c.sigma @ q.T, modality="image")
     assert np.allclose(
@@ -98,9 +98,7 @@ def test_rotation_equivariance_of_eigenvalues():
 
 def test_eigenvalue_sum_is_one_for_normalized_input():
     rng = np.random.default_rng(35)
-    c = normalize_trace(
-        covariance_of(EmbeddingMatrix(rng.standard_normal((90, 16)), modality="image"))
-    )
+    c = normalize_trace(covariance_of(EmbeddingMatrix(rng.standard_normal((90, 16))), "image"))
     assert abs(decompose(c).eigenvalues.sum() - 1.0) <= 1e-10
 
 
@@ -179,8 +177,8 @@ def test_knee_recovers_planted_noise_count():
         np.concatenate([np.full(54, 1.0), np.full(10, 1e-5)])
     )
     q = random_rotation(64, 39)
-    m = EmbeddingMatrix(x @ q.T, modality="image")
-    s = decompose(normalize_trace(covariance_of(m)))
+    m = EmbeddingMatrix(x @ q.T)
+    s = decompose(normalize_trace(covariance_of(m, "image")))
     threshold = noise_threshold([s])
     assert abs(threshold.noise_count - 10) <= 2
 

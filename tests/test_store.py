@@ -79,40 +79,36 @@ def test_save_load_identity_is_bit_exact(tmp_path):
     for i in range(20):
         m = EmbeddingMatrix(
             rng.standard_normal((rng.integers(1, 30), rng.integers(1, 30))),
-            modality="text",
         )
         path = tmp_path / f"m{i}.npy"
         save_array_file(m, path)
-        back = load_array_file(path, modality="text")
+        back = load_array_file(path)
         assert back.data.tobytes() == m.data.tobytes()
 
 
 def test_matrix_is_immutable():
-    m = EmbeddingMatrix(np.ones((2, 2)), modality="image")
+    m = EmbeddingMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0
 
 
 def test_labels_validation():
     with pytest.raises(ShapeError):
-        EmbeddingMatrix(np.ones((3, 2)), modality="image", labels=[0, 1])
+        EmbeddingMatrix(np.ones((3, 2)), labels=[0, 1])
     with pytest.raises(DataError, match="row 1"):
-        EmbeddingMatrix(np.ones((3, 2)), modality="image", labels=[0, -1, 2])
+        EmbeddingMatrix(np.ones((3, 2)), labels=[0, -1, 2])
 
 
 def test_split_by_label_two_classes():
-    m = EmbeddingMatrix(
-        np.arange(8.0).reshape(4, 2), modality="image", labels=[0, 1, 0, 1]
-    )
+    m = EmbeddingMatrix(np.arange(8.0).reshape(4, 2), labels=[0, 1, 0, 1])
     parts = split_by_label(m)
     assert set(parts) == {0, 1}
     assert np.array_equal(parts[0].data, [[0, 1], [4, 5]])
     assert np.array_equal(parts[1].data, [[2, 3], [6, 7]])
-    assert all(p.modality == "image" for p in parts.values())
 
 
 def test_split_single_label_returns_input():
-    m = EmbeddingMatrix(np.ones((3, 2)), modality="text", labels=[7, 7, 7])
+    m = EmbeddingMatrix(np.ones((3, 2)), labels=[7, 7, 7])
     parts = split_by_label(m)
     assert list(parts) == [7]
     assert np.array_equal(parts[7].data, m.data)
@@ -121,7 +117,7 @@ def test_split_single_label_returns_input():
 def test_split_matches_group_by_oracle():
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 10, size=1000)
-    m = EmbeddingMatrix(rng.standard_normal((1000, 4)), modality="image", labels=labels)
+    m = EmbeddingMatrix(rng.standard_normal((1000, 4)), labels=labels)
     parts = split_by_label(m)
     # oracle: plain group-by counting
     expected = Counter(int(v) for v in labels)
@@ -135,13 +131,11 @@ def test_split_matches_group_by_oracle():
 
 def test_split_requires_labels():
     with pytest.raises(MissingLabelsError):
-        split_by_label(EmbeddingMatrix(np.ones((2, 2)), modality="image"))
+        split_by_label(EmbeddingMatrix(np.ones((2, 2))))
 
 
 def test_iter_classes_yields_classes_in_id_order_on_demand():
-    m = EmbeddingMatrix(
-        np.arange(10.0).reshape(5, 2), modality="image", labels=[3, 1, 3, 0, 1]
-    )
+    m = EmbeddingMatrix(np.arange(10.0).reshape(5, 2), labels=[3, 1, 3, 0, 1])
     classes = iter_classes(m)
     label, part = next(classes)
     assert label == 0 and np.array_equal(part.data, [[6, 7]])
@@ -195,8 +189,7 @@ def test_manifest_loads_and_iterates(tmp_path):
             assert (dump.n, dump.d) == (rows, 4)
             assert (dump.labels is not None) == (entry.modality == "image")
             blocks = list(dump.blocks())
-        assert [b.modality for b in blocks] == [entry.modality]
-        assert blocks[0].n == rows
+        assert [b.n for b in blocks] == [rows]
 
 
 def test_manifest_missing_file(tmp_path):

@@ -62,9 +62,9 @@ def test_accumulate_rerun_is_byte_identical_and_matches_covariance_of(tmp_path):
     assert len(outputs[0]) == 12
     assert outputs[0] == outputs[1]
 
-    for name, rows in (("sigma_image.npy", np.vstack([img_a, img_b])), ("sigma_text.npy", txt)):
-        expected = normalize_trace(covariance_of(EmbeddingMatrix(rows, modality="image"))).sigma
-        got = read_npy(out / name, FLOAT_DESCRS, ndim=2)
+    for tag, rows in (("image", np.vstack([img_a, img_b])), ("text", txt)):
+        expected = normalize_trace(covariance_of(EmbeddingMatrix(rows), tag)).sigma
+        got = read_npy(out / f"sigma_{tag}.npy", FLOAT_DESCRS, ndim=2)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     meta = json.loads((out / "sigma_kernel_image.json").read_text())
     assert meta["n_samples"] == img_a.shape[0] + img_b.shape[0]
@@ -80,8 +80,8 @@ def _write_eval_inputs(run, d: int, labels: np.ndarray) -> None:
     write_npy(run / "prototypes.npy", rng.standard_normal((classes, d)))
     save_label_file(np.arange(classes), run / "prototypes_labels.npy")
     save_label_file(labels, run / "img_labels.npy")
-    sample = EmbeddingMatrix(rng.standard_normal((4 * d, d)), modality="image")
-    save_covariance(covariance_of(sample), run / "cov.npy")
+    sample = EmbeddingMatrix(rng.standard_normal((4 * d, d)))
+    save_covariance(covariance_of(sample, "image"), run / "cov.npy")
     for name in ("pairs_img.npy", "pairs_txt.npy"):
         write_npy(run / name, rng.standard_normal((10, d)))
 
@@ -149,9 +149,8 @@ def _ablation_peak(tmp_path, d: int, n_classes: int, n: int) -> int:
     dump of n random queries against n_classes random prototypes."""
     rng = np.random.default_rng(12)
     write_npy(tmp_path / "queries.npy", rng.standard_normal((n, d)))
-    protos = EmbeddingMatrix(rng.standard_normal((n_classes, d)), modality="text",
-                             labels=np.arange(n_classes))
-    spectrum = decompose(covariance_of(EmbeddingMatrix(rng.standard_normal((4 * d, d)), modality="image")))
+    protos = EmbeddingMatrix(rng.standard_normal((n_classes, d)), labels=np.arange(n_classes))
+    spectrum = decompose(covariance_of(EmbeddingMatrix(rng.standard_normal((4 * d, d))), "image"))
     with EmbeddingDump(tmp_path / "queries.npy", labels=rng.permutation(n) % n_classes) as queries:
         task = ZeroShotTask(protos, queries, k=5)
         tracemalloc.start()

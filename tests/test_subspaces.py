@@ -142,14 +142,11 @@ def test_projection_contracts():
 
 def test_apply_projection_matches_apply_removal():
     rng = np.random.default_rng(44)
-    m = EmbeddingMatrix(
-        rng.standard_normal((30, 10)), modality="image", labels=rng.integers(0, 3, 30)
-    )
+    m = EmbeddingMatrix(rng.standard_normal((30, 10)), labels=rng.integers(0, 3, 30))
     v = random_subspace(10, 4, rng)
     explicit = m.data @ projection_remove(v).T
     factored = apply_removal(v, m)
     assert np.abs(explicit - factored.data).max() <= 1e-12
-    assert factored.modality == m.modality
     assert np.array_equal(factored.labels, m.labels)
     with pytest.raises(DimError):
         apply_removal(random_subspace(9, 4, rng), m)
@@ -191,9 +188,7 @@ def _planted_class_data(seed, d=16, p=4, classes=3, per_class=40):
         center = rng.standard_normal(d - p) * 3.0
         rows.append((center + rng.standard_normal((per_class, d - p))) @ signal.T)
         labels.extend([c] * per_class)
-    m = EmbeddingMatrix(
-        np.vstack(rows), modality="image", labels=np.asarray(labels)
-    )
+    m = EmbeddingMatrix(np.vstack(rows), labels=np.asarray(labels))
     return m, Subspace(noise)
 
 
@@ -231,7 +226,7 @@ def test_per_class_overlap_is_nan_where_the_lowest_k_span_is_undefined():
     noise = random_subspace(d, k, rng)
     runs = []
     for scale in (1.0, 1.0 + 1e-13):
-        m = EmbeddingMatrix(data * scale, modality="image", labels=labels)
+        m = EmbeddingMatrix(data * scale, labels=labels)
         overlaps = class_overlaps(m, noise)
         assert np.isnan(overlaps[0])
         assert 0.0 <= overlaps[1] <= 1.0
@@ -242,18 +237,18 @@ def test_per_class_overlap_is_nan_where_the_lowest_k_span_is_undefined():
 
 def test_per_class_overlap_requires_labels_and_matching_width():
     m, planted = _planted_class_data(seed=46)
-    unlabeled = EmbeddingMatrix(m.data, modality="image")
+    unlabeled = EmbeddingMatrix(m.data)
     classes = per_class_covariances(unlabeled)  # raises only when iterated
     with pytest.raises(MissingLabelsError):
         next(classes)
-    part = EmbeddingMatrix(m.data[:40], "image", m.labels[:40])
+    part = EmbeddingMatrix(m.data[:40], m.labels[:40])
     with pytest.raises(DimError):
-        per_class_overlap(decompose(normalize_trace(covariance_of(part))), axes(4, [0]))
+        per_class_overlap(decompose(normalize_trace(covariance_of(part, "image"))), axes(4, [0]))
     # a class of more and one of fewer than d rows, each checked before it
     # is decomposed
     for rows in (40, 3):
         [(_, _, factor)] = per_class_covariances(
-            EmbeddingMatrix(m.data[:rows], "image", m.labels[:rows])
+            EmbeddingMatrix(m.data[:rows], m.labels[:rows])
         )
         with pytest.raises(DimError):
             class_overlap(factor, axes(4, [0]))
@@ -261,7 +256,7 @@ def test_per_class_overlap_requires_labels_and_matching_width():
 
 def _reference_class(part, noise):
     """The d x d reference: decompose the trace-normalized covariance."""
-    spectrum = decompose(normalize_trace(covariance_of(part)))
+    spectrum = decompose(normalize_trace(covariance_of(part, "image")))
     return per_class_overlap(spectrum, noise), spectrum.eigenvalues
 
 
@@ -275,7 +270,7 @@ def test_small_classes_match_the_d_by_d_reference(n_c, monkeypatch):
     sizes = {0: n_c, 1: 3, 2: 40}
     data = rng.standard_normal((sum(sizes.values()), d)) * rng.uniform(0.2, 3.0, size=d)
     labels = np.repeat(list(sizes), list(sizes.values()))
-    m = EmbeddingMatrix(data, modality="image", labels=labels)
+    m = EmbeddingMatrix(data, labels=labels)
     noise = random_subspace(d, k, rng)
     solved = []  # the size of every matrix an eigensolver takes
     for name in ("eigh", "eigvalsh"):
@@ -288,7 +283,7 @@ def test_small_classes_match_the_d_by_d_reference(n_c, monkeypatch):
     monkeypatch.undo()
     assert solved.count(d) == 1 + (n_c > d - k)
     want = {
-        label: _reference_class(EmbeddingMatrix(data[labels == label], "image"), noise)
+        label: _reference_class(EmbeddingMatrix(data[labels == label]), noise)
         for label in sizes
     }
     for label in sizes:
@@ -308,7 +303,7 @@ def test_class_spectrum_distance_identical_and_scaled_classes():
     data = np.vstack([block, block, block * 10.0])
     labels = np.array([0] * 30 + [1] * 30 + [2] * 30)
     result = class_spectrum_distance(
-        class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_eigenvalues(EmbeddingMatrix(data, labels=labels))
     )
     assert result.labels == (0, 1, 2)
     assert np.allclose(np.diag(result.distances), 0.0)
@@ -323,7 +318,7 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
     data = rng.standard_normal((200, 8)) * rng.uniform(0.5, 2.0, size=8)
     labels = rng.integers(0, 5, size=200)
     result = class_spectrum_distance(
-        class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
+        class_eigenvalues(EmbeddingMatrix(data, labels=labels))
     )
     dist = result.distances
     n = dist.shape[0]
@@ -338,7 +333,7 @@ def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
     rng = np.random.default_rng(51)
     data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
     labels = rng.integers(0, 40, size=700)
-    eigenvalues = class_eigenvalues(EmbeddingMatrix(data, modality="image", labels=labels))
+    eigenvalues = class_eigenvalues(EmbeddingMatrix(data, labels=labels))
     curves = []
     for w in eigenvalues.values():
         vec = np.log10(np.maximum(w, LOG_FLOOR))
@@ -355,7 +350,7 @@ def test_class_spectrum_distance_leaves_classes_without_a_spectrum_undefined():
     rng = np.random.default_rng(52)
     data = rng.standard_normal((300, 6)) * rng.uniform(0.1, 3.0, size=6)
     eigenvalues = class_eigenvalues(
-        EmbeddingMatrix(data, modality="image", labels=rng.integers(0, 6, size=300))
+        EmbeddingMatrix(data, labels=rng.integers(0, 6, size=300))
     )
     full = class_spectrum_distance(eigenvalues).distances
     result = class_spectrum_distance({**eigenvalues, 1: None, 4: None, 9: None})
