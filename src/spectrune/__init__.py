@@ -7,6 +7,11 @@ squared cosine of principal angles, and evaluates how harmless pruning the
 noise span is on downstream zero-shot and alignment tasks.
 """
 
+import os
+
+# Read by OpenBLAS once, as numpy loads: idle workers spin ~0.5 ms, not ~128 ms, before they sleep.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from spectrune.covariance import (
     CovarianceAccumulator,
     CovarianceMatrix,

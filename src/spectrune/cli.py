@@ -11,7 +11,6 @@ Subcommands chain the analysis end to end::
     spectrune eval       --out run/ --seed 0 --trials 500 --top-k 5
     spectrune class-overlap --out run/
     spectrune activations   --out run/ --top 25
-    spectrune plot-script   --out run/ --figure spectrum
 
 All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
@@ -528,70 +527,6 @@ def cmd_activations(args) -> int:
     return 0
 
 
-# --- plot scripts ---
-
-_GNUPLOT_TEMPLATES = {
-    "spectrum": """\
-# eigenvalue curves: run `gnuplot plot_spectrum.gp` next to the spectrum CSVs
-set datafile separator ','
-set key autotitle columnhead
-set xlabel 'eigenvalue rank (descending)'
-set ylabel 'log10 eigenvalue'
-set term pngcairo size 900,600
-set output 'spectrum.png'
-plot for [f in system('ls spectrum_*.csv')] f using 1:3 with lines title f
-""",
-    "ablation": """\
-# accuracy histogram over random-direction removals
-set datafile separator ','
-set key autotitle columnhead
-binwidth = 0.002
-bin(x) = binwidth * floor(x / binwidth) + binwidth / 2.0
-set xlabel 'top-k accuracy'
-set ylabel 'trials'
-set boxwidth binwidth
-set style fill solid 0.6
-set term pngcairo size 900,600
-set output 'ablation_hist.png'
-plot 'ablation.csv' using (bin($2)):(1.0) smooth freq with boxes notitle
-""",
-    "alignment": """\
-# histogram of per-pair cosine similarity deltas after noise removal
-set datafile separator ','
-set key autotitle columnhead
-binwidth = 0.005
-bin(x) = binwidth * floor(x / binwidth) + binwidth / 2.0
-set xlabel 'cosine similarity delta'
-set ylabel 'pairs'
-set boxwidth binwidth
-set style fill solid 0.6
-set arrow from 0, graph 0 to 0, graph 1 nohead dashtype 2
-set term pngcairo size 900,600
-set output 'alignment_hist.png'
-plot 'alignment_deltas.csv' using (bin($2)):(1.0) smooth freq with boxes notitle
-""",
-    "class-overlap": """\
-# per-class overlap with the global noise span
-set datafile separator ','
-set key autotitle columnhead
-set xlabel 'class id'
-set ylabel 'overlap (mean squared principal cosine)'
-set yrange [0:1.05]
-set term pngcairo size 900,600
-set output 'class_overlap.png'
-plot 'class_overlap.csv' using 1:3 with points pt 7 notitle
-""",
-}
-
-
-def cmd_plot_script(args) -> int:
-    out = _out_dir(args)
-    name = f"plot_{args.figure.replace('-', '_')}.gp"
-    write_text(out / name, _GNUPLOT_TEMPLATES[args.figure])
-    print(out / name)
-    return 0
-
-
 # --- parser ---
 
 
@@ -684,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--basis", default=None)
     act.add_argument("--top", type=int, default=25)
     act.set_defaults(func=cmd_activations)
-
-    plot = sub.add_parser("plot-script", help="emit a ready-to-run gnuplot script")
-    plot.add_argument("--out", required=True)
-    plot.add_argument("--figure", choices=sorted(_GNUPLOT_TEMPLATES), required=True)
-    plot.set_defaults(func=cmd_plot_script)
 
     return parser
 

@@ -39,7 +39,6 @@ def pipeline_dir(tmp_path_factory):
         ["eval", "--out", str(out), "--seed", "5", "--trials", "40", "--top-k", "5"],
         ["class-overlap", "--out", str(out)],
         ["activations", "--out", str(out), "--top", "10"],
-        ["plot-script", "--out", str(out), "--figure", "ablation"],
     ]
     for argv in argv_sets:
         assert main(argv) == 0, f"command failed: {argv}"
@@ -55,7 +54,7 @@ def test_pipeline_produces_expected_files(pipeline_dir):
         "threshold.json", "noise_basis.npy", "noise_basis.json",
         "eval_report.json", "ablation.csv", "alignment_deltas.csv",
         "class_overlap.csv", "class_spectrum_distance.csv",
-        "activations.csv", "plot_ablation.gp",
+        "activations.csv",
     ]
     for name in expected:
         assert (pipeline_dir / name).is_file(), name
@@ -513,7 +512,8 @@ def test_exit_code_2_when_an_output_cannot_be_written(pipeline_dir, tmp_path, ca
         "activations.csv": ["activations", "--out", str(tmp_path),
                             "--embeddings", str(pipeline_dir / "img.npy"),
                             "--basis", str(pipeline_dir / "noise_basis.npy")],
-        "plot_spectrum.gp": ["plot-script", "--out", str(tmp_path), "--figure", "spectrum"],
+        "mscsa.json": ["mscsa", str(pipeline_dir / "planted_basis.npy"),
+                       str(pipeline_dir / "noise_basis.npy"), "--out", str(tmp_path)],
     }
     for name, argv in commands.items():
         (tmp_path / name).mkdir()
@@ -525,7 +525,9 @@ def test_exit_code_2_when_an_output_cannot_be_written(pipeline_dir, tmp_path, ca
 def test_chain_writes_the_same_bytes_in_fresh_processes(tmp_path):
     # outputs depend on the flags and --seed alone: two runs of the chain,
     # each command in its own interpreter with another hash seed, into the
-    # same directory, write the same files byte for byte
+    # same directory, write the same files byte for byte; the second run
+    # also restores OpenBLAS's default idle spin (2^28 cycles), which moves
+    # when idle BLAS workers sleep but not how work is split among them
     out = str(tmp_path / "run")
     chain = [
         ["synth", "--out", out, "--n", "2000", "--d", "24", "--p", "4", "--classes", "8",
@@ -540,9 +542,9 @@ def test_chain_writes_the_same_bytes_in_fresh_processes(tmp_path):
     ]
     src = str(Path(spectrune.__file__).resolve().parents[1])
     runs = []
-    for hash_seed in ("0", "1"):
+    for hash_seed, extra in (("0", {}), ("1", {"OPENBLAS_THREAD_TIMEOUT": "28"})):
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path, **extra)
         for argv in chain:
             subprocess.run([sys.executable, "-m", "spectrune.cli", *argv],
                            env=env, check=True, capture_output=True)
@@ -552,6 +554,36 @@ def test_chain_writes_the_same_bytes_in_fresh_processes(tmp_path):
             p.unlink()
     assert len(runs[0]) == 42
     assert runs[0] == runs[1]
+
+
+_SPY_ON_NUMPY_LOAD = """\
+import os, sys
+
+class Spy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not Spy.seen:
+            Spy.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Spy())
+import spectrune.cli
+print(Spy.seen)
+"""
+
+
+def test_blas_idle_policy_is_in_force_when_numpy_first_loads():
+    # OpenBLAS reads its idle timeout once, as numpy loads; the package sets
+    # it before any submodule imports numpy, and a value already set wins
+    src = str(Path(spectrune.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for preset, expected in ((None, "20"), ("28", "28")):
+        child_env = env if preset is None else dict(env, OPENBLAS_THREAD_TIMEOUT=preset)
+        done = subprocess.run([sys.executable, "-c", _SPY_ON_NUMPY_LOAD],
+                              env=child_env, check=True, capture_output=True, text=True)
+        assert done.stdout == f"['{expected}']\n"
 
 
 def test_threads_option_is_a_usage_error(tmp_path, capsys):
@@ -648,9 +680,3 @@ def test_threshold_kernel_flag_targets_kernel_average(tmp_path):
     doc = json.loads((tmp_path / "threshold.json").read_text())
     assert doc["config"]["sigmas"] == [str(tmp_path / "sigma_kernel_average.npy")]
     assert abs(doc["noise_count"] - 6) <= 2
-
-
-def test_plot_scripts_cover_all_figures(tmp_path):
-    for figure in ("spectrum", "ablation", "alignment", "class-overlap"):
-        assert main(["plot-script", "--out", str(tmp_path), "--figure", figure]) == 0
-    assert (tmp_path / "plot_spectrum.gp").read_text().startswith("#")

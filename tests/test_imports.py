@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module (the
-package's ``__init__.py`` imports names only to re-export them, so it is
-left out), every module-level private name (``_x``) is referenced
+package's ``__init__.py`` is left out: besides ``os``, which it uses to set
+the BLAS idle policy, it imports names only to re-export them), every
+module-level private name (``_x``) is referenced
 somewhere in the package, so no helper outlives its last caller, no
 module imports a thread or process pool, only ``npy.py`` turns an
 ``OSError`` into an error (``cli.main`` maps what escapes to exit 2), and
