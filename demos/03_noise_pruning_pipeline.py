@@ -50,10 +50,11 @@ overlap = mscsa(recovered, bench.planted).mscsa
 print(f"overlap between recovered and planted span: {overlap:.6f}")
 
 # Downstream effect 1: pruning the detected span leaves accuracy alone.
-baseline = zero_shot_topk(bench.task)
-noise_free = zero_shot_topk(bench.task, recovered)
+baseline, _ = zero_shot_topk(bench.task)
+noise_free, zeroed = zero_shot_topk(bench.task, recovered)
 print(f"\ntop-5 accuracy, baseline:   {baseline:.4f}")
 print(f"top-5 accuracy, noise-free: {noise_free:.4f}")
+print(f"vectors the removal leaves at norm ~0 (scored as zero): {zeroed}")
 
 # Downstream effect 2: removing the same number of RANDOM directions from
 # the eigenbasis is not harmless. 500 seeded trials.

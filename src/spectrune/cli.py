@@ -62,7 +62,6 @@ from spectrune.errors import (
 from spectrune.evaluation import (
     ZeroShotTask,
     alignment_delta,
-    projected_undefined,
     random_ablation,
     rank_activations,
     synth_benchmark,
@@ -408,9 +407,8 @@ def cmd_eval(args) -> int:
             task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
             project_prototypes=not args.query_only,
         )
-        baseline = zero_shot_topk(task)
-        noise_free = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
-        undefined = projected_undefined(task, basis, not args.query_only)
+        baseline = zero_shot_topk(task)[0]
+        noise_free, undefined = zero_shot_topk(task, basis, project_prototypes=not args.query_only)
 
     mean_delta: float | None = None
     n_undefined: int | None = None
@@ -479,7 +477,8 @@ def cmd_eval(args) -> int:
 
 def cmd_class_overlap(args) -> int:
     out = _out_dir(args)
-    labels = load_label_file(_default(args.labels, out, "queries_labels.npy"))
+    embeddings = _default(args.embeddings, out, "queries.npy")
+    labels = load_label_file(Path(args.labels) if args.labels else _labels_sidecar(embeddings))
     basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
 
     # every class gets a row and a column; one without a covariance (under 2
@@ -487,7 +486,7 @@ def cmd_class_overlap(args) -> int:
     # overlap and the eigenvalues outlive a class: its rows, factor and
     # eigenvectors are dropped before the next class is read
     classes = []
-    with EmbeddingDump(_default(args.embeddings, out, "queries.npy"), labels=labels) as dump:
+    with EmbeddingDump(embeddings, labels=labels) as dump:
         for label, n, factor in per_class_covariances(dump):
             classes.append((label, n, *class_overlap(factor, basis)))
             del factor

@@ -8,7 +8,6 @@ produce identical results down to the byte.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +116,12 @@ def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
 
 
 def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
-            project_prototypes: bool) -> np.ndarray:
+            project_prototypes: bool) -> tuple[np.ndarray, np.ndarray]:
     """Top-k accuracy with the span of columns ``cols`` of the orthonormal
     d×m ``frame`` removed from the queries and, optionally, the prototypes,
-    for each ``cols`` in ``removals``, from one pass over the query blocks.
+    for each ``cols`` in ``removals``, from one pass over the query blocks,
+    and the count of projected vectors (prototypes only when projected)
+    each removal scores as the zero vector.
     Either way a projected query's dot products are ``G - (Q B)(P B)^T``
     for ``B = frame[:, cols]``; only the prototype norms differ. ``P frame``
     and each removal's prototype inverse norms are formed once per call.
@@ -139,6 +140,7 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     nc, m = p.shape[0], frame.shape[1]
     tile = max(1, SCORE_TILE_BYTES // (8 * max(nc, m)))
     hits = np.zeros(len(removals), dtype=np.int64)
+    zeroed = np.count_nonzero(p_inv == 0.0, axis=1) if project_prototypes else np.zeros_like(hits)
     buffers = None
     for block in task.queries.blocks():
         for start in range(0, block.n, tile):
@@ -155,41 +157,36 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
                 np.matmul(zq, pf[:, cols].T, out=scores)
                 np.subtract(g, scores, out=scores)
                 scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
-                scores[_inverse_norms(q_proj_sq) == 0.0] = 0.0
+                zero = _inverse_norms(q_proj_sq) == 0.0
+                scores[zero] = 0.0
+                zeroed[i] += np.count_nonzero(zero)
                 hits[i] += _hits(scores, true_col, task.k)
         del block, q  # released before the next block is read
-    return hits / task.queries.n
+    return hits / task.queries.n, zeroed
 
 
 def zero_shot_topk(
     task: ZeroShotTask,
     noise: Subspace | None = None,
     project_prototypes: bool = True,
-) -> float:
+) -> tuple[float, int]:
     """Fraction of queries whose true class is among the k most cosine-
-    similar prototypes. Ties are broken toward the smaller class id, which
+    similar prototypes, and the count of projected vectors scored as the
+    zero vector. Ties are broken toward the smaller class id, which
     makes the score deterministic.
 
     ``noise``, when given, is removed from the queries and (by default)
     the prototypes before scoring; ``None`` is the unprojected baseline.
-    A vector projected below norm ``NORM_EPS`` is scored as the zero vector.
+    A vector projected below norm ``NORM_EPS`` is scored as the zero vector
+    and counted (a prototype only when prototypes are projected).
     The queries are read in one pass over their blocks, so a dump's memory
     is bounded by the block, not by the file.
     """
     if noise is not None and noise.d != task.d:
         raise DimError(f"subspace width {noise.d} does not match d={task.d}")
     basis = np.zeros((task.d, 0)) if noise is None else noise.basis
-    return float(_scores(task, basis, [np.arange(basis.shape[1])], project_prototypes)[0])
-
-
-def projected_undefined(
-    task: ZeroShotTask, noise: Subspace, project_prototypes: bool = True
-) -> int:
-    """Projected vectors that ``zero_shot_topk(task, noise,
-    project_prototypes)`` scores as the zero vector."""
-    parts = itertools.chain([task.class_prototypes] if project_prototypes else [], task.queries.blocks())
-    sq = (_project(m.data, _sq_norms(m.data), noise.basis)[1] for m in parts)
-    return sum(int(np.count_nonzero(_inverse_norms(x) == 0.0)) for x in sq)
+    accuracy, zeroed = _scores(task, basis, [np.arange(basis.shape[1])], project_prototypes)
+    return float(accuracy[0]), int(zeroed[0])
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +274,7 @@ def random_ablation(
     draws = [np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False)) for t in range(trials)]
     used = np.flatnonzero(np.bincount(np.concatenate(draws), minlength=task.d))
     return _scores(task, spectrum.eigenvectors[:, used],
-                   [np.searchsorted(used, cols) for cols in draws], project_prototypes)
+                   [np.searchsorted(used, cols) for cols in draws], project_prototypes)[0]
 
 
 @dataclass(frozen=True)

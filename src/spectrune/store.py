@@ -56,6 +56,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _label_vector(labels, n: int, first_row: int = 0) -> np.ndarray:
+    """``labels`` as int64 class ids, one for each of n rows, none negative;
+    an int64 vector comes back as is. Errors name a row by ``first_row`` plus
+    its index."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"labels must be a length-{n} vector, got shape {labels.shape}")
+    if (labels < 0).any():
+        raise DataError(f"negative label id at row {first_row + int(np.flatnonzero(labels < 0)[0])}")
+    return labels
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """An n-by-d block of embedding vectors.
@@ -86,15 +98,7 @@ class EmbeddingMatrix:
             raise DataError(f"non-finite entry in row {bad}")
         object.__setattr__(self, "data", _frozen(data))
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.ndim != 1 or labels.shape[0] != n:
-                raise ShapeError(
-                    f"labels must be a length-{n} vector, got shape {labels.shape}"
-                )
-            if (labels < 0).any():
-                bad = self.first_row + int(np.flatnonzero(labels < 0)[0])
-                raise DataError(f"negative label id at row {bad}")
-            object.__setattr__(self, "labels", _frozen(labels))
+            object.__setattr__(self, "labels", _frozen(_label_vector(self.labels, n, self.first_row)))
 
     @property
     def n(self) -> int:
@@ -142,15 +146,8 @@ class EmbeddingDump:
                     f"got {self._reader.shape}"
                 )
             if labels is not None:
-                labels = np.asarray(labels, dtype=np.int64)
-                if labels.shape != (self.n,):
-                    raise ShapeError(
-                        f"{path}: labels must be a length-{self.n} vector, "
-                        f"got shape {labels.shape}"
-                    )
-                if (labels < 0).any():
-                    bad = int(np.flatnonzero(labels < 0)[0])
-                    raise DataError(f"{path}: negative label id at row {bad}")
+                with in_file(path):
+                    labels = _label_vector(labels, self.n)
         except (ShapeError, DataError):
             self.close()
             raise
@@ -217,10 +214,8 @@ def save_array_file(m: EmbeddingMatrix, path: Path | str) -> None:
 def load_label_file(path: Path | str) -> np.ndarray:
     """Load a 1-D integer NPY sidecar of class ids (all >= 0)."""
     arr = read_npy(path, INT_DESCRS, ndim=1)
-    if (arr < 0).any():
-        bad = int(np.flatnonzero(arr < 0)[0])
-        raise DataError(f"{path}: negative label id at row {bad}")
-    return arr.astype(np.int64)
+    with in_file(path):
+        return _label_vector(arr, arr.shape[0])
 
 
 def save_label_file(labels: np.ndarray, path: Path | str) -> None:

@@ -198,8 +198,8 @@ def test_harmless_pruning_vs_random_removal():
     of 20 basis directions average strictly below baseline with nonzero
     variance."""
     bench, spectrum, threshold, recovered = _planted_pipeline()
-    baseline = zero_shot_topk(bench.task)
-    noise_free = zero_shot_topk(bench.task, recovered)
+    baseline = zero_shot_topk(bench.task)[0]
+    noise_free = zero_shot_topk(bench.task, recovered)[0]
     assert abs(noise_free - baseline) <= 0.001
     samples = random_ablation(
         bench.task, spectrum, p=threshold.noise_count, trials=500, seed=2026
@@ -247,7 +247,7 @@ def test_zero_shot_matches_brute_force_oracle():
                 sims.append((sim, int(pl)))
             ranked = sorted(sims, key=lambda t: (-t[0], t[1]))
             hits += int(true) in {pl for _, pl in ranked[:k]}
-        assert zero_shot_topk(task) == hits / n_queries
+        assert zero_shot_topk(task)[0] == hits / n_queries
 
 
 def test_eval_report_bytes_identical_across_reruns(tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import spectrune
-from spectrune import evaluation
+from spectrune import evaluation, store
 from spectrune.cli import main
 from spectrune.covariance import CovarianceMatrix, load_covariance, save_covariance
 from spectrune.evaluation import trial_rng
@@ -111,6 +111,18 @@ def test_spectrum_reports_cross_modal_noise_span_agreement(pipeline_dir, tmp_pat
     assert cross["sigma_image|sigma_text"]["mscsa"] == pytest.approx(1.0, abs=1e-12)
     assert cross["sigma_kernel_image|sigma_kernel_text"]["mscsa"] == pytest.approx(0.5, abs=1e-12)
     assert all(pair["noise_counts"] == [4, 4] for pair in cross.values())
+    # an explicit list is read instead of every sigma_*.npy; a flat spectrum
+    # has no knee, so it gets an error in place of its index and no pair
+    flat = tmp_path / "flat.npy"
+    save_covariance(CovarianceMatrix(np.eye(16) / 16, 100, "text", True), flat)
+    sigmas = [str(tmp_path / "sigma_image.npy"), str(flat)]
+    assert main(["spectrum", "--out", str(tmp_path / "listed"), *sigmas]) == 0
+    doc = json.loads((tmp_path / "listed" / "knees.json").read_text())
+    assert doc["config"]["sigmas"] == sigmas
+    assert sorted(doc["knees"]) == ["flat", "sigma_image"]
+    assert doc["knees"]["flat"]["knee_index"] is None and doc["knees"]["flat"]["error"]
+    assert doc["knees"]["sigma_image"]["knee_index"] is not None
+    assert doc["cross_modal"] == {}
     # synth plants one noise span in both modalities
     cross = json.loads((pipeline_dir / "knees.json").read_text())["cross_modal"]
     assert sorted(cross) == ["sigma_image|sigma_text", "sigma_kernel_image|sigma_kernel_text"]
@@ -335,6 +347,19 @@ def _class_overlap_argv(out, embeddings, labels, basis):
             "--labels", str(labels), "--basis", str(basis)]
 
 
+def test_class_overlap_pairs_embeddings_with_their_own_labels_sidecar(pipeline_dir, tmp_path):
+    # without --labels, --embeddings X.npy takes X_labels.npy, as eval's
+    # inputs do, not the queries' labels in --out (200 rows there, 9 here)
+    save_label_file(np.load(pipeline_dir / "queries_labels.npy"), tmp_path / "queries_labels.npy")
+    write_npy(tmp_path / "X.npy", np.random.default_rng(15).standard_normal((9, 48)))
+    save_label_file(np.repeat([4, 7, 9], 3), tmp_path / "X_labels.npy")
+    assert main(["class-overlap", "--out", str(tmp_path), "--embeddings", str(tmp_path / "X.npy"),
+                 "--basis", str(pipeline_dir / "noise_basis.npy")]) == 0
+    with open(tmp_path / "class_overlap.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[:2] for r in rows] == [["4", "3"], ["7", "3"], ["9", "3"]]
+
+
 def test_class_overlap_decomposes_each_class_once(pipeline_dir, tmp_path, monkeypatch):
     solved = []  # (solver, matrix size) of every eigensolver call
     for name in ("eigh", "eigvalsh"):
@@ -456,6 +481,32 @@ def test_eval_reports_null_delta_when_no_pair_survives(pipeline_dir, tmp_path):
     assert [r[1] for r in rows] == [""] * basis.shape[1]
 
 
+def test_eval_reads_the_queries_three_times_and_counts_zero_vectors_in_the_noise_free_pass(
+        pipeline_dir, tmp_path, monkeypatch):
+    # three queries lie inside the noise span: the noise-free score treats
+    # them as zero vectors and counts them, with or without the prototypes
+    basis = read_npy(pipeline_dir / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
+    queries = np.load(pipeline_dir / "queries.npy")
+    queries[[0, 7, 150]] = basis[:, :3].T
+    write_npy(tmp_path / "queries.npy", queries)
+    save_label_file(np.load(pipeline_dir / "queries_labels.npy"), tmp_path / "queries_labels.npy")
+    passes = []
+    blocks = store.EmbeddingDump.blocks
+    monkeypatch.setattr(store.EmbeddingDump, "blocks",
+                        lambda dump: passes.append(Path(dump.path).name) or blocks(dump))
+    argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3",
+            "--queries", str(tmp_path / "queries.npy")]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--basis", "noise_basis.npy"),
+                       ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    for extra in ([], ["--query-only"]):
+        passes.clear()
+        assert main(argv + extra) == 0
+        # the trials, the baseline and the noise-free score
+        assert passes == ["queries.npy"] * 3
+        assert json.loads((tmp_path / "eval_report.json").read_text())["projected_undefined"] == 3
+
+
 def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path, caplog):
     argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3"]
     for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
@@ -495,6 +546,12 @@ def test_exit_code_2_for_missing_manifest(tmp_path):
     code = main(["accumulate", "--manifest", str(tmp_path / "none.json"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_exit_code_2_for_spectrum_without_covariances(tmp_path, capsys):
+    assert main(["spectrum", "--out", str(tmp_path)]) == 2
+    assert f"no covariance files found under {tmp_path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_2_for_manifest_without_entries(tmp_path):
@@ -642,7 +699,7 @@ def test_inputs_that_fail_their_checks_are_named(tmp_path, capsys):
     assert f"{sigma}: covariance asymmetry" in capsys.readouterr().err
 
 
-def test_no_trace_normalize_skips_average(tmp_path):
+def test_no_trace_normalize_skips_average(tmp_path, caplog):
     argv = ["synth", "--out", str(tmp_path), "--n", "100", "--d", "8", "--p", "2",
             "--classes", "3", "--queries-per-class", "2", "--top-k", "2", "--seed", "4"]
     assert main(argv) == 0
@@ -652,6 +709,15 @@ def test_no_trace_normalize_skips_average(tmp_path):
     assert not (tmp_path / "sigma_average.npy").is_file()
     meta = json.loads((tmp_path / "sigma_image.json").read_text())
     assert meta["trace_normalized"] is False
+    # an image-only manifest warns that text is missing and writes no average
+    (tmp_path / "sigma_image.npy").unlink()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["entries"] = [e for e in manifest["entries"] if e["modality"] == "image"]
+    (tmp_path / "image_only.json").write_text(json.dumps(manifest))
+    assert main(["accumulate", "--manifest", str(tmp_path / "image_only.json"),
+                 "--out", str(tmp_path / "image_only")]) == 0
+    assert "manifest has no text entries" in caplog.text
+    assert sorted(p.name for p in (tmp_path / "image_only").glob("sigma_*.npy")) == ["sigma_image.npy"]
 
 
 def test_fixed_threshold_mode(tmp_path):
@@ -680,3 +746,14 @@ def test_threshold_kernel_flag_targets_kernel_average(tmp_path):
     doc = json.loads((tmp_path / "threshold.json").read_text())
     assert doc["config"]["sigmas"] == [str(tmp_path / "sigma_kernel_average.npy")]
     assert abs(doc["noise_count"] - 6) <= 2
+    # with a list of covariances the first is the target: the basis is its
+    # lowest eigenvectors, whichever order the others come in
+    pair = [str(tmp_path / "sigma_kernel_image.npy"), str(tmp_path / "sigma_kernel_text.npy")]
+    for sigmas in (pair, pair[::-1]):
+        assert main(["threshold", "--out", str(tmp_path), *sigmas]) == 0
+        doc = json.loads((tmp_path / "threshold.json").read_text())
+        assert doc["config"]["sigmas"] == sigmas
+        assert len(doc["per_spectrum_knees"]) == 2
+        target = decompose(load_covariance(sigmas[0]))
+        basis = read_npy(tmp_path / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
+        assert np.array_equal(basis, target.eigenvectors[:, :doc["noise_count"]])

@@ -18,7 +18,6 @@ from spectrune.evaluation import (
     NORM_EPS,
     ZeroShotTask,
     alignment_delta,
-    projected_undefined,
     random_ablation,
     rank_activations,
     synth_benchmark,
@@ -74,7 +73,7 @@ def test_task_validation():
 def test_identity_axes_task_scores_one():
     eye = np.eye(3)
     task = make_task(eye, [0, 1, 2], eye, [0, 1, 2], 1)
-    assert zero_shot_topk(task) == 1.0
+    assert zero_shot_topk(task) == (1.0, 0)
 
 
 def test_orthogonal_query_resolved_by_class_id_tie_break():
@@ -82,7 +81,7 @@ def test_orthogonal_query_resolved_by_class_id_tie_break():
     queries = np.vstack([np.eye(4)[3], np.eye(4)[3]])
     task = make_task(protos, [0, 1, 2], queries, [0, 2], 2)
     # all similarities are exactly 0: top-2 must be classes {0, 1}
-    assert zero_shot_topk(task) == 0.5
+    assert zero_shot_topk(task) == (0.5, 0)
 
 
 def test_matches_brute_force_oracle_on_random_instances():
@@ -97,7 +96,7 @@ def test_matches_brute_force_oracle_on_random_instances():
         plabels = rng.permutation(n_classes * 2)[:n_classes]
         qlabels = rng.choice(plabels, size=n_queries)
         task = make_task(protos, plabels, queries, qlabels, k)
-        assert zero_shot_topk(task) == brute_force_topk(
+        assert zero_shot_topk(task)[0] == brute_force_topk(
             queries, qlabels, protos, plabels, k
         )
 
@@ -207,9 +206,8 @@ def test_a_dump_backed_task_scores_as_the_in_memory_task(tmp_path):
         scores = [zero_shot_topk(t)]
         for project in (True, False):
             scores += [
-                zero_shot_topk(t, bench.planted, project),
+                zero_shot_topk(t, bench.planted, project),  # with its count of zero vectors
                 random_ablation(t, spectrum, p=4, trials=8, seed=2, project_prototypes=project),
-                projected_undefined(t, bench.planted, project),
             ]
         return scores
 
@@ -287,9 +285,9 @@ def _assert_scores_match_reference(scored, task, spectrum, noise):
     direct scorer run on ``task``'s data."""
     queries, qlabels = task.queries.data, task.queries.labels
     protos, plabels = task.class_prototypes.data, task.class_prototypes.labels
-    assert zero_shot_topk(scored) == reference_topk(queries, qlabels, protos, plabels, task.k)
+    assert zero_shot_topk(scored)[0] == reference_topk(queries, qlabels, protos, plabels, task.k)
     for project in (True, False):
-        assert zero_shot_topk(scored, noise, project) == reference_topk(
+        assert zero_shot_topk(scored, noise, project)[0] == reference_topk(
             remove_component(queries, noise.basis),
             qlabels,
             remove_component(protos, noise.basis) if project else protos,
@@ -327,14 +325,14 @@ def test_low_rank_scores_match_direct_removal_reference(tmp_path):
             with streamed.queries:
                 _assert_scores_match_reference(streamed, task, spectrum, noise)
         if k == n_classes:
-            assert zero_shot_topk(task) == 1.0
+            assert zero_shot_topk(task)[0] == 1.0
         if dups:
             # a duplicate ties its twin exactly, and the smaller id takes
             # the only top-1 slot: queries of the larger ids never hit
             larger = [max(plabels[i], plabels[n_classes - 1 - i]) for i in range(dups)]
             mask = np.isin(qlabels, larger)
             losers = make_task(protos, plabels, queries[mask], qlabels[mask], 1)
-            assert zero_shot_topk(losers) == 0.0
+            assert zero_shot_topk(losers)[0] == 0.0
             assert not random_ablation(losers, spectrum, 4, 12, 5).any()
 
 
@@ -368,16 +366,16 @@ def test_vectors_inside_the_removed_span_score_as_zero_vectors():
         _zeroed_below_eps(q), task.queries.labels, _zeroed_below_eps(p), np.arange(5), 2
     )
     noise = Subspace(basis)
-    assert zero_shot_topk(task, noise) == expected
+    assert zero_shot_topk(task, noise)[0] == expected
     # with every cosine 0, the id tie-break puts classes 0 and 1 in the top
     # 2: query 1 (class 0) hits and query 3 (class 4) misses
     for i, hit in ((1, 1.0), (3, 0.0)):
         alone = make_task(task.class_prototypes.data, np.arange(5),
                           task.queries.data[[i]], task.queries.labels[[i]], 2)
-        assert zero_shot_topk(alone, noise) == hit
-    assert projected_undefined(task, noise) == 3
-    assert projected_undefined(task, noise, project_prototypes=False) == 2
-    assert projected_undefined(task, Subspace(np.eye(d)[:, [0]])) == 0
+        assert zero_shot_topk(alone, noise)[0] == hit
+    assert zero_shot_topk(task, noise)[1] == 3
+    assert zero_shot_topk(task, noise, project_prototypes=False)[1] == 2
+    assert zero_shot_topk(task, Subspace(np.eye(d)[:, [0]]))[1] == 0
 
 
 def test_ablation_scores_a_query_inside_the_removed_columns_as_zero():
@@ -422,7 +420,7 @@ def test_each_trial_scores_as_removing_its_drawn_columns(tmp_path, p):
     drawn = np.unique(np.concatenate(draws)).size
     assert drawn < d if p == 2 else drawn == d
     expected = {
-        project: [zero_shot_topk(task, Subspace(spectrum.eigenvectors[:, cols]), project) for cols in draws]
+        project: [zero_shot_topk(task, Subspace(spectrum.eigenvectors[:, cols]), project)[0] for cols in draws]
         for project in (True, False)
     }
     assert len(set(expected[True])) == trials  # each trial removes something else
@@ -450,12 +448,12 @@ def test_exact_ties_straddling_the_top_k_cutoff_go_to_the_smaller_class_ids(tmp_
     for classes, hit in (([1, 4], 1.0), ([6, 7], 0.0)):
         mask = np.isin(qlabels, classes)
         alone = make_task(protos, plabels, queries[mask], qlabels[mask], k)
-        assert zero_shot_topk(alone) == hit
+        assert zero_shot_topk(alone)[0] == hit
         assert np.all(random_ablation(alone, spectrum, 3, 10, 8) == hit)
     streamed = _dump_task(tmp_path / "queries.npy", task)  # two blocks
     with streamed.queries:
         for scored in (task, streamed):
-            assert zero_shot_topk(scored) == reference_topk(queries, qlabels, protos, plabels, k)
+            assert zero_shot_topk(scored)[0] == reference_topk(queries, qlabels, protos, plabels, k)
             for project in (True, False):
                 expected = reference_ablation(task, spectrum, 3, 10, 8, project)
                 assert np.array_equal(random_ablation(scored, spectrum, 3, 10, 8, project), expected)
@@ -491,8 +489,8 @@ def test_scores_do_not_depend_on_the_tile_size(tmp_path, monkeypatch):
         return scores
 
     expected = every_score(task)
-    assert expected[0] == reference_topk(queries, qlabels, protos, plabels, k)
-    assert projected_undefined(task, noise) == len(inside)
+    assert expected[0] == (reference_topk(queries, qlabels, protos, plabels, k), 0)
+    assert expected[1][1] == len(inside)  # the noise-free score's count of zero vectors
     monkeypatch.setattr(evaluation, "SCORE_TILE_BYTES", 8 * n_classes * tile)
     streamed = _dump_task(tmp_path / "queries.npy", task)  # three blocks
     with streamed.queries:

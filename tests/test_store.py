@@ -93,10 +93,15 @@ def test_matrix_is_immutable():
 
 
 def test_labels_validation():
-    with pytest.raises(ShapeError):
-        EmbeddingMatrix(np.ones((3, 2)), labels=[0, 1])
-    with pytest.raises(DataError, match="row 1"):
-        EmbeddingMatrix(np.ones((3, 2)), labels=[0, -1, 2])
+    for labels, shape in (([0, 1], "(2,)"), ([[0], [1], [2]], "(3, 1)")):
+        with pytest.raises(ShapeError) as exc:
+            EmbeddingMatrix(np.ones((3, 2)), labels=labels)
+        assert str(exc.value) == f"labels must be a length-3 vector, got shape {shape}"
+    # a block of a dump names the row by its index in the dump
+    for first_row, row in ((0, 1), (4096, 4097)):
+        with pytest.raises(DataError) as exc:
+            EmbeddingMatrix(np.ones((3, 2)), labels=[0, -1, 2], first_row=first_row)
+        assert str(exc.value) == f"negative label id at row {row}"
 
 
 def test_split_by_label_two_classes():
@@ -150,13 +155,20 @@ def test_label_file_round_trip(tmp_path):
     path = tmp_path / "labels.npy"
     save_label_file(np.array([3, 1, 2]), path)
     assert np.array_equal(load_label_file(path), [3, 1, 2])
+    # 32-bit ids are widened: every label vector is a writable int64 one
+    write_npy(path, np.array([3, 1, 2], dtype=np.int32))
+    labels = load_label_file(path)
+    assert labels.dtype == np.int64 and labels.flags.writeable
+    assert np.array_equal(labels, [3, 1, 2])
 
 
 def test_label_file_rejects_negative(tmp_path):
     path = tmp_path / "neg.npy"
-    write_npy(path, np.array([1, -2, 3], dtype=np.int64))
-    with pytest.raises(DataError):
-        load_label_file(path)
+    for dtype in (np.int64, np.int32):
+        write_npy(path, np.array([1, -2, 3], dtype=dtype))
+        with pytest.raises(DataError) as exc:
+            load_label_file(path)
+        assert str(exc.value) == f"{path}: negative label id at row 1"
 
 
 def _write_dataset(tmp_path, with_labels=True):
