@@ -401,7 +401,11 @@ def cmd_eval(args) -> int:
     with EmbeddingDump(queries_path, labels=load_label_file(_labels_sidecar(queries_path))) as queries:
         task = ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
         basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-        spectrum = decompose(load_covariance(_default(args.sigma, out, _sigma_file("average"))))
+        sigma_path = _default(args.sigma, out, _sigma_file("average"))
+        spectrum = decompose(load_covariance(sigma_path))
+        if not basis.origin.startswith(spectrum.source):
+            logger.warning("the random removals come from %s (%s), but the noise basis "
+                           "from %r", sigma_path, spectrum.source, basis.origin)
         # first, so that a bad --trials is refused before any query is scored
         ablation = random_ablation(
             task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
@@ -440,6 +444,8 @@ def cmd_eval(args) -> int:
         "top_k": args.top_k,
         "query_only": args.query_only,
         "removed_dimensions": basis.p,
+        "sigma": str(sigma_path),
+        "basis_origin": basis.origin,
     }
     write_json(
         out / "eval_report.json",

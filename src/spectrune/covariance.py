@@ -280,7 +280,8 @@ def save_covariance(c: CovarianceMatrix, npy_path: Path | str) -> None:
 
 def load_covariance(npy_path: Path | str) -> CovarianceMatrix:
     """A covariance saved by ``save_covariance``; errors name the file."""
-    sigma = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
+    sigma = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
+    sigma.flags.writeable = False  # a fresh array: hand it over
     side = sidecar_path(npy_path)
     meta = read_json(side)
     for key in ("n_samples", "modality", "trace_normalized"):

@@ -1,24 +1,22 @@
-"""Byte-level reader/writer for the NPY v1.0 array format.
+"""Reader/writer for the NPY v1.0 array format.
 
-Layout of a v1.0 file:
+Headers are read and written by ``numpy.lib.format`` (``read_magic``,
+``read_array_header_1_0``, ``write_array_header_1_0``); payloads go
+straight between the file and the array. The writer always emits
+little-endian, C-ordered payloads. numpy's reader accepts more than the
+package reads, so a file must also pass these checks before any payload
+byte is read, and is otherwise rejected loudly rather than converted:
 
-    offset 0   6 bytes   magic  \\x93NUMPY
-    offset 6   2 bytes   version, major=1 minor=0
-    offset 8   2 bytes   header length, little-endian uint16
-    offset 10  N bytes   ASCII header: a Python dict literal with exactly the
-                         keys 'descr', 'fortran_order', 'shape', padded with
-                         spaces and terminated by a newline
-    then                 raw array payload, row-major
-
-The writer always emits little-endian payloads with the preamble padded to a
-64-byte boundary (what current tooling produces). The reader accepts any
-v1.0 file whose dtype is in the caller's allow-list; Fortran-ordered files
-and other format versions are rejected loudly rather than converted.
+- format version 1.0 only;
+- a dtype in the caller's allow-list (compared on ``dtype.str``), never cast;
+- ``fortran_order`` False;
+- no negative dimension, and the caller's rank;
+- a payload size that matches the file size.
 
 Files are read whole (``read_npy``) or as chosen rows along the first axis
-(``NpyReader.rows_at``), and written whole (``write_npy``) or from
-consecutive row blocks (``write_npy_rows``); JSON reports and sidecars are
-formatted by ``json_text``, then go through ``write_json`` and
+(``NpyReader.rows_at``, positional reads), and written whole (``write_npy``)
+or from consecutive row blocks (``write_npy_rows``); JSON reports and
+sidecars are formatted by ``json_text``, then go through ``write_json`` and
 ``read_json``. Every output of the package,
 NPY or text, goes through ``replace_on_success``, so a failed write never
 leaves a truncated file behind, and is reported in one way: an ``IoError``
@@ -27,23 +25,19 @@ that names the destination (the CLI's exit code 2).
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import json
 import math
 import os
-import struct
 import threading
 from pathlib import Path
+from tokenize import TokenError
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.format import read_array_header_1_0, read_magic, write_array_header_1_0
 
 from spectrune.errors import FormatError, IoError, ShapeError
-
-MAGIC = b"\x93NUMPY"
-VERSION = b"\x01\x00"
-HEADER_ALIGN = 64
 
 FLOAT_DESCRS = ("<f4", "<f8")
 INT_DESCRS = ("<i4", "<i8")
@@ -119,18 +113,6 @@ def read_json(path: Path | str):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def format_header(descr: str, shape: tuple[int, ...]) -> bytes:
-    """Build the padded ASCII header for a C-ordered little-endian array."""
-    body = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (
-        descr,
-        repr(tuple(int(s) for s in shape)),
-    )
-    # magic + version + 2-byte length + header must land on a 64-byte boundary
-    preamble = len(MAGIC) + len(VERSION) + 2
-    pad = (-(preamble + len(body) + 1)) % HEADER_ALIGN
-    return (body + " " * pad + "\n").encode("latin1")
-
-
 def write_npy(path: Path | str, array: np.ndarray) -> None:
     """Write ``array`` to ``path`` as NPY v1.0 (little-endian, C order).
 
@@ -162,10 +144,10 @@ def write_npy_rows(
     dtype = np.dtype(dtype)
     if dtype.byteorder == ">":
         dtype = dtype.newbyteorder("<")
-    header = format_header(dtype.str, shape)
+    header = {"descr": dtype.str, "fortran_order": False, "shape": tuple(int(s) for s in shape)}
     expected = math.prod(shape) * dtype.itemsize
     with replace_on_success(path) as fh:
-        fh.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header)
+        write_array_header_1_0(fh, header)
         written = 0
         for block in blocks:
             block = np.ascontiguousarray(block, dtype=dtype)
@@ -179,14 +161,12 @@ def write_npy_rows(
 
 
 class NpyReader:
-    """An NPY v1.0 file open for reading, with its header parsed and checked.
-
-    Opening checks the magic, version, header keys, dtype allow-list,
-    order, shape and rank, and the payload size against the file size,
-    before any payload byte is read. ``read`` then returns the whole array
-    and ``rows_at`` chosen rows, each as a fresh array. Embedding rows are
-    read through ``store.EmbeddingDump``, which checks every row it hands
-    out. Close the reader, or use it as a context manager.
+    """An NPY v1.0 file open for reading, its header read and put through
+    the checks of the module docstring before any payload byte is read.
+    ``read`` then returns the whole array and ``rows_at`` chosen rows, each
+    as a fresh array. Embedding rows are read through ``store.EmbeddingDump``,
+    which checks every row it hands out. Close the reader, or use it as a
+    context manager.
 
     Raises (from the constructor):
         IoError: file unreadable.
@@ -218,58 +198,38 @@ class NpyReader:
     ) -> tuple[np.dtype, tuple[int, ...]]:
         path = self.path
         try:
-            preamble = self._fh.read(10)
-            if len(preamble) < 10 or preamble[:6] != MAGIC:
-                raise FormatError(f"{path}: not an NPY file (bad magic)")
-            if preamble[6:8] != VERSION:
-                raise FormatError(
-                    f"{path}: unsupported NPY version {preamble[6]}.{preamble[7]} (need 1.0)"
-                )
-            (header_len,) = struct.unpack("<H", preamble[8:10])
-            raw_header = self._fh.read(header_len)
+            major, minor = read_magic(self._fh)
+            if (major, minor) != (1, 0):
+                raise FormatError(f"{path}: unsupported NPY version {major}.{minor} (need 1.0)")
+            shape, fortran_order, dtype = read_array_header_1_0(self._fh)
             file_size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
             raise IoError(f"cannot read array file {path}: {exc}") from exc
-        if len(raw_header) < header_len:
-            raise FormatError(f"{path}: truncated NPY header")
+        except (ValueError, TokenError) as exc:
+            # numpy's first line: its advice on allow_pickle is not for spectrune
+            reason = str(exc).partition("\n")[0]
+            raise FormatError(f"{path}: malformed NPY header: {reason}") from exc
 
-        try:
-            header = ast.literal_eval(raw_header.decode("latin1"))
-        except (ValueError, SyntaxError) as exc:
-            raise FormatError(f"{path}: malformed NPY header: {exc}") from exc
-        if not isinstance(header, dict) or set(header) != {
-            "descr",
-            "fortran_order",
-            "shape",
-        }:
-            raise FormatError(f"{path}: NPY header has wrong keys: {header!r}")
-
-        descr = header["descr"]
-        if descr not in allowed_descrs:
+        if dtype.str not in allowed_descrs:
             raise FormatError(
-                f"{path}: dtype {descr!r} not accepted (expected one of "
+                f"{path}: dtype {dtype.str!r} not accepted (expected one of "
                 f"{list(allowed_descrs)}); refusing to cast"
             )
-        if header["fortran_order"] is not False:
+        if fortran_order:
             raise FormatError(f"{path}: fortran_order must be False")
-
-        shape = header["shape"]
-        if not isinstance(shape, tuple) or not all(
-            isinstance(s, int) and s >= 0 for s in shape
-        ):
+        if any(s < 0 for s in shape):
             raise FormatError(f"{path}: invalid shape {shape!r}")
         if ndim is not None and len(shape) != ndim:
             raise ShapeError(
                 f"{path}: expected a {ndim}-D array, file has shape {shape}"
             )
 
-        dtype = np.dtype(descr)
-        payload = file_size - 10 - header_len
+        payload = file_size - self._fh.tell()
         expected = math.prod(shape) * dtype.itemsize
         if payload != expected:
             raise FormatError(
                 f"{path}: payload is {payload} bytes, shape {shape} with "
-                f"dtype {descr} needs {expected}"
+                f"dtype {dtype.str} needs {expected}"
             )
         return dtype, shape
 

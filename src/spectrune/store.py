@@ -180,12 +180,13 @@ class EmbeddingDump:
         the file only now and checked as ``blocks`` checks them, as a new
         matrix named ``source``; errors name the row's index in the dump."""
         data = self._reader.rows_at(rows).astype(np.float64, copy=False)
-        labels = None if self.labels is None else self.labels[rows]
-        finite = np.isfinite(data).all(axis=1)
-        if not finite.all():
-            raise DataError(f"{self.path}: non-finite entry in row {rows[finite.argmin()]}")
         data.flags.writeable = False  # a fresh array: hand it over
-        return EmbeddingMatrix(data, labels, source)
+        labels = None if self.labels is None else self.labels[rows]
+        try:
+            return EmbeddingMatrix(data, labels, source)
+        except DataError:
+            bad = rows[np.isfinite(data).all(axis=1).argmin()]
+            raise DataError(f"{self.path}: non-finite entry in row {bad}") from None
 
     def close(self) -> None:
         self._reader.close()

@@ -256,7 +256,8 @@ def save_subspace(v: Subspace, npy_path: Path | str) -> None:
 
 def load_subspace(npy_path: Path | str) -> Subspace:
     """A basis saved by ``save_subspace``; errors name the file."""
-    basis = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64)
+    basis = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
+    basis.flags.writeable = False  # a fresh array: hand it over
     side = sidecar_path(npy_path)
     origin = str(read_json(side).get("origin", "")) if side.is_file() else ""
     with in_file(npy_path):

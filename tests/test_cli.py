@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -518,6 +519,21 @@ def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path,
     assert doc["alignment_pairs_undefined"] is None
     assert not (tmp_path / "alignment_deltas.csv").exists()
     assert "no alignment pairs found" in caplog.text
+
+
+def test_eval_records_where_its_basis_and_its_trials_come_from(pipeline_dir, tmp_path, caplog):
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    for kernel, target in (([], "average("), (["--kernel"], "kernel-average(")):
+        caplog.clear()
+        assert main(["threshold", "--out", str(tmp_path), *kernel]) == 0
+        assert main(["eval", "--out", str(tmp_path), "--trials", "3"]) == 0
+        config = json.loads((tmp_path / "eval_report.json").read_text())["config"]
+        origin = json.loads((tmp_path / "noise_basis.json").read_text())["origin"]
+        assert origin.startswith(target)
+        assert config["sigma"] == str(tmp_path / "sigma_average.npy")
+        assert config["basis_origin"] == origin
+        # the trials come from the plain average, the kernel basis does not
+        assert ("but the noise basis from" in caplog.text) == bool(kernel)
 
 
 def test_eval_refuses_zero_trials_before_scoring_any_query(pipeline_dir, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectrune import covariance
 from spectrune.covariance import (
     CovarianceAccumulator,
     CovarianceMatrix,
@@ -28,7 +29,7 @@ from spectrune.errors import (
     InsufficientSamplesError,
     PreconditionError,
 )
-from spectrune.npy import BLOCK_ROWS, write_npy
+from spectrune.npy import BLOCK_ROWS, read_npy, write_npy
 from spectrune.store import EmbeddingDump, EmbeddingMatrix
 
 
@@ -297,11 +298,14 @@ def test_per_class_covariances_skip_small_classes():
         assert np.abs(factor.T @ factor - reference).max() <= 1e-15, label
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(22)
     cov = normalize_trace(covariance_of(as_matrix(rng.standard_normal((40, 6))), "image"))
     save_covariance(cov, tmp_path / "sigma.npy")
+    read = []
+    monkeypatch.setattr(covariance, "read_npy", lambda *a, **kw: read.append(read_npy(*a, **kw)) or read[-1])
     back = load_covariance(tmp_path / "sigma.npy")
+    assert back.sigma is read[0]  # the array read is handed over, not copied
     assert np.array_equal(back.sigma, cov.sigma)
     assert back.n_samples == cov.n_samples
     assert back.modality == cov.modality

@@ -4,9 +4,10 @@ the BLAS idle policy, it imports names only to re-export them), every
 module-level private name (``_x``) is referenced
 somewhere in the package, so no helper outlives its last caller, no
 module imports a thread or process pool, only ``npy.py`` turns an
-``OSError`` into an error (``cli.main`` maps what escapes to exit 2), and
+``OSError`` into an error (``cli.main`` maps what escapes to exit 2),
 only ``npy.py`` and ``store.py`` name ``NpyReader``, so every embedding row
-is read through ``store.EmbeddingDump`` and its checks."""
+is read through ``store.EmbeddingDump`` and its checks, and only ``npy.py``
+reaches ``numpy.lib.format``, so the file format is decided in one module."""
 
 from __future__ import annotations
 
@@ -100,8 +101,8 @@ def test_every_private_name_is_referenced():
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
-def pool_imports(source: str) -> list[int]:
-    """Lines that import a pool module or anything inside one."""
+def module_imports(source: str, modules: tuple[str, ...]) -> list[int]:
+    """Lines that import one of ``modules`` or anything inside one."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -110,7 +111,7 @@ def pool_imports(source: str) -> list[int]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == m or n.startswith(m + ".") for n in names for m in POOL_MODULES):
+        if any(n == m or n.startswith(m + ".") for n in names for m in modules):
             lines.append(node.lineno)
     return lines
 
@@ -120,14 +121,14 @@ def test_pool_imports_are_found():
         "import os\nfrom concurrent import futures\nimport multiprocessing.pool as mp\n"
         "from concurrent.futures import ThreadPoolExecutor\nfrom threading import get_ident\n"
     )
-    assert pool_imports(source) == [2, 3, 4]
+    assert module_imports(source, POOL_MODULES) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_imports_no_pool(module):
     # BLAS threads every gemm and eigh; a Python pool on top only costs
     # memory, and a second code path
-    assert pool_imports(module.read_text(encoding="utf-8")) == []
+    assert module_imports(module.read_text(encoding="utf-8"), POOL_MODULES) == []
 
 
 def catches_oserror(node: ast.expr | None) -> bool:
@@ -228,3 +229,39 @@ def test_only_npy_and_store_name_npy_reader(module):
     # a module that opened dumps with NpyReader would hand out rows that
     # EmbeddingDump never checked
     assert npy_reader_uses(module.read_text(encoding="utf-8")) == []
+
+
+FORMAT_MODULES = ("numpy.lib.format", "numpy.lib._format_impl")
+
+
+def npy_format_uses(source: str) -> list[int]:
+    """Lines that import numpy's NPY format module, or reach it as an
+    attribute (``np.lib.format``)."""
+    lines = set(module_imports(source, FORMAT_MODULES))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("format", "_format_impl")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "lib"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_npy_format_uses_are_found():
+    source = (
+        "from numpy.lib.format import read_magic\n"
+        "import numpy as np\n"
+        "from numpy.lib import format\n"
+        "np.lib.format.read_magic(fh)\n"
+        "'{}'.format(np.lib)\n"
+        "import numpy.lib._format_impl\n"
+    )
+    assert npy_format_uses(source) == [1, 3, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "npy.py"),
+    ids=lambda path: path.name,
+)
+def test_only_npy_reaches_numpy_lib_format(module):
+    # every header is read and written by npy.py, behind spectrune's own checks
+    assert npy_format_uses(module.read_text(encoding="utf-8")) == []

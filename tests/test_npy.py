@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 import struct
 
 import numpy as np
 import pytest
 
+from spectrune import npy
 from spectrune.errors import FormatError, IoError, ShapeError
 from spectrune.npy import (
     FLOAT_DESCRS,
@@ -99,6 +102,37 @@ def test_header_is_64_byte_aligned(tmp_path):
     assert raw[6:8] == b"\x01\x00"
 
 
+class PayloadRefused(Exception):
+    pass
+
+
+class HeaderOnly(io.BytesIO):
+    """A file that keeps the first write, the header, and refuses the rest."""
+
+    def write(self, data):
+        if self.tell():
+            raise PayloadRefused
+        return super().write(data)
+
+
+@pytest.mark.parametrize(
+    "descr, shape",
+    [("<f8", ()), ("<i8", (50,)), ("<i8", (10**7,))]
+    + [("<f8", (n, d)) for d in (128, 768) for n in (1, d, 2048, 10**7)],
+)
+def test_header_bytes_match_numpy_save(monkeypatch, descr, shape):
+    # only the header is written on either side: no payload of 10^7 rows
+    ours = io.BytesIO()
+    monkeypatch.setattr(npy, "replace_on_success", lambda path: contextlib.nullcontext(ours))
+    with pytest.raises(ShapeError):
+        write_npy_rows("unused.npy", shape, np.dtype(descr), [])
+    theirs = HeaderOnly()
+    with pytest.raises(PayloadRefused):
+        np.save(theirs, np.broadcast_to(np.zeros((), descr), shape))
+    assert ours.getvalue() == theirs.getvalue()
+    assert len(ours.getvalue()) == 128
+
+
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.npy"
     path.write_bytes(b"NOTNPY" + b"\x00" * 64)
@@ -144,12 +178,27 @@ def test_rejects_wrong_header_keys(tmp_path):
 
 def test_rejects_disallowed_dtype_instead_of_casting(tmp_path):
     path = tmp_path / "ints.npy"
-    np.save(path, np.arange(6, dtype=np.int64).reshape(2, 3))
-    for read in READERS:
-        with pytest.raises(FormatError, match="refusing to cast"):
-            read(path, FLOAT_DESCRS)
+    for dtype in (">f8", "<f2", np.int64):
+        np.save(path, np.arange(6, dtype=dtype).reshape(2, 3))
+        for read in READERS:
+            with pytest.raises(FormatError, match="refusing to cast"):
+                read(path, FLOAT_DESCRS)
     # and the integer allow-list takes it
     assert read_npy(path, INT_DESCRS, ndim=2).sum() == 15
+
+
+def test_rejects_negative_dimensions_and_oversized_headers(tmp_path):
+    path = tmp_path / "header.npy"
+    # numpy parses a negative dimension, and (-2, -3) even matches 6 payload
+    # values; a header past numpy's 10,000-byte limit numpy refuses itself
+    for shape, pad, match in (("(-2, -3)", 0, "invalid shape"), ("(2, 3)", 10_000, "header")):
+        header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}".encode()
+        header += b" " * (pad + -(len(header) + 11) % 64) + b"\n"
+        path.write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header
+                         + np.zeros(6).tobytes())
+        for read in READERS:
+            with pytest.raises(FormatError, match=match):
+                read(path, FLOAT_DESCRS)
 
 
 def test_rejects_fortran_order(tmp_path):

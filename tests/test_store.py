@@ -19,6 +19,7 @@ from spectrune.errors import (
 from spectrune.npy import write_npy
 from spectrune.store import (
     DatasetManifest,
+    EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
     check_widths,
@@ -149,6 +150,18 @@ def test_iter_classes_yields_classes_in_id_order_on_demand():
     assert [label for label, _ in rest] == [1, 3]
     assert np.array_equal(rest[1][1].data, [[0, 1], [4, 5]])
     assert np.array_equal(rest[1][1].labels, [3, 3])
+
+
+def test_iter_classes_of_a_dump_scans_each_class_once(tmp_path, monkeypatch):
+    path = tmp_path / "dump.npy"
+    write_npy(path, np.random.default_rng(9).standard_normal((10, 4)))
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: calls.append(x.shape) or isfinite(x))
+    with EmbeddingDump(path, labels=np.arange(10) % 3) as dump:
+        classes = [label for label, _ in iter_classes(dump)]
+    assert classes == [0, 1, 2]
+    assert calls == [(4, 4), (3, 4), (3, 4)]
 
 
 def test_label_file_round_trip(tmp_path):

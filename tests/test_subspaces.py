@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spectrune import subspaces
 from spectrune.covariance import (
     CovarianceMatrix,
     covariance_of,
@@ -18,6 +19,7 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
+from spectrune.npy import read_npy
 from spectrune.spectral import LOG_FLOOR, decompose, fixed_threshold
 from spectrune.store import EmbeddingMatrix
 from spectrune.subspaces import (
@@ -366,10 +368,13 @@ def test_class_spectrum_distance_leaves_classes_without_a_spectrum_undefined():
     assert np.isnan(class_spectrum_distance({0: None, 3: None}).distances).all()
 
 
-def test_subspace_save_load_round_trip(tmp_path):
+def test_subspace_save_load_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(50)
     sub = random_subspace(8, 3, rng)
     save_subspace(sub, tmp_path / "basis.npy")
+    read = []
+    monkeypatch.setattr(subspaces, "read_npy", lambda *a, **kw: read.append(read_npy(*a, **kw)) or read[-1])
     back = load_subspace(tmp_path / "basis.npy")
+    assert back.basis is read[0]  # the array read is handed over, not copied
     assert np.array_equal(back.basis, sub.basis)
     assert back.origin == sub.origin
