@@ -16,7 +16,7 @@ All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
 identical bytes, and a failed command leaves no partial output behind.
 Each output rule lives in one place: ``_report`` builds every JSON
-report's envelope, ``_cell`` writes every CSV float (NaN, an undefined
+report's envelope, ``_cells`` writes every CSV float (NaN, an undefined
 value, as the empty cell), and ``npy.replace_on_success`` turns every
 failed write into an ``IoError`` naming the destination (exit code 2).
 ``accumulate``, ``project``, ``activations`` and ``eval`` (its queries)
@@ -119,9 +119,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _cells(values) -> list[str]:
+    """CSV cells of floats, a row or column in one call: empty for an
+    undefined (NaN) value, else the float's repr."""
+    return ["" if math.isnan(x) else repr(x) for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
 def _cell(x: float) -> str:
-    """A CSV cell: empty for an undefined (NaN) value, else the float's repr."""
-    return "" if math.isnan(x) else repr(float(x))
+    """One CSV cell, by the rule of ``_cells``."""
+    return _cells((x,))[0]
 
 
 def _report(command: str, config: dict, **fields) -> dict:
@@ -282,10 +288,7 @@ def cmd_spectrum(args) -> int:
         _write_csv(
             out / f"spectrum_{path.stem}.csv",
             ["index", "eigenvalue", "log10_eigenvalue"],
-            (
-                (i, _cell(eigs_desc[i]), _cell(curve[i]))
-                for i in range(curve.size)
-            ),
+            zip(range(curve.size), _cells(eigs_desc), _cells(curve)),
         )
         knee = {"knee_index": None, "log10_value": None, "d": spectrum.d, "source": spectrum.source}
         try:
@@ -369,7 +372,8 @@ def cmd_project(args) -> int:
             args.output,
             (dump.n, dump.d),
             np.float64,
-            (apply_removal(subspace, block).data for block in dump.blocks()),
+            # map, unlike a generator expression, keeps no block while the next is read
+            map(lambda block: apply_removal(subspace, block).data, dump.blocks()),
         )
     logger.info(
         "projected %s away from %d dimensions -> %s",
@@ -426,7 +430,7 @@ def cmd_eval(args) -> int:
         _write_csv(
             out / "alignment_deltas.csv",
             ["pair", "delta"],
-            ((i, _cell(v)) for i, v in enumerate(delta.per_pair)),
+            enumerate(_cells(delta.per_pair)),
         )
     else:
         logger.warning("no alignment pairs found, skipping cosine deltas")
@@ -434,7 +438,7 @@ def cmd_eval(args) -> int:
     _write_csv(
         out / "ablation.csv",
         ["trial", "accuracy"],
-        ((t, _cell(a)) for t, a in enumerate(ablation)),
+        enumerate(_cells(ablation)),
     )
     std_trials = float(ablation.std(ddof=1)) if ablation.size > 1 else 0.0
     config = {
@@ -510,7 +514,7 @@ def cmd_class_overlap(args) -> int:
         out / "class_spectrum_distance.csv",
         ["label"] + [str(l) for l in distances.labels],
         # one row of Python floats at a time, not C^2 of them
-        ([a] + [_cell(x) for x in row.tolist()] for a, row in zip(distances.labels, distances.distances)),
+        ([a] + _cells(row) for a, row in zip(distances.labels, distances.distances)),
     )
     return 0
 

@@ -4,8 +4,11 @@ The running state is (count, mean, m2) where m2 is the sum of centered
 outer products. A batch folds in as its own (count, mean, m2) merged into
 the running state, so a dataset never needs a centered copy in memory; the
 textbook two-pass formula exists only in the test suite as the oracle.
-Batches and whole accumulators combine through the one pairwise update in
-``merge``, so the blocks of a dump and whole dumps fold by the same rule.
+Batches and whole accumulators combine through the one pairwise update of
+``_merge``, so the blocks of a dump and whole dumps fold by the same rule.
+A batch's fold builds the combined m2 in the batch's own fresh m2, beside
+one d-by-d temporary for the outer product; ``merge`` builds it in a fresh
+array and leaves both inputs as they were.
 
 The running m2 stays exactly symmetric: numpy forms ``c.T @ c`` with
 ``syrk`` and mirrors the triangle, and a sum of exactly symmetric terms is
@@ -89,8 +92,12 @@ class CovarianceMatrix:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
             raise DimError(f"covariance must be square with d >= 1, got shape {sigma.shape}")
-        scale = float(np.abs(sigma).max()) if sigma.size else 0.0
-        asym = float(np.abs(sigma - sigma.T).max()) if sigma.size else 0.0
+        # one d-by-d temporary: sigma - sigma^T is antisymmetric, so its
+        # largest entry is its largest magnitude, and then |sigma|
+        buf = np.subtract(sigma, sigma.T)
+        asym = float(buf.max())
+        scale = float(np.abs(sigma, out=buf).max())
+        del buf
         if asym > _SYM_TOL * max(scale, 1e-300):
             raise NumericalError(
                 f"covariance asymmetry {asym:.3e} exceeds {_SYM_TOL} relative"
@@ -114,9 +121,10 @@ class CovarianceMatrix:
 
 def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> CovarianceAccumulator:
     """Fold a batch of rows into the running state: the batch's own
-    (count, mean, m2) merged into ``acc``. The batch's centered copy is
-    released before the merge, so the merge's d-by-d temporaries never sit
-    beside a second array of the batch's size.
+    (count, mean, m2) merged into ``acc``, the result built in the batch's
+    m2. The batch's centered copy is released before the merge, so the
+    merge's d-by-d temporary never sits beside a second array of the
+    batch's size.
 
     Raises:
         DimError: batch width differs from a non-empty accumulator's.
@@ -125,11 +133,12 @@ def accumulate(acc: CovarianceAccumulator, batch: EmbeddingMatrix) -> Covariance
     centered = batch.data - mean
     m2 = centered.T @ centered
     del centered
-    return merge(acc, CovarianceAccumulator(batch.n, mean, m2))
+    return _merge(acc, CovarianceAccumulator(batch.n, mean, m2), in_place=True)
 
 
 def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccumulator:
-    """Combine two accumulators as if their streams were concatenated.
+    """Combine two accumulators as if their streams were concatenated,
+    leaving both as they were.
 
     Commutative and associative to within 1e-10 relative; an empty side
     returns the other as it is.
@@ -137,6 +146,13 @@ def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccum
     Raises:
         DimError: accumulator widths differ.
     """
+    return _merge(a, b, in_place=False)
+
+
+def _merge(a: CovarianceAccumulator, b: CovarianceAccumulator, in_place: bool) -> CovarianceAccumulator:
+    """The pairwise update of ``merge``: m2 = (a.m2 + b.m2) + s * delta delta^T,
+    built in ``b.m2`` when ``in_place`` (the caller's own array) and in a
+    fresh array otherwise, beside one d-by-d temporary for the outer product."""
     if a.count == 0:
         return b
     if b.count == 0:
@@ -146,7 +162,10 @@ def merge(a: CovarianceAccumulator, b: CovarianceAccumulator) -> CovarianceAccum
     n = a.count + b.count
     mean = (a.mean * a.count + b.mean * b.count) / n
     delta = b.mean - a.mean
-    m2 = a.m2 + b.m2 + np.outer(delta, delta) * (a.count * b.count / n)
+    m2 = np.add(a.m2, b.m2, out=b.m2 if in_place else None)
+    outer = np.outer(delta, delta)
+    outer *= a.count * b.count / n
+    m2 += outer
     return CovarianceAccumulator(n, mean, m2)
 
 

@@ -119,49 +119,57 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
             project_prototypes: bool) -> tuple[np.ndarray, np.ndarray]:
     """Top-k accuracy with the span of columns ``cols`` of the orthonormal
     d×m ``frame`` removed from the queries and, optionally, the prototypes,
-    for each ``cols`` in ``removals``, from one pass over the query blocks,
-    and the count of projected vectors (prototypes only when projected)
-    each removal scores as the zero vector.
+    for each ``cols`` in ``removals``, and the count of projected vectors
+    (prototypes only when projected) each removal scores as the zero vector.
     Either way a projected query's dot products are ``G - (Q B)(P B)^T``
     for ``B = frame[:, cols]``; only the prototype norms differ. ``P frame``
-    and each removal's prototype inverse norms are formed once per call.
-    Each block is scored in tiles of rows: a tile fills ``G = Q P^T`` and
-    ``Q frame`` once, and each removal gathers its columns from them and
-    from ``P frame``: O(nq nc p) per removal. The tile's G, ``Q frame`` and
-    score buffers, about ``SCORE_TILE_BYTES`` each whatever the class
-    count, are sized by the first (largest) tile and reused."""
+    is formed once per call. The removals are scored in chunks, one pass
+    over the queries each, whose prototype inverse norms fill about
+    ``SCORE_TILE_BYTES`` (one chunk unless removals x classes exceeds it).
+    A pass reads the queries one tile of rows at a time, never more than a
+    block: a tile fills ``G = Q P^T`` and ``Q frame`` once, and each removal
+    gathers its columns from them and from ``P frame``: O(nq nc p) per
+    removal. The tile's G, ``Q frame`` and score buffers, about
+    ``SCORE_TILE_BYTES`` each whatever the class count, are sized by the
+    first (largest) tile and reused."""
     p, labels = task.class_prototypes.data, task.class_prototypes.labels
     if (labels[1:] < labels[:-1]).any():  # columns in class-id order, for the tie-break
         order = np.argsort(labels)
         p, labels = p[order], labels[order]
     p_sq, pf = _sq_norms(p), p @ frame
-    p_inv = np.array([_inverse_norms(_project(p, p_sq, frame[:, cols], pf[:, cols])[1]
-                                     if project_prototypes else p_sq) for cols in removals])
     nc, m = p.shape[0], frame.shape[1]
     tile = max(1, SCORE_TILE_BYTES // (8 * max(nc, m)))
+    chunk = max(1, SCORE_TILE_BYTES // (8 * nc))
     hits = np.zeros(len(removals), dtype=np.int64)
-    zeroed = np.count_nonzero(p_inv == 0.0, axis=1) if project_prototypes else np.zeros_like(hits)
+    zeroed = np.zeros_like(hits)
     buffers = None
-    for block in task.queries.blocks():
-        for start in range(0, block.n, tile):
-            q = block.data[start:start + tile]
-            rows = q.shape[0]
-            if buffers is None:  # the first tile is the largest
-                buffers = [np.empty((rows, w)) for w in (nc, m, nc)]
-            g = np.matmul(q, p.T, out=buffers[0][:rows])
-            qf = np.matmul(q, frame, out=buffers[1][:rows])
-            scores = buffers[2][:rows]  # one buffer for every removal
-            q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels[start:start + tile])
-            for i, cols in enumerate(removals):
-                zq, q_proj_sq = _project(q, q_sq, frame[:, cols], qf[:, cols])
-                np.matmul(zq, pf[:, cols].T, out=scores)
-                np.subtract(g, scores, out=scores)
-                scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
-                zero = _inverse_norms(q_proj_sq) == 0.0
-                scores[zero] = 0.0
-                zeroed[i] += np.count_nonzero(zero)
-                hits[i] += _hits(scores, true_col, task.k)
-        del block, q  # released before the next block is read
+    for first in range(0, len(removals), chunk):
+        part = removals[first:first + chunk]
+        p_inv = np.array([_inverse_norms(_project(p, p_sq, frame[:, cols], pf[:, cols])[1]
+                                         if project_prototypes else p_sq) for cols in part])
+        if project_prototypes:
+            zeroed[first:first + len(part)] = np.count_nonzero(p_inv == 0.0, axis=1)
+        # a dump's blocks are tile-sized; a matrix in memory is one block
+        for block in task.queries.blocks(tile):
+            for start in range(0, block.n, tile):
+                q = block.data[start:start + tile]
+                rows = q.shape[0]
+                if buffers is None:  # the first tile is the largest
+                    buffers = [np.empty((rows, w)) for w in (nc, m, nc)]
+                g = np.matmul(q, p.T, out=buffers[0][:rows])
+                qf = np.matmul(q, frame, out=buffers[1][:rows])
+                scores = buffers[2][:rows]  # one buffer for every removal
+                q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels[start:start + tile])
+                for i, cols in enumerate(part):
+                    zq, q_proj_sq = _project(q, q_sq, frame[:, cols], qf[:, cols])
+                    np.matmul(zq, pf[:, cols].T, out=scores)
+                    np.subtract(g, scores, out=scores)
+                    scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
+                    zero = _inverse_norms(q_proj_sq) == 0.0
+                    scores[zero] = 0.0
+                    zeroed[first + i] += np.count_nonzero(zero)
+                    hits[first + i] += _hits(scores, true_col, task.k)
+            del block, q  # released before the next block is read
     return hits / task.queries.n, zeroed
 
 

@@ -153,6 +153,7 @@ def write_npy_rows(
             block = np.ascontiguousarray(block, dtype=dtype)
             fh.write(block.reshape(-1).view(np.uint8))
             written += block.nbytes
+            del block  # before the next block is made
         if written != expected:
             raise ShapeError(
                 f"{path}: blocks hold {written} bytes, shape {tuple(shape)} "

@@ -73,21 +73,28 @@ def symmetric_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"matrix must be square, got shape {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    asym = float(np.abs(a - a.T).max())
+    # one d-by-d buffer holds |a|, then the antisymmetric a - a^T (whose
+    # largest entry is its largest magnitude), then the symmetrized input
+    buf = np.abs(a)
+    scale = float(buf.max()) if a.size else 0.0
+    asym = float(np.subtract(a, a.T, out=buf).max())
     if asym > 1e-8 * max(scale, 1e-300):
         raise NumericalError(f"matrix asymmetry {asym:.3e} is too large to decompose")
+    np.add(a, a.T, out=buf)
+    buf *= 0.5
     try:
-        w, v = np.linalg.eigh((a + a.T) * 0.5)
+        w, v = np.linalg.eigh(buf)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    del buf
 
     # sign convention: largest-magnitude entry of each column positive
     anchor = np.argmax(np.abs(v), axis=0)
-    signs = np.where(v[anchor, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-    v = v * signs
+    v *= np.where(v[anchor, np.arange(v.shape[1])] < 0, -1.0, 1.0)
 
-    gram_err = float(np.abs(v.T @ v - np.eye(v.shape[1])).max())
+    gram = v.T @ v
+    gram.flat[:: gram.shape[0] + 1] -= 1.0  # V^T V - I, with no identity built
+    gram_err = float(np.abs(gram, out=gram).max())
     if gram_err > _ORTHO_TOL:
         raise NumericalError(f"eigenvector basis not orthonormal: {gram_err:.3e}")
     return w, v

@@ -108,9 +108,9 @@ class EmbeddingMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def blocks(self) -> Iterator["EmbeddingMatrix"]:
+    def blocks(self, rows: int = BLOCK_ROWS) -> Iterator["EmbeddingMatrix"]:
         """The matrix as a stream of row blocks: the one-block case of
-        ``EmbeddingDump.blocks``."""
+        ``EmbeddingDump.blocks``, whatever ``rows`` asks for."""
         yield self
 
     def take(self, rows: np.ndarray, source: str) -> "EmbeddingMatrix":
@@ -128,11 +128,12 @@ class EmbeddingDump:
 
     Opening reads and checks only the header, the size and the labels.
     ``blocks`` then yields the rows as EmbeddingMatrix blocks of at most
-    ``npy.BLOCK_ROWS`` consecutive rows, each read into a fresh array,
-    widened to float64 and checked as one matrix; ``load_array_file`` is
-    the one-block case. Errors name the path and the row's index in the
-    dump. A pass holds O(BLOCK_ROWS * d) of the dump in memory, whatever
-    its size. Close the dump, or use it as a context manager.
+    ``npy.BLOCK_ROWS`` consecutive rows (fewer on request), each read into
+    a fresh array, widened to float64 and checked as one matrix;
+    ``load_array_file`` is the one-block case. Errors name the path and the
+    row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the dump in
+    memory, whatever its size. Close the dump, or use it as a context
+    manager.
     """
 
     def __init__(self, path: Path | str, labels: np.ndarray | None = None) -> None:
@@ -170,10 +171,14 @@ class EmbeddingDump:
         with in_file(self.path):
             return EmbeddingMatrix(data, labels, self.source, first_row=start)
 
-    def blocks(self) -> Iterator[EmbeddingMatrix]:
-        for start in range(0, self.n, BLOCK_ROWS):
-            index = np.arange(start, min(start + BLOCK_ROWS, self.n))
-            yield self._matrix(self._reader.rows_at(index), start)
+    def blocks(self, rows: int = BLOCK_ROWS) -> Iterator[EmbeddingMatrix]:
+        """Consecutive blocks of at most ``rows`` rows, cut from the fixed
+        ``BLOCK_ROWS`` grid: a block never spans two of its cells."""
+        for cell in range(0, self.n, BLOCK_ROWS):
+            end = min(cell + BLOCK_ROWS, self.n)
+            for start in range(cell, end, rows):
+                index = np.arange(start, min(start + rows, end))
+                yield self._matrix(self._reader.rows_at(index), start)
 
     def take(self, rows: np.ndarray, source: str) -> EmbeddingMatrix:
         """The rows at ascending indices ``rows``, in that order, read from

@@ -147,8 +147,10 @@ def projection_remove(v: Subspace | np.ndarray) -> np.ndarray:
 
 def remove_component(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows of x minus their components inside the basis span (factored
-    form of the removal projection; never materializes a d-by-d matrix)."""
-    return x - (x @ basis) @ basis.T
+    form of the removal projection; never materializes a d-by-d matrix).
+    The difference is written into the product's own buffer."""
+    out = (x @ basis) @ basis.T
+    return np.subtract(x, out, out=out)
 
 
 def apply_removal(v: Subspace, m: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -231,18 +233,18 @@ def class_spectrum_distance(
     eigenvalues below ``LOG_FLOOR`` count as ``LOG_FLOOR``.
     """
     labels = sorted(eigenvalues)
-    defined = [i for i, label in enumerate(labels) if eigenvalues[label] is not None]
+    defined = np.array([i for i, label in enumerate(labels) if eigenvalues[label] is not None], dtype=np.intp)
     curves: list[np.ndarray] = []
     for i in defined:
         vec = np.log10(np.maximum(eigenvalues[labels[i]], LOG_FLOOR))
         curves.append(vec - vec.mean())
     stack = np.asarray(curves)
-    # one row at a time: O(C * d) memory instead of a C x C x d broadcast
+    # one row at a time, O(C * d) memory instead of a C x C x d broadcast, and
+    # each pair once: (x - y)^2 = (y - x)^2 exactly, so the mirror is exact,
+    # and a class's own distance is exactly 0
     dist = np.full((len(labels), len(labels)), np.nan)
-    for i, curve in zip(defined, stack):
-        dist[i, defined] = np.sqrt(np.mean((curve - stack) ** 2, axis=1))
-    dist = (dist + dist.T) * 0.5
-    dist[defined, defined] = 0.0
+    for k, (i, curve) in enumerate(zip(defined, stack)):
+        dist[i, defined[k:]] = dist[defined[k:], i] = np.sqrt(np.mean((curve - stack[k:]) ** 2, axis=1))
     return ClassSpectrumDistances(labels=tuple(labels), distances=dist)
 
 

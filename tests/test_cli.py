@@ -494,7 +494,7 @@ def test_eval_reads_the_queries_three_times_and_counts_zero_vectors_in_the_noise
     passes = []
     blocks = store.EmbeddingDump.blocks
     monkeypatch.setattr(store.EmbeddingDump, "blocks",
-                        lambda dump: passes.append(Path(dump.path).name) or blocks(dump))
+                        lambda dump, *rows: passes.append(Path(dump.path).name) or blocks(dump, *rows))
     argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3",
             "--queries", str(tmp_path / "queries.npy")]
     for flag, name in (("--prototypes", "prototypes.npy"), ("--basis", "noise_basis.npy"),

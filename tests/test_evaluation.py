@@ -491,12 +491,15 @@ def test_scores_do_not_depend_on_the_tile_size(tmp_path, monkeypatch):
     expected = every_score(task)
     assert expected[0] == (reference_topk(queries, qlabels, protos, plabels, k), 0)
     assert expected[1][1] == len(inside)  # the noise-free score's count of zero vectors
-    monkeypatch.setattr(evaluation, "SCORE_TILE_BYTES", 8 * n_classes * tile)
     streamed = _dump_task(tmp_path / "queries.npy", task)  # three blocks
+    # the tile's bytes also bound the prototype norms of a chunk of removals:
+    # at 6 rows, the 8 trials are scored in 2 chunks, one pass each
     with streamed.queries:
-        for scored in (task, streamed):
-            for a, b in zip(every_score(scored), expected, strict=True):
-                assert np.array_equal(a, b)
+        for rows in (tile, 6):
+            monkeypatch.setattr(evaluation, "SCORE_TILE_BYTES", 8 * n_classes * rows)
+            for scored in (task, streamed):
+                for a, b in zip(every_score(scored), expected, strict=True):
+                    assert np.array_equal(a, b)
 
 
 def _stable_sort_hits(scores, true_col, k):

@@ -144,6 +144,47 @@ def test_accumulate_holds_two_block_sized_arrays(tmp_path, d, n):
     assert peak <= bound, peak / bound
 
 
+@pytest.mark.parametrize("command", ["accumulate", "project", "eval", "spectrum"])
+def test_each_stage_holds_each_of_its_arrays_once(tmp_path, command):
+    d, n_classes = 256, 1024
+    tile = SCORE_TILE_BYTES // (8 * n_classes)  # eval's rows per score tile
+    assert tile < BLOCK_ROWS
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((3 * BLOCK_ROWS, d))
+    manifest = _write_manifest(tmp_path, {"img.npy": ("image", rows), "txt.npy": ("text", rows[::-1])})
+    save_subspace(_basis(d, 16, 2), tmp_path / "noise_basis.npy")
+    _write_eval_inputs(tmp_path, d, np.arange(rows.shape[0]) % n_classes)
+    accumulate = ["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"]
+    if command == "spectrum":
+        assert main(accumulate) == 0
+    argv = {
+        "accumulate": accumulate,
+        "project": ["project", "--out", str(tmp_path), str(tmp_path / "img.npy"), str(tmp_path / "clean.npy")],
+        "eval": ["eval", "--out", str(tmp_path), "--queries", str(tmp_path / "img.npy"),
+                 "--sigma", str(tmp_path / "cov.npy"), "--trials", "3"],
+        "spectrum": ["spectrum", "--out", str(tmp_path)],
+    }[command]
+    block, tile_rows, dd = BLOCK_ROWS * d * 8, tile * d * 8, d * d * 8
+    bound = {
+        # a block's raw or unit rows and their centered copy; the running m2
+        # of both tags, the block's m2 that the fold builds in, the outer
+        # product, and the image accumulators kept while the text is folded
+        "accumulate": 2 * block + 8 * dd,
+        # a block and its projection, plus a quarter block for the finiteness
+        # masks and the coordinates x B; a third block is over
+        "project": 2.5 * block,
+        # the prototypes and P frame; a tile's G, its scores and the tie
+        # check's copy of them; the tile's rows and Q frame; the eigenvectors
+        # and the frame drawn from them. A whole block of queries is over
+        "eval": 2 * n_classes * d * 8 + 3 * SCORE_TILE_BYTES + 2 * tile_rows + 2 * dd,
+        # the covariance in hand, the one before it and its spectrum, and the
+        # solver's input, eigenvectors and workspace, with one d x d to spare
+        "spectrum": 8 * dd,
+    }[command]
+    peak = _peak_alloc(argv)
+    assert peak <= bound, peak / bound
+
+
 def _ablation_peak(tmp_path, d: int, n_classes: int, n: int) -> int:
     """``tracemalloc`` peak of ``random_ablation`` (3 trials, p 8) over a
     dump of n random queries against n_classes random prototypes."""

@@ -19,9 +19,10 @@ from spectrune.errors import (
     NumericalError,
     PreconditionError,
 )
-from spectrune.npy import read_npy
+from spectrune.cli import _cell, main
+from spectrune.npy import read_npy, write_npy
 from spectrune.spectral import LOG_FLOOR, decompose, fixed_threshold
-from spectrune.store import EmbeddingMatrix
+from spectrune.store import EmbeddingMatrix, save_label_file
 from spectrune.subspaces import (
     Subspace,
     apply_removal,
@@ -331,21 +332,32 @@ def test_class_spectrum_distance_is_pseudometric_on_samples():
 
 
 def test_class_spectrum_distance_matches_broadcast_oracle_bytes():
-    # oracle: the C x C x d broadcast the row-at-a-time loop replaced
+    # oracle: the full C x C x d broadcast, every ordered pair, symmetrized,
+    # with a zero diagonal, and NaN rows and columns for the classes without
+    # a spectrum. At d 140 numpy sums in blocks; ten classes have fewer rows
+    # than d and take the Gram route
     rng = np.random.default_rng(51)
-    data = rng.standard_normal((700, 9)) * rng.uniform(0.1, 3.0, size=9)
-    labels = rng.integers(0, 40, size=700)
-    eigenvalues = class_eigenvalues(EmbeddingMatrix(data, labels=labels))
-    curves = []
-    for w in eigenvalues.values():
-        vec = np.log10(np.maximum(w, LOG_FLOOR))
-        curves.append(vec - vec.mean())
+    d = 140
+    labels = rng.permutation(np.concatenate([np.arange(20).repeat(150), np.arange(20, 30).repeat(60)]))
+    data = rng.standard_normal((labels.size, d)) * rng.uniform(0.1, 3.0, size=d)
+    spectra = class_spectra(EmbeddingMatrix(data, labels=labels), axes(d, [0]))
+    eigenvalues = {**{label: w for label, (_, w) in spectra.items()}, 3: None, 17: None, 40: None}
+    defined, curves = [], []
+    for i, label in enumerate(sorted(eigenvalues)):
+        if eigenvalues[label] is not None:
+            vec = np.log10(np.maximum(eigenvalues[label], LOG_FLOOR))
+            defined.append(i)
+            curves.append(vec - vec.mean())
     stack = np.asarray(curves)
     diff = stack[:, None, :] - stack[None, :, :]
-    expected = np.sqrt(np.mean(diff**2, axis=2))
-    expected = (expected + expected.T) * 0.5
-    np.fill_diagonal(expected, 0.0)
-    assert class_spectrum_distance(eigenvalues).distances.tobytes() == expected.tobytes()
+    square = np.sqrt(np.mean(diff**2, axis=2))
+    square = (square + square.T) * 0.5
+    np.fill_diagonal(square, 0.0)
+    expected = np.full((31, 31), np.nan)
+    expected[np.ix_(defined, defined)] = square
+    result = class_spectrum_distance(eigenvalues)
+    assert result.labels == tuple(range(30)) + (40,)
+    assert result.distances.tobytes() == expected.tobytes()
 
 
 def test_class_spectrum_distance_leaves_classes_without_a_spectrum_undefined():
@@ -366,6 +378,34 @@ def test_class_spectrum_distance_leaves_classes_without_a_spectrum_undefined():
     assert nan.sum() == 7 * 7 - 4 * 4
     # no class has a spectrum: every cell is NaN, and nothing warns
     assert np.isnan(class_spectrum_distance({0: None, 3: None}).distances).all()
+
+
+def test_class_overlap_csvs_hold_the_cell_text_of_every_value(tmp_path):
+    rng = np.random.default_rng(55)
+    d = 12
+    data = rng.standard_normal((400, d)) * rng.uniform(0.1, 3.0, size=d)
+    labels = rng.integers(0, 25, size=400)
+    labels[:3] = [30, 31, 31]  # a one-row class and a class of two equal rows
+    data[2] = data[1]
+    basis = random_subspace(d, 3, rng)
+    write_npy(tmp_path / "queries.npy", data)
+    save_label_file(labels, tmp_path / "queries_labels.npy")
+    save_subspace(basis, tmp_path / "noise_basis.npy")
+    assert main(["class-overlap", "--out", str(tmp_path)]) == 0
+
+    spectra = class_spectra(EmbeddingMatrix(data, labels=labels), basis)
+    counts = np.bincount(labels)
+    overlap = ["label,n_samples,mscsa"] + [
+        f"{label},{counts[label]},{_cell(value)}" for label, (value, _) in spectra.items()
+    ]
+    assert (tmp_path / "class_overlap.csv").read_text() == "\n".join(overlap) + "\n"
+    distances = class_spectrum_distance({label: w for label, (_, w) in spectra.items()})
+    table = [",".join(["label"] + [str(label) for label in distances.labels])] + [
+        ",".join([str(label)] + [_cell(x) for x in row])
+        for label, row in zip(distances.labels, distances.distances)
+    ]
+    assert (tmp_path / "class_spectrum_distance.csv").read_text() == "\n".join(table) + "\n"
+    assert ",," in table[-1] and "0.0" in table[1]
 
 
 def test_subspace_save_load_round_trip(tmp_path, monkeypatch):
