@@ -1,10 +1,10 @@
 """On-disk formats: array files, label sidecars, manifests, interop.
 
 Embedding dumps are plain NPY v1.0 files (little-endian float32/float64,
-C order) written and parsed by this package's own byte-level codec, so
-they interoperate with any standard tooling. Labels live in 1-D integer
-sidecar files; a JSON manifest ties files, modalities, and labels
-together and is the input to the accumulation pipeline.
+C order) whose headers numpy's own format module reads and writes behind
+this package's checks, so they interoperate with any standard tooling. Labels live in 1-D integer
+sidecar files, handed to a dump when it is opened; a JSON manifest ties
+files to modalities and is the input to the accumulation pipeline.
 
 Run:  python3 demos/05_files_and_manifests.py
 """
@@ -16,12 +16,12 @@ import numpy as np
 
 from spectrune import (
     DatasetManifest,
+    EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
     load_array_file,
     load_label_file,
     load_manifest,
-    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -52,26 +52,29 @@ print(f"bit-exact round trip: {back.data.tobytes() == img_a.data.tobytes()}")
 # Interop: the files are ordinary NPY, numpy reads them directly.
 print(f"numpy agrees with our writer: {np.array_equal(np.load(workdir / 'txt.npy'), txt.data)}")
 
-# A manifest names every shard, its modality, and its optional labels.
+# A manifest names every shard and its modality.
 manifest = DatasetManifest(
     name="demo",
     entries=(
-        ManifestEntry(workdir / "img_a.npy", "image", workdir / "img_a_labels.npy"),
-        ManifestEntry(workdir / "img_b.npy", "image", None),
-        ManifestEntry(workdir / "txt.npy", "text", None),
+        ManifestEntry(workdir / "img_a.npy", "image"),
+        ManifestEntry(workdir / "img_b.npy", "image"),
+        ManifestEntry(workdir / "txt.npy", "text"),
     ),
 )
 save_manifest(manifest, workdir / "manifest.json")
 print(f"\nmanifest written: {workdir / 'manifest.json'}")
 print((workdir / "manifest.json").read_text())
 
-# Loading resolves and validates paths; opening an entry reads only its
-# header and labels, and its rows then stream in blocks.
+# Loading resolves and validates paths. Opening a dump reads only its
+# header and the labels it is handed, here from the sidecar beside it, and
+# its rows then stream in blocks.
 loaded = load_manifest(workdir / "manifest.json")
 for entry in loaded.entries:
     if entry.modality != "image":
         continue
-    with open_entry(entry) as dump:
+    sidecar = entry.path.with_name(entry.path.stem + "_labels.npy")
+    labels = load_label_file(sidecar) if sidecar.is_file() else None
+    with EmbeddingDump(entry.path, labels=labels) as dump:
         tagged = "labeled" if dump.labels is not None else "unlabeled"
         rows = sum(block.n for block in dump.blocks())
         print(f"  image shard: {rows} rows x {dump.d} cols, {tagged}")

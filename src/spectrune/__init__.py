@@ -71,7 +71,6 @@ from spectrune.store import (
     load_array_file,
     load_label_file,
     load_manifest,
-    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,

@@ -86,7 +86,6 @@ from spectrune.store import (
     load_array_file,
     load_label_file,
     load_manifest,
-    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -176,8 +175,8 @@ def cmd_synth(args) -> int:
         DatasetManifest(
             name=f"synthetic-{args.seed}",
             entries=(
-                ManifestEntry(out / "img.npy", "image", None),
-                ManifestEntry(out / "txt.npy", "text", None),
+                ManifestEntry(out / "img.npy", "image"),
+                ManifestEntry(out / "txt.npy", "text"),
             ),
         ),
         out / "manifest.json",
@@ -210,7 +209,7 @@ def _accumulate_entry(entry: ManifestEntry, kernel: bool) -> dict[str, Covarianc
     read, so at most two block-size arrays are live at once."""
     raw, ker = entry.modality, f"kernel-{entry.modality}"
     accs = dict.fromkeys([raw, ker] if kernel else [raw], CovarianceAccumulator.empty())
-    with open_entry(entry) as dump:
+    with EmbeddingDump(entry.path) as dump:
         for block in dump.blocks():
             accs[raw] = accumulate(accs[raw], block)
             if kernel:

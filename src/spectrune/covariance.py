@@ -182,6 +182,7 @@ def finalize(acc: CovarianceAccumulator, modality: str) -> CovarianceMatrix:
         )
     sigma = acc.m2 / (acc.count - 1)
     sigma = (sigma + sigma.T) * 0.5
+    sigma.flags.writeable = False  # a fresh array: hand it over
     return CovarianceMatrix(sigma=sigma, n_samples=acc.count, modality=modality)
 
 
@@ -202,7 +203,8 @@ def normalize_trace(c: CovarianceMatrix) -> CovarianceMatrix:
         raise DegenerateCovarianceError(f"cannot normalize trace {trace!r}")
     sigma = c.sigma / trace
     # one correction pass: guard against d*eps drift past the 1e-12 contract
-    sigma = sigma / float(np.trace(sigma))
+    sigma /= float(np.trace(sigma))
+    sigma.flags.writeable = False  # a fresh array: hand it over
     return CovarianceMatrix(
         sigma=sigma,
         n_samples=c.n_samples,
@@ -230,8 +232,11 @@ def average(img: CovarianceMatrix, txt: CovarianceMatrix) -> CovarianceMatrix:
             f"cannot average {img.modality!r} with {txt.modality!r}: "
             "one is a kernel covariance and the other is not"
         )
+    sigma = img.sigma + txt.sigma
+    sigma *= 0.5
+    sigma.flags.writeable = False  # a fresh array: hand it over
     return CovarianceMatrix(
-        sigma=0.5 * (img.sigma + txt.sigma),
+        sigma=sigma,
         n_samples=img.n_samples + txt.n_samples,
         modality="kernel-average" if kernel else "average",
         trace_normalized=True,

@@ -120,6 +120,7 @@ def decompose(c: CovarianceMatrix) -> Spectrum:
     """Full spectrum of a covariance matrix, with PSD roundoff clamped."""
     w, v = symmetric_eigendecomposition(c.sigma)
     w = clamp_psd_eigenvalues(w, float(np.trace(c.sigma)))
+    w.flags.writeable = v.flags.writeable = False  # fresh arrays: hand them over
     tag = ", trace=1" if c.trace_normalized else ""
     return Spectrum(
         eigenvalues=w,

@@ -1,16 +1,17 @@
 """Embedding matrices, dataset manifests, and their on-disk formats.
 
 An embedding dump is a 2-D NPY file (``<f4`` or ``<f8``, little-endian,
-C order); class labels, when present, live in a 1-D integer NPY sidecar
-named by the manifest rather than inside the matrix. Everything is widened
-to float64 on load because downstream eigenvalues span many orders of
-magnitude and 32-bit accumulation is unsafe.
+C order). Class labels live beside it in a 1-D integer NPY sidecar that
+the command needing them opens, never inside the matrix; a manifest names
+only dumps and their modalities. Everything is widened to float64 on load
+because downstream eigenvalues span many orders of magnitude and 32-bit
+accumulation is unsafe.
 
 Loaded matrices are immutable (read-only buffers). Every embedding row is
-read through an ``EmbeddingDump``: whole (``load_array_file``), one block
-of rows at a time (``blocks``), or one class at a time (``iter_classes``,
-which reads each class's rows only when it is reached). Each read lands in
-a fresh array that the matrix takes over without a copy.
+read through ``EmbeddingDump.take``: whole (``load_array_file``), one
+block of rows at a time (``blocks``), or one class at a time
+(``iter_classes``, which reads each class's rows only when it is reached).
+Each read lands in a fresh array that the matrix takes over without a copy.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ class EmbeddingDump:
     a FormatError, never cast), read only when its rows are asked for.
 
     Opening reads and checks only the header, the size and the labels.
-    ``blocks`` then yields the rows as EmbeddingMatrix blocks of at most
-    ``npy.BLOCK_ROWS`` consecutive rows (fewer on request), each read into
-    a fresh array, widened to float64 and checked as one matrix;
-    ``load_array_file`` is the one-block case. Errors name the path and the
-    row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the dump in
+    ``take`` then reads the rows asked for into a fresh array, widened to
+    float64 and checked as one EmbeddingMatrix; ``blocks`` takes blocks of
+    at most ``npy.BLOCK_ROWS`` consecutive rows (fewer on request), and
+    ``load_array_file`` takes every row at once. Errors name the path and
+    the row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the dump in
     memory, whatever its size. Close the dump, or use it as a context
     manager.
     """
@@ -162,33 +163,28 @@ class EmbeddingDump:
     def d(self) -> int:
         return self._reader.shape[1]
 
-    def _matrix(self, rows: np.ndarray, start: int) -> EmbeddingMatrix:
-        """The dump's rows from ``start`` on, freshly read into ``rows``, as
-        a checked matrix that takes the widened buffer over without a copy."""
-        data = rows.astype(np.float64, copy=False)
-        data.flags.writeable = False  # a fresh array: hand it over
-        labels = None if self.labels is None else self.labels[start : start + len(data)]
-        with in_file(self.path):
-            return EmbeddingMatrix(data, labels, self.source, first_row=start)
-
     def blocks(self, rows: int = BLOCK_ROWS) -> Iterator[EmbeddingMatrix]:
         """Consecutive blocks of at most ``rows`` rows, cut from the fixed
         ``BLOCK_ROWS`` grid: a block never spans two of its cells."""
         for cell in range(0, self.n, BLOCK_ROWS):
             end = min(cell + BLOCK_ROWS, self.n)
             for start in range(cell, end, rows):
-                index = np.arange(start, min(start + rows, end))
-                yield self._matrix(self._reader.rows_at(index), start)
+                yield self.take(np.arange(start, min(start + rows, end)), self.source, start)
 
-    def take(self, rows: np.ndarray, source: str) -> EmbeddingMatrix:
+    def take(self, rows: np.ndarray, source: str, first_row: int = 0) -> EmbeddingMatrix:
         """The rows at ascending indices ``rows``, in that order, read from
-        the file only now and checked as ``blocks`` checks them, as a new
-        matrix named ``source``; errors name the row's index in the dump."""
+        the file only now into a fresh array that a new matrix named
+        ``source`` takes over without a copy: the one path from the dump to
+        its rows. Errors name the row's index in the dump, and so do later
+        checks of the matrix when ``rows`` run on from ``first_row``."""
         data = self._reader.rows_at(rows).astype(np.float64, copy=False)
         data.flags.writeable = False  # a fresh array: hand it over
-        labels = None if self.labels is None else self.labels[rows]
+        labels = None
+        if self.labels is not None:
+            labels = self.labels[rows]
+            labels.flags.writeable = False  # fancy indexing copied them: hand them over
         try:
-            return EmbeddingMatrix(data, labels, source)
+            return EmbeddingMatrix(data, labels, source, first_row)
         except DataError:
             bad = rows[np.isfinite(data).all(axis=1).argmin()]
             raise DataError(f"{self.path}: non-finite entry in row {bad}") from None
@@ -205,11 +201,11 @@ class EmbeddingDump:
 
 def load_array_file(path: Path | str, labels: np.ndarray | None = None) -> EmbeddingMatrix:
     """The whole dump at ``path`` as one EmbeddingMatrix, read once and
-    checked as ``EmbeddingDump.blocks`` checks each block: non-2-D or empty
+    checked as ``EmbeddingDump.take`` checks any rows: non-2-D or empty
     shapes raise ShapeError, non-finite entries DataError naming the first
     offending row, and every error names ``path``."""
     with EmbeddingDump(path, labels) as dump:
-        return dump._matrix(dump._reader.read(), 0)
+        return dump.take(np.arange(dump.n), dump.source)
 
 
 def save_array_file(m: EmbeddingMatrix, path: Path | str) -> None:
@@ -262,7 +258,6 @@ def split_by_label(m: EmbeddingMatrix) -> dict[int, EmbeddingMatrix]:
 class ManifestEntry:
     path: Path
     modality: str
-    labels: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,7 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     """Parse and validate a manifest JSON file.
 
     Schema: ``{"name": str, "entries": [{"path": str, "modality":
-    "image"|"text", "labels": str|null}]}``. Entry paths are resolved
+    "image"|"text"}]}``; any other key is ignored. Entry paths are resolved
     relative to the manifest's directory and must exist.
     """
     path = Path(path)
@@ -300,20 +295,10 @@ def load_manifest(path: Path | str) -> DatasetManifest:
                 f"{path}: entry {i} modality must be one of {MODALITIES}, "
                 f"got {modality!r}"
             )
-        labels_raw = raw.get("labels")
-        if labels_raw is not None and not isinstance(labels_raw, str):
-            raise FormatError(f"{path}: entry {i} 'labels' must be a string or null")
         entry_path = (base / raw["path"]).resolve()
         if not entry_path.is_file():
             raise IoError(f"{path}: entry {i} file does not exist: {entry_path}")
-        labels_path = None
-        if labels_raw is not None:
-            labels_path = (base / labels_raw).resolve()
-            if not labels_path.is_file():
-                raise IoError(
-                    f"{path}: entry {i} labels file does not exist: {labels_path}"
-                )
-        entries.append(ManifestEntry(entry_path, modality, labels_path))
+        entries.append(ManifestEntry(entry_path, modality))
     return DatasetManifest(name=doc["name"], entries=tuple(entries))
 
 
@@ -330,14 +315,7 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
 
     doc = {
         "name": manifest.name,
-        "entries": [
-            {
-                "path": rel(e.path),
-                "modality": e.modality,
-                "labels": rel(e.labels) if e.labels is not None else None,
-            }
-            for e in manifest.entries
-        ],
+        "entries": [{"path": rel(e.path), "modality": e.modality} for e in manifest.entries],
     }
     write_json(path, doc)
 
@@ -359,8 +337,3 @@ def check_widths(manifest: DatasetManifest) -> None:
                     f"{entry.path}: width {dump.d} differs from manifest width {width}"
                 )
 
-
-def open_entry(entry: ManifestEntry) -> EmbeddingDump:
-    """The entry's dump with its labels, ready to stream."""
-    labels = load_label_file(entry.labels) if entry.labels is not None else None
-    return EmbeddingDump(entry.path, labels=labels)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectrune import covariance
+from spectrune import covariance, spectral
 from spectrune.covariance import (
     CovarianceAccumulator,
     CovarianceMatrix,
@@ -30,7 +30,7 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.npy import BLOCK_ROWS, read_npy, write_npy
-from spectrune.store import EmbeddingDump, EmbeddingMatrix
+from spectrune.store import EmbeddingDump, EmbeddingMatrix, iter_classes
 
 
 def two_pass_covariance(x: np.ndarray) -> np.ndarray:
@@ -310,3 +310,21 @@ def test_save_load_round_trip(tmp_path, monkeypatch):
     assert back.n_samples == cov.n_samples
     assert back.modality == cov.modality
     assert back.trace_normalized == cov.trace_normalized
+
+
+def test_fresh_results_are_handed_over_without_a_copy(tmp_path, handed_over):
+    rng = np.random.default_rng(23)
+    img = covariance_of(as_matrix(rng.standard_normal((50, 6))), "image")
+    txt = covariance_of(as_matrix(rng.standard_normal((40, 6))), "text")
+    unit = normalize_trace(img)
+    mean = average(unit, normalize_trace(txt))
+    spectrum = spectral.decompose(mean)
+    write_npy(tmp_path / "img.npy", rng.standard_normal((20, 6)))
+    with EmbeddingDump(tmp_path / "img.npy", labels=np.arange(20) % 3) as dump:
+        block = next(dump.blocks())
+        _, part = next(iter_classes(dump))
+    for arr in (
+        img.sigma, txt.sigma, unit.sigma, mean.sigma, spectrum.eigenvalues,
+        spectrum.eigenvectors, block.data, block.labels, part.data, part.labels,
+    ):
+        assert any(arr is h for h in handed_over)

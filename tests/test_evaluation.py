@@ -25,7 +25,7 @@ from spectrune.evaluation import (
 )
 from spectrune.npy import BLOCK_ROWS, write_npy
 from spectrune.spectral import decompose, log_spectrum, detect_knee
-from spectrune import evaluation, store
+from spectrune import evaluation
 from spectrune.store import EmbeddingDump, EmbeddingMatrix
 from spectrune.subspaces import Subspace, remove_component
 from spectrune.evaluation import trial_rng
@@ -585,16 +585,7 @@ def test_synth_benchmark_shapes_and_determinism():
 
 
 @pytest.mark.parametrize("gap", [None, np.ones(64)])
-def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap, monkeypatch):
-    handed = []  # the arrays that store._frozen took over as they came
-
-    def spy(arr, _frozen=store._frozen):
-        out = _frozen(arr)
-        if out is arr:
-            handed.append(arr)
-        return out
-
-    monkeypatch.setattr(store, "_frozen", spy)
+def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap, handed_over):
     n, d = 20_000, 64
     tracemalloc.start()
     try:
@@ -612,7 +603,7 @@ def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap, monkeypatch):
         bench.task.queries.data, bench.task.queries.labels, bench.pairs_img.data,
         bench.pairs_txt.data,
     ):
-        assert any(arr is h for h in handed)
+        assert any(arr is h for h in handed_over)
 
 
 def test_synth_gap_shifts_the_means():

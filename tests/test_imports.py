@@ -6,8 +6,10 @@ somewhere in the package, so no helper outlives its last caller, no
 module imports a thread or process pool, only ``npy.py`` turns an
 ``OSError`` into an error (``cli.main`` maps what escapes to exit 2),
 only ``npy.py`` and ``store.py`` name ``NpyReader``, so every embedding row
-is read through ``store.EmbeddingDump`` and its checks, and only ``npy.py``
-reaches ``numpy.lib.format``, so the file format is decided in one module."""
+is read through ``store.EmbeddingDump`` and its checks, only
+``EmbeddingDump``'s own methods touch its ``_reader``, so ``take`` stays the
+one wrapper of freshly read rows, and only ``npy.py`` reaches
+``numpy.lib.format``, so the file format is decided in one module."""
 
 from __future__ import annotations
 
@@ -229,6 +231,44 @@ def test_only_npy_and_store_name_npy_reader(module):
     # a module that opened dumps with NpyReader would hand out rows that
     # EmbeddingDump never checked
     assert npy_reader_uses(module.read_text(encoding="utf-8")) == []
+
+
+def reader_uses(source: str) -> list[tuple[str, int]]:
+    """``(owner, line)`` of each ``._reader`` attribute; ``owner`` is the
+    innermost enclosing class, or ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_reader":
+                found.append((owner, child.lineno))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_reader_uses_are_found():
+    source = (
+        "class EmbeddingDump:\n"
+        "    def take(self, rows):\n"
+        "        return self._reader.rows_at(rows)\n"  # line 3
+        "def load_array_file(path):\n"
+        "    with EmbeddingDump(path) as dump:\n"
+        "        return dump._reader.read()\n"  # line 6
+        "class Other:\n"
+        "    def rows(self, dump):\n"
+        "        return dump._reader\n"  # line 9
+    )
+    assert reader_uses(source) == [("EmbeddingDump", 3), ("<module>", 6), ("Other", 9)]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_embedding_dump_touches_its_reader(module):
+    # rows read past EmbeddingDump.take would be a second wrapper, with its
+    # own checks and its own way of naming a bad row
+    uses = reader_uses(module.read_text(encoding="utf-8"))
+    assert [owner for owner, _ in uses if owner != "EmbeddingDump"] == [], uses
 
 
 FORMAT_MODULES = ("numpy.lib.format", "numpy.lib._format_impl")

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from spectrune.cli import main
 from spectrune.errors import (
     DataError,
     FormatError,
@@ -27,7 +28,6 @@ from spectrune.store import (
     load_array_file,
     load_label_file,
     load_manifest,
-    open_entry,
     save_array_file,
     save_label_file,
     save_manifest,
@@ -184,19 +184,17 @@ def test_label_file_rejects_negative(tmp_path):
         assert str(exc.value) == f"{path}: negative label id at row 1"
 
 
-def _write_dataset(tmp_path, with_labels=True):
+def _write_dataset(tmp_path, **image_keys):
+    """A two-entry manifest over fresh dumps; ``image_keys`` go into the
+    image entry beside its path and modality."""
     rng = np.random.default_rng(6)
     write_npy(tmp_path / "img.npy", rng.standard_normal((10, 4)))
     write_npy(tmp_path / "txt.npy", rng.standard_normal((8, 4)))
-    labels = None
-    if with_labels:
-        save_label_file(rng.integers(0, 3, size=10), tmp_path / "img_labels.npy")
-        labels = "img_labels.npy"
     doc = {
         "name": "demo",
         "entries": [
-            {"path": "img.npy", "modality": "image", "labels": labels},
-            {"path": "txt.npy", "modality": "text", "labels": None},
+            {"path": "img.npy", "modality": "image", **image_keys},
+            {"path": "txt.npy", "modality": "text"},
         ],
     }
     manifest_path = tmp_path / "manifest.json"
@@ -205,16 +203,35 @@ def _write_dataset(tmp_path, with_labels=True):
 
 
 def test_manifest_loads_and_iterates(tmp_path):
-    manifest = load_manifest(_write_dataset(tmp_path))
+    # a labels key, as older manifests carry, is ignored like any key the
+    # schema does not name
+    save_label_file(np.arange(10) % 3, tmp_path / "img_labels.npy")
+    manifest = load_manifest(_write_dataset(tmp_path, labels="img_labels.npy"))
+    assert manifest == load_manifest(_write_dataset(tmp_path))
     assert manifest.name == "demo"
     assert len(manifest.entries) == 2
     assert [e.modality for e in manifest.entries] == ["image", "text"]
     for entry, rows in zip(manifest.entries, (10, 8)):
-        with open_entry(entry) as dump:
+        with EmbeddingDump(entry.path) as dump:
             assert (dump.n, dump.d) == (rows, 4)
-            assert (dump.labels is not None) == (entry.modality == "image")
             blocks = list(dump.blocks())
         assert [b.n for b in blocks] == [rows]
+
+
+def test_accumulate_opens_no_label_file(tmp_path):
+    # a labels key naming a missing or a malformed file changes no
+    # covariance byte: accumulate reads rows only
+    sigmas = {}
+    for name, keys in {"plain": {}, "missing": {"labels": "gone.npy"},
+                       "malformed": {"labels": "bad.npy"}}.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "bad.npy").write_bytes(b"not an NPY file")
+        manifest = _write_dataset(run, **keys)
+        assert main(["accumulate", "--manifest", str(manifest), "--out", str(run), "--kernel"]) == 0
+        sigmas[name] = {p.name: p.read_bytes() for p in sorted(run.glob("sigma_*.npy"))}
+    assert len(sigmas["plain"]) == 6
+    assert sigmas["missing"] == sigmas["plain"] == sigmas["malformed"]
 
 
 def test_manifest_missing_file(tmp_path):
@@ -262,7 +279,7 @@ def test_iter_entries_enforces_consistent_width(tmp_path):
 
 
 def test_save_manifest_round_trip(tmp_path):
-    manifest_path = _write_dataset(tmp_path, with_labels=False)
+    manifest_path = _write_dataset(tmp_path)
     manifest = load_manifest(manifest_path)
     out = tmp_path / "copy.json"
     save_manifest(manifest, out)
@@ -274,8 +291,8 @@ def test_save_manifest_round_trip(tmp_path):
 def test_save_manifest_uses_relative_paths(tmp_path):
     write_npy(tmp_path / "img.npy", np.ones((2, 2)))
     save_manifest(
-        DatasetManifest("rel", (ManifestEntry(tmp_path / "img.npy", "image", None),)),
+        DatasetManifest("rel", (ManifestEntry(tmp_path / "img.npy", "image"),)),
         tmp_path / "manifest.json",
     )
     doc = json.loads((tmp_path / "manifest.json").read_text())
-    assert doc["entries"][0]["path"] == "img.npy"
+    assert doc["entries"] == [{"path": "img.npy", "modality": "image"}]

@@ -35,7 +35,7 @@ def _write_manifest(tmp_path, dumps: dict[str, tuple[str, np.ndarray]]):
     entries = []
     for name, (modality, rows) in dumps.items():
         write_npy(tmp_path / name, rows)
-        entries.append(ManifestEntry(tmp_path / name, modality, None))
+        entries.append(ManifestEntry(tmp_path / name, modality))
     save_manifest(DatasetManifest("streamed", tuple(entries)), tmp_path / "manifest.json")
     return tmp_path / "manifest.json"
 
@@ -274,21 +274,27 @@ def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
     rows[bad, 2] = np.inf
     path = tmp_path / "img.npy"
     write_npy(path, rows)
-    with EmbeddingDump(path) as dump, pytest.raises(DataError, match=f"{path}: non-finite entry in row {bad}"):
-        list(dump.blocks())
-    # classes interleave, so the bad row lies in class 4 of 7, read after
-    # classes 0-3 are finished
-    save_label_file(np.arange(rows.shape[0]) % 7, tmp_path / "labels.npy")
+    # a block read, a class read and a whole read go through one wrapper and
+    # say the same; classes interleave, so the bad row lies in class 4 of 7,
+    # read after classes 0-3 are finished
+    labels = np.arange(rows.shape[0]) % 7
+    message = f"{path}: non-finite entry in row {bad}"
+    for read in (lambda dump: list(dump.blocks()), lambda dump: list(iter_classes(dump)),
+                 lambda dump: load_array_file(path)):
+        with EmbeddingDump(path, labels) as dump, pytest.raises(DataError) as exc:
+            read(dump)
+        assert str(exc.value) == message
+    save_label_file(labels, tmp_path / "labels.npy")
     save_subspace(_basis(5, 2, 5), tmp_path / "noise_basis.npy")
     assert main(["class-overlap", "--out", str(tmp_path), "--embeddings", str(path),
                  "--labels", str(tmp_path / "labels.npy")]) == 2
-    assert f"{path}: non-finite entry in row {bad}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     # eval finds the row in its first pass over the queries, before any output
-    _write_eval_inputs(tmp_path, rows.shape[1], np.arange(rows.shape[0]) % 7)
+    _write_eval_inputs(tmp_path, rows.shape[1], labels)
     assert main(["eval", "--out", str(tmp_path), "--queries", str(path),
                  "--sigma", str(tmp_path / "cov.npy"), "--trials", "3"]) == 2
-    assert f"{path}: non-finite entry in row {bad}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     for name in ("eval_report.json", "ablation.csv", "alignment_deltas.csv"):
         assert not (tmp_path / name).exists(), name
 
