@@ -61,7 +61,6 @@ from spectrune.spectral import (
     fixed_threshold,
     log_spectrum,
     noise_threshold,
-    symmetric_eigendecomposition,
 )
 from spectrune.store import (
     DatasetManifest,

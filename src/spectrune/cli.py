@@ -234,28 +234,20 @@ def cmd_accumulate(args) -> int:
         if modality not in accs:
             logger.warning("manifest has no %s entries", modality)
 
-    # every covariance is finished before the first file is written, one tag
-    # at a time, each accumulator released as its covariance is made
+    # every covariance is finished, trace-normalized, before the first file
+    # is written, one tag at a time, each accumulator released as its
+    # covariance is made; each pair of modalities also gets its average
     covs = {}
     for tag in list(accs):
-        covs[tag] = finalize(accs.pop(tag), tag)
-        if args.trace_normalize:
-            covs[tag] = normalize_trace(covs[tag])
-    if args.trace_normalize:
-        for prefix in ("", "kernel-"):
-            if f"{prefix}image" in covs and f"{prefix}text" in covs:
-                covs[f"{prefix}average"] = average(covs[f"{prefix}image"], covs[f"{prefix}text"])
-    elif "image" in covs and "text" in covs:
-        logger.warning(
-            "skipping the cross-modal average: it requires "
-            "trace-normalized inputs (rerun without --no-trace-normalize)"
-        )
+        covs[tag] = normalize_trace(finalize(accs.pop(tag), tag))
+    for prefix in ("", "kernel-"):
+        if f"{prefix}image" in covs and f"{prefix}text" in covs:
+            covs[f"{prefix}average"] = average(covs[f"{prefix}image"], covs[f"{prefix}text"])
     for tag, cov in covs.items():
         save_covariance(cov, out / _sigma_file(tag))
     config = {
         "manifest": str(args.manifest),
         "out": str(args.out),
-        "trace_normalize": args.trace_normalize,
         "kernel": args.kernel,
     }
     written = {tag: {"file": _sigma_file(tag), "n_samples": cov.n_samples} for tag, cov in covs.items()}
@@ -311,10 +303,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_threshold(args) -> int:
     out = _out_dir(args)
-    if args.sigmas:
-        paths = [Path(p) for p in args.sigmas]
-    else:
-        paths = [out / _sigma_file("kernel-average" if args.kernel else "average")]
+    paths = [Path(p) for p in args.sigmas] or [out / _sigma_file("average")]
     spectra: list[Spectrum] = [decompose(load_covariance(p)) for p in paths]
 
     if args.fixed_log10 is not None:
@@ -329,7 +318,6 @@ def cmd_threshold(args) -> int:
         "sigmas": [str(p) for p in paths],
         "threshold_mode": threshold.method,
         "fixed_log10": args.fixed_log10,
-        "kernel": args.kernel,
     }
     write_json(
         out / "threshold.json",
@@ -561,13 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.set_defaults(func=cmd_synth)
 
-    acc = sub.add_parser("accumulate", help="stream covariances from a manifest")
+    acc = sub.add_parser("accumulate", help="stream trace-normalized covariances from a manifest")
     acc.add_argument("--manifest", required=True)
     acc.add_argument("--out", required=True)
     acc.add_argument("--kernel", action="store_true",
                      help="also write cosine-kernel covariances")
-    acc.add_argument("--no-trace-normalize", dest="trace_normalize",
-                     action="store_false", help="keep raw traces")
     acc.set_defaults(func=cmd_accumulate)
 
     spec = sub.add_parser("spectrum", help="decompose covariances into CSV curves")
@@ -579,11 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     thr = sub.add_parser("threshold", help="detect the noise threshold and basis")
     thr.add_argument("--out", required=True)
     thr.add_argument("sigmas", nargs="*", help="covariance NPY files; the first "
-                     "is the target (default: the average in --out)")
+                     "is the target (default: sigma_average.npy in --out)")
     thr.add_argument("--fixed-log10", type=float, default=None,
                      help="pin the cutoff at this log10 eigenvalue instead of the knee")
-    thr.add_argument("--kernel", action="store_true",
-                     help="default to the kernel average covariance")
     thr.set_defaults(func=cmd_threshold)
 
     msc = sub.add_parser("mscsa", help="overlap between two stored subspaces")

@@ -59,47 +59,6 @@ class Spectrum:
         return int(self.eigenvalues.size)
 
 
-def symmetric_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix with a deterministic sign convention.
-
-    Returns ascending eigenvalues and a column-orthonormal eigenvector
-    matrix whose columns each have their largest-magnitude entry positive.
-    No PSD clamping happens here; use :func:`decompose` for covariances.
-
-    Raises:
-        NumericalError: input visibly asymmetric, solver non-convergence,
-            or the returned basis fails the orthonormality contract.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise PreconditionError(f"matrix must be square, got shape {a.shape}")
-    # one d-by-d buffer holds |a|, then the antisymmetric a - a^T (whose
-    # largest entry is its largest magnitude), then the symmetrized input
-    buf = np.abs(a)
-    scale = float(buf.max()) if a.size else 0.0
-    asym = float(np.subtract(a, a.T, out=buf).max())
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise NumericalError(f"matrix asymmetry {asym:.3e} is too large to decompose")
-    np.add(a, a.T, out=buf)
-    buf *= 0.5
-    try:
-        w, v = np.linalg.eigh(buf)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    del buf
-
-    # sign convention: largest-magnitude entry of each column positive
-    anchor = np.argmax(np.abs(v), axis=0)
-    v *= np.where(v[anchor, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-
-    gram = v.T @ v
-    gram.flat[:: gram.shape[0] + 1] -= 1.0  # V^T V - I, with no identity built
-    gram_err = float(np.abs(gram, out=gram).max())
-    if gram_err > _ORTHO_TOL:
-        raise NumericalError(f"eigenvector basis not orthonormal: {gram_err:.3e}")
-    return w, v
-
-
 def clamp_psd_eigenvalues(w: np.ndarray, trace: float) -> np.ndarray:
     """Zero out roundoff-negative eigenvalues; reject real negativity.
 
@@ -117,8 +76,34 @@ def clamp_psd_eigenvalues(w: np.ndarray, trace: float) -> np.ndarray:
 
 
 def decompose(c: CovarianceMatrix) -> Spectrum:
-    """Full spectrum of a covariance matrix, with PSD roundoff clamped."""
-    w, v = symmetric_eigendecomposition(c.sigma)
+    """Full spectrum of a covariance matrix with a deterministic sign
+    convention: ascending eigenvalues, PSD roundoff clamped, and each
+    eigenvector column with its largest-magnitude entry positive.
+    ``CovarianceMatrix`` has already checked that sigma is square and
+    symmetric within 1e-12 relative; the solver reads (sigma + sigma^T)/2.
+
+    Raises:
+        NumericalError: solver non-convergence, a basis that fails the
+            orthonormality contract, or an eigenvalue too negative to be
+            roundoff.
+    """
+    sym = np.add(c.sigma, c.sigma.T)
+    sym *= 0.5
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    del sym
+
+    # sign convention: largest-magnitude entry of each column positive
+    anchor = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[anchor, np.arange(v.shape[1])] < 0, -1.0, 1.0)
+
+    gram = v.T @ v
+    gram.flat[:: gram.shape[0] + 1] -= 1.0  # V^T V - I, with no identity built
+    gram_err = float(np.abs(gram, out=gram).max())
+    if gram_err > _ORTHO_TOL:
+        raise NumericalError(f"eigenvector basis not orthonormal: {gram_err:.3e}")
     w = clamp_psd_eigenvalues(w, float(np.trace(c.sigma)))
     w.flags.writeable = v.flags.writeable = False  # fresh arrays: hand them over
     tag = ", trace=1" if c.trace_normalized else ""

@@ -118,8 +118,10 @@ class EmbeddingMatrix:
         """The rows at ascending indices ``rows``, in that order, as a new
         matrix named ``source``: the in-memory case of ``EmbeddingDump.take``."""
         data = self.data[rows]
-        data.flags.writeable = False  # a fresh copy: hand it over
+        data.flags.writeable = False  # fancy indexing copied them: hand them over
         labels = None if self.labels is None else self.labels[rows]
+        if labels is not None:
+            labels.flags.writeable = False
         return EmbeddingMatrix(data, labels, source)
 
 

@@ -523,7 +523,8 @@ def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path,
 
 def test_eval_records_where_its_basis_and_its_trials_come_from(pipeline_dir, tmp_path, caplog):
     shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
-    for kernel, target in (([], "average("), (["--kernel"], "kernel-average(")):
+    kernel_average = [str(tmp_path / "sigma_kernel_average.npy")]
+    for kernel, target in (([], "average("), (kernel_average, "kernel-average(")):
         caplog.clear()
         assert main(["threshold", "--out", str(tmp_path), *kernel]) == 0
         assert main(["eval", "--out", str(tmp_path), "--trials", "3"]) == 0
@@ -660,16 +661,21 @@ def test_blas_idle_policy_is_in_force_when_numpy_first_loads():
 
 
 def test_threads_option_is_a_usage_error(tmp_path, capsys):
-    # work runs on the calling thread only; BLAS does its own threading
-    for argv in (
-        ["accumulate", "--manifest", str(tmp_path / "manifest.json")],
-        ["eval"],
-        ["class-overlap"],
+    # work runs on the calling thread only; BLAS does its own threading.
+    # Two more retired flags: accumulate always trace-normalizes, and
+    # threshold takes a kernel target as its positional sigma
+    accumulate = ["accumulate", "--manifest", str(tmp_path / "manifest.json")]
+    for argv, retired in (
+        (accumulate, ["--threads", "2"]),
+        (["eval"], ["--threads", "2"]),
+        (["class-overlap"], ["--threads", "2"]),
+        (accumulate, ["--no-trace-normalize"]),
+        (["threshold"], ["--kernel"]),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path), "--threads", "2"])
+            main(argv + ["--out", str(tmp_path), *retired])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
 
 
 def test_exit_code_1_for_bad_synth_noise_variance(tmp_path):
@@ -715,25 +721,28 @@ def test_inputs_that_fail_their_checks_are_named(tmp_path, capsys):
     assert f"{sigma}: covariance asymmetry" in capsys.readouterr().err
 
 
-def test_no_trace_normalize_skips_average(tmp_path, caplog):
+def test_accumulate_trace_normalizes_and_averages_the_modalities_it_has(tmp_path, caplog):
     argv = ["synth", "--out", str(tmp_path), "--n", "100", "--d", "8", "--p", "2",
             "--classes", "3", "--queries-per-class", "2", "--top-k", "2", "--seed", "4"]
     assert main(argv) == 0
-    assert main(["accumulate", "--manifest", str(tmp_path / "manifest.json"),
-                 "--out", str(tmp_path), "--no-trace-normalize"]) == 0
-    assert (tmp_path / "sigma_image.npy").is_file()
-    assert not (tmp_path / "sigma_average.npy").is_file()
-    meta = json.loads((tmp_path / "sigma_image.json").read_text())
-    assert meta["trace_normalized"] is False
-    # an image-only manifest warns that text is missing and writes no average
-    (tmp_path / "sigma_image.npy").unlink()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["entries"] = [e for e in manifest["entries"] if e["modality"] == "image"]
     (tmp_path / "image_only.json").write_text(json.dumps(manifest))
-    assert main(["accumulate", "--manifest", str(tmp_path / "image_only.json"),
-                 "--out", str(tmp_path / "image_only")]) == 0
+    # both modalities give both averages; an image-only manifest warns that
+    # text is missing and writes no average
+    for name, tags in (
+        ("manifest", ["average", "image", "kernel_average", "kernel_image", "kernel_text", "text"]),
+        ("image_only", ["image", "kernel_image"]),
+    ):
+        out = tmp_path / name
+        assert main(["accumulate", "--manifest", str(tmp_path / f"{name}.json"),
+                     "--out", str(out), "--kernel"]) == 0
+        assert sorted(p.name for p in out.glob("sigma_*.npy")) == [f"sigma_{t}.npy" for t in tags]
+        for meta in out.glob("sigma_*.json"):
+            assert json.loads(meta.read_text())["trace_normalized"] is True
+        config = json.loads((out / "accumulate.json").read_text())["config"]
+        assert sorted(config) == ["kernel", "manifest", "out"]
     assert "manifest has no text entries" in caplog.text
-    assert sorted(p.name for p in (tmp_path / "image_only").glob("sigma_*.npy")) == ["sigma_image.npy"]
 
 
 def test_fixed_threshold_mode(tmp_path):
@@ -752,15 +761,17 @@ def test_fixed_threshold_mode(tmp_path):
     assert doc["noise_count"] == 4
 
 
-def test_threshold_kernel_flag_targets_kernel_average(tmp_path):
+def test_threshold_targets_the_first_sigma_it_is_given(tmp_path):
     argv = ["synth", "--out", str(tmp_path), "--n", "2000", "--d", "32", "--p", "6",
             "--classes", "5", "--queries-per-class", "2", "--top-k", "2", "--seed", "7"]
     assert main(argv) == 0
     assert main(["accumulate", "--manifest", str(tmp_path / "manifest.json"),
                  "--out", str(tmp_path), "--kernel"]) == 0
-    assert main(["threshold", "--out", str(tmp_path), "--kernel"]) == 0
+    kernel_average = str(tmp_path / "sigma_kernel_average.npy")
+    assert main(["threshold", "--out", str(tmp_path), kernel_average]) == 0
     doc = json.loads((tmp_path / "threshold.json").read_text())
-    assert doc["config"]["sigmas"] == [str(tmp_path / "sigma_kernel_average.npy")]
+    assert doc["config"]["sigmas"] == [kernel_average]
+    assert json.loads((tmp_path / "noise_basis.json").read_text())["origin"].startswith("kernel-average(")
     assert abs(doc["noise_count"] - 6) <= 2
     # with a list of covariances the first is the target: the basis is its
     # lowest eigenvectors, whichever order the others come in

@@ -323,8 +323,12 @@ def test_fresh_results_are_handed_over_without_a_copy(tmp_path, handed_over):
     with EmbeddingDump(tmp_path / "img.npy", labels=np.arange(20) % 3) as dump:
         block = next(dump.blocks())
         _, part = next(iter_classes(dump))
+    # the in-memory case takes over every class's rows and labels as well
+    classes = [m for _, m in iter_classes(as_matrix(rng.standard_normal((6, 6)), np.arange(6) % 2))]
+    assert len(classes) == 2
     for arr in (
         img.sigma, txt.sigma, unit.sigma, mean.sigma, spectrum.eigenvalues,
         spectrum.eigenvectors, block.data, block.labels, part.data, part.labels,
+        *(a for m in classes for a in (m.data, m.labels)),
     ):
         assert any(arr is h for h in handed_over)

@@ -19,7 +19,6 @@ from spectrune.spectral import (
     fixed_threshold,
     log_spectrum,
     noise_threshold,
-    symmetric_eigendecomposition,
 )
 from spectrune.store import EmbeddingMatrix
 
@@ -64,11 +63,14 @@ def test_rank_one_matrix():
 
 
 def test_reconstruction_and_trace_on_random_symmetric():
+    # random PSD covariances, rank-deficient below 65 rows, so that some
+    # roundoff-negative eigenvalues are clamped
     rng = np.random.default_rng(31)
     for _ in range(20):
-        a = rng.standard_normal((64, 64))
-        a = (a + a.T) * 0.5
-        w, v = symmetric_eigendecomposition(a)
+        c = covariance_of(EmbeddingMatrix(rng.standard_normal((int(rng.integers(16, 128)), 64))), "image")
+        a = c.sigma
+        s = decompose(c)
+        w, v = s.eigenvalues, s.eigenvectors
         recon = (v * w) @ v.T
         assert np.linalg.norm(recon - a) / np.linalg.norm(a) <= 1e-10
         assert abs(w.sum() - np.trace(a)) <= 1e-10
@@ -119,7 +121,12 @@ def test_decompose_rejects_visible_asymmetry():
     a = np.eye(3)
     a[0, 1] = 1e-3
     with pytest.raises(NumericalError, match="asymmetry"):
-        symmetric_eigendecomposition(a)
+        decompose(cov(a))
+    # within CovarianceMatrix's 1e-12: decomposed as its symmetric part
+    a[0, 1] = 1e-13
+    s = decompose(cov(a))
+    assert np.allclose((s.eigenvectors * s.eigenvalues) @ s.eigenvectors.T, (a + a.T) * 0.5,
+                       rtol=0.0, atol=1e-15)
 
 
 def test_spectrum_type_validation():
