@@ -291,6 +291,7 @@ def cmd_spectrum(args) -> int:
         except NoKneeError as exc:
             knee["error"] = str(exc)
         knees[path.stem] = knee
+        del cov, spectrum, curve, eigs_desc  # before the next file is read, not after
     cross_modal = {  # the mSCSA of each image/text pair's own noise spans
         f"{a}|{b}": {"mscsa": mscsa(span_a, span_b).mscsa, "noise_counts": [span_a.p, span_b.p]}
         for img, txt in (("image", "text"), ("kernel-image", "kernel-text"))
@@ -382,6 +383,16 @@ def _labels_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + "_labels.npy")
 
 
+def _ablation_spectrum(sigma_path: Path, basis: Subspace) -> Spectrum:
+    """The spectrum that ``eval``'s random removals draw from, with a warning
+    when the noise basis came from another covariance."""
+    spectrum = decompose(load_covariance(sigma_path))
+    if not basis.origin.startswith(spectrum.source):
+        logger.warning("the random removals come from %s (%s), but the noise basis "
+                       "from %r", sigma_path, spectrum.source, basis.origin)
+    return spectrum
+
+
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     protos_path = _default(args.prototypes, out, "prototypes.npy")
@@ -393,14 +404,12 @@ def cmd_eval(args) -> int:
         task = ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
         basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
         sigma_path = _default(args.sigma, out, _sigma_file("average"))
-        spectrum = decompose(load_covariance(sigma_path))
-        if not basis.origin.startswith(spectrum.source):
-            logger.warning("the random removals come from %s (%s), but the noise basis "
-                           "from %r", sigma_path, spectrum.source, basis.origin)
-        # first, so that a bad --trials is refused before any query is scored
+        # first, so that a bad --trials is refused before any query is scored;
+        # the spectrum is no local here, so its eigenvectors go once the
+        # drawn columns are taken from them
         ablation = random_ablation(
-            task, spectrum, p=basis.p, trials=args.trials, seed=args.seed,
-            project_prototypes=not args.query_only,
+            task, _ablation_spectrum(sigma_path, basis), p=basis.p, trials=args.trials,
+            seed=args.seed, project_prototypes=not args.query_only,
         )
         baseline = zero_shot_topk(task)[0]
         noise_free, undefined = zero_shot_topk(task, basis, project_prototypes=not args.query_only)

@@ -14,12 +14,18 @@ The running m2 stays exactly symmetric: numpy forms ``c.T @ c`` with
 ``syrk`` and mirrors the triangle, and a sum of exactly symmetric terms is
 exactly symmetric. Finalized matrices use the unbiased 1/(n-1) divisor and
 are symmetrized once more, so an accumulator built by hand (or by a BLAS
-without that path) still meets the symmetric-eigensolver preconditions
-downstream.
+without that path) still finalizes to an exactly symmetric matrix.
+
+Symmetry is enforced in one place, ``CovarianceMatrix``: it rejects an
+asymmetry above 1e-12 relative, stores a smaller one as the symmetric part
+(sigma + sigma^T)/2, and keeps an exactly symmetric input as it is. So
+every stored sigma is exactly symmetric, and the eigensolver reads it as
+stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -76,7 +82,8 @@ class CovarianceMatrix:
     """A finalized d-by-d covariance with provenance.
 
     Attributes:
-        sigma: symmetric float64 matrix (asymmetry <= 1e-12 relative).
+        sigma: exactly symmetric, finite float64 matrix; an input within
+            1e-12 relative asymmetry is stored as (sigma + sigma^T)/2.
         n_samples: rows that produced it.
         modality: one of image, text, average, kernel-image, kernel-text,
             kernel-average.
@@ -92,16 +99,24 @@ class CovarianceMatrix:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
             raise DimError(f"covariance must be square with d >= 1, got shape {sigma.shape}")
-        # one d-by-d temporary: sigma - sigma^T is antisymmetric, so its
-        # largest entry is its largest magnitude, and then |sigma|
-        buf = np.subtract(sigma, sigma.T)
-        asym = float(buf.max())
-        scale = float(np.abs(sigma, out=buf).max())
-        del buf
+        # one d-by-d temporary: |sigma|, whose maximum is non-finite exactly
+        # when an entry is, and then sigma - sigma^T, which is antisymmetric,
+        # so its largest entry is its largest magnitude
+        buf = np.abs(sigma)
+        scale = float(buf.max())
+        if not math.isfinite(scale):
+            raise DataError("non-finite entry in covariance")
+        asym = float(np.subtract(sigma, sigma.T, out=buf).max())
         if asym > _SYM_TOL * max(scale, 1e-300):
             raise NumericalError(
                 f"covariance asymmetry {asym:.3e} exceeds {_SYM_TOL} relative"
             )
+        if asym > 0.0:  # stored as its symmetric part, built in the same buffer
+            np.add(sigma, sigma.T, out=buf)
+            buf *= 0.5
+            buf.flags.writeable = False
+            sigma = buf
+        del buf
         if self.modality not in COV_MODALITIES:
             raise PreconditionError(
                 f"modality must be one of {COV_MODALITIES}, got {self.modality!r}"

@@ -89,15 +89,16 @@ def _inverse_norms(sq_norms: np.ndarray) -> np.ndarray:
     return np.where(norms < NORM_EPS, 0.0, 1.0 / np.maximum(norms, NORM_EPS))
 
 
-def _project(x, x_sq, basis, zx=None) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates ``zx = x B`` in the orthonormal basis B of a removed span
-    and the projected squared norms ``|x|^2 - |zx|^2``, which rows keeping
-    under ``CANCEL_SHARE`` of ``|x|^2`` take from the residual instead."""
-    zx = x @ basis if zx is None else zx
+def _project(x, x_sq, frame, cols, zx) -> np.ndarray:
+    """The projected squared norms ``|x|^2 - |zx|^2`` of rows x, given their
+    coordinates ``zx = x B`` in the orthonormal basis ``B = frame[:, cols]``
+    of a removed span. Rows keeping under ``CANCEL_SHARE`` of ``|x|^2`` take
+    theirs from the residual instead, and only they gather B."""
     sq = x_sq - _sq_norms(zx)
     close = sq < CANCEL_SHARE * x_sq
-    sq[close] = _sq_norms(x[close] - zx[close] @ basis.T)
-    return zx, sq
+    if close.any():
+        sq[close] = _sq_norms(x[close] - zx[close] @ frame[:, cols].T)
+    return sq
 
 
 def _hits(scores: np.ndarray, true_col: np.ndarray, k: int) -> int:
@@ -129,9 +130,10 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     A pass reads the queries one tile of rows at a time, never more than a
     block: a tile fills ``G = Q P^T`` and ``Q frame`` once, and each removal
     gathers its columns from them and from ``P frame``: O(nq nc p) per
-    removal. The tile's G, ``Q frame`` and score buffers, about
-    ``SCORE_TILE_BYTES`` each whatever the class count, are sized by the
-    first (largest) tile and reused."""
+    removal; the frame's own columns only for rows whose projected norm may
+    be cancellation roundoff. The tile's G, ``Q frame`` and score buffers,
+    about ``SCORE_TILE_BYTES`` each whatever the class count, are sized by
+    the first (largest) tile and reused."""
     p, labels = task.class_prototypes.data, task.class_prototypes.labels
     if (labels[1:] < labels[:-1]).any():  # columns in class-id order, for the tie-break
         order = np.argsort(labels)
@@ -145,7 +147,7 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     buffers = None
     for first in range(0, len(removals), chunk):
         part = removals[first:first + chunk]
-        p_inv = np.array([_inverse_norms(_project(p, p_sq, frame[:, cols], pf[:, cols])[1]
+        p_inv = np.array([_inverse_norms(_project(p, p_sq, frame, cols, pf[:, cols])
                                          if project_prototypes else p_sq) for cols in part])
         if project_prototypes:
             zeroed[first:first + len(part)] = np.count_nonzero(p_inv == 0.0, axis=1)
@@ -161,7 +163,8 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
                 scores = buffers[2][:rows]  # one buffer for every removal
                 q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels[start:start + tile])
                 for i, cols in enumerate(part):
-                    zq, q_proj_sq = _project(q, q_sq, frame[:, cols], qf[:, cols])
+                    zq = qf[:, cols]
+                    q_proj_sq = _project(q, q_sq, frame, cols, zq)
                     np.matmul(zq, pf[:, cols].T, out=scores)
                     np.subtract(g, scores, out=scores)
                     scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
@@ -272,7 +275,9 @@ def random_ablation(
     accuracy per trial, in trial order. Every trial is scored in one pass
     over the query blocks, as a rank-p update of each block's ``Q P^T``
     from its ``Q V_used``, where ``V_used`` is the sorted union of the
-    drawn columns (at most ``trials * p`` of V's d): O(nq nc p) per trial."""
+    drawn columns (at most ``trials * p`` of V's d): O(nq nc p) per trial.
+    Only ``V_used`` is held while scoring, so V goes with the spectrum when
+    the caller keeps no reference to it."""
     if spectrum.d != task.d:
         raise DimError(f"spectrum width {spectrum.d} != task width {task.d}")
     if trials < 1:
@@ -281,8 +286,9 @@ def random_ablation(
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
     draws = [np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False)) for t in range(trials)]
     used = np.flatnonzero(np.bincount(np.concatenate(draws), minlength=task.d))
-    return _scores(task, spectrum.eigenvectors[:, used],
-                   [np.searchsorted(used, cols) for cols in draws], project_prototypes)[0]
+    frame = spectrum.eigenvectors[:, used]
+    del spectrum  # the drawn columns are all that is scored: V may go
+    return _scores(task, frame, [np.searchsorted(used, cols) for cols in draws], project_prototypes)[0]
 
 
 @dataclass(frozen=True)
@@ -406,13 +412,19 @@ def synth_benchmark(
     protos = (protos / np.linalg.norm(protos, axis=1)[:, None]) @ signal_basis.T
     n_queries = n_classes * queries_per_class
     query_labels = np.repeat(np.arange(n_classes), queries_per_class)
-    jitter = rng.standard_normal((n_queries, d - p)) * (
-        query_jitter / np.sqrt(d - p)
-    )
-    noise_part = rng.standard_normal((n_queries, p)) * (QUERY_NOISE / np.sqrt(p))
-    queries = (
-        protos[query_labels] + jitter @ signal_basis.T + noise_part @ noise_basis.T
-    )
+    jitter = rng.standard_normal((n_queries, d - p))
+    jitter *= query_jitter / np.sqrt(d - p)
+    noise_part = rng.standard_normal((n_queries, p))
+    noise_part *= QUERY_NOISE / np.sqrt(p)
+    # prototype + jitter + noise, summed in that order in one query-sized
+    # array: each class's queries are consecutive, so the prototypes
+    # broadcast over them. Each product keeps its whole-array shape, since
+    # row blocks of a product may differ from it in the last bit
+    queries = jitter @ signal_basis.T
+    del jitter
+    by_class = queries.reshape(n_classes, queries_per_class, d)  # a view
+    by_class += protos[:, None, :]
+    queries += noise_part @ noise_basis.T
     protos.flags.writeable = queries.flags.writeable = query_labels.flags.writeable = False
     task = ZeroShotTask(
         class_prototypes=EmbeddingMatrix(

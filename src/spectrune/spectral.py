@@ -79,24 +79,23 @@ def decompose(c: CovarianceMatrix) -> Spectrum:
     """Full spectrum of a covariance matrix with a deterministic sign
     convention: ascending eigenvalues, PSD roundoff clamped, and each
     eigenvector column with its largest-magnitude entry positive.
-    ``CovarianceMatrix`` has already checked that sigma is square and
-    symmetric within 1e-12 relative; the solver reads (sigma + sigma^T)/2.
+    ``CovarianceMatrix`` stores sigma square, finite and exactly symmetric
+    (an input within 1e-12 relative asymmetry as its symmetric part), so
+    the solver reads sigma as stored, with no symmetrized copy.
 
     Raises:
         NumericalError: solver non-convergence, a basis that fails the
             orthonormality contract, or an eigenvalue too negative to be
             roundoff.
     """
-    sym = np.add(c.sigma, c.sigma.T)
-    sym *= 0.5
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh(c.sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    del sym
 
     # sign convention: largest-magnitude entry of each column positive
-    anchor = np.argmax(np.abs(v), axis=0)
+    # (|V^T| in C order: an argmax down V's columns would copy |V| once more)
+    anchor = np.argmax(np.abs(v.T, order="C"), axis=1)
     v *= np.where(v[anchor, np.arange(v.shape[1])] < 0, -1.0, 1.0)
 
     gram = v.T @ v

@@ -442,8 +442,9 @@ def test_class_overlap_holds_one_class_at_a_time(tmp_path, classes, per_class, d
 
 
 def test_class_overlap_formats_the_distance_csv_one_row_at_a_time(tmp_path):
-    # C^2 Python floats hold 4x the bytes of the C x C float64 distances,
-    # which peak near 2 * C^2 * 8 while they are symmetrized
+    # C^2 Python floats hold 4x the bytes of the C x C float64 distances;
+    # those are mirrored as each row is filled, so only the one C x C array
+    # is held (the peak reads about 1.3 * C^2 * 8)
     classes = 500
     rng = np.random.default_rng(13)
     write_npy(tmp_path / "queries.npy", rng.standard_normal((2 * classes, 2)))
@@ -719,6 +720,28 @@ def test_inputs_that_fail_their_checks_are_named(tmp_path, capsys):
     )
     assert main(["spectrum", "--out", str(tmp_path)]) == 1
     assert f"{sigma}: covariance asymmetry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "threshold"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_a_non_finite_covariance_is_a_data_error_that_names_its_file(tmp_path, capsys, command, bad):
+    # a symmetric NaN pair defeats the asymmetry check, and an inf on the
+    # diagonal its tolerance; either used to reach knee detection and crash
+    sigma = np.eye(8) / 8
+    if bad == "nan":
+        sigma[2, 5] = sigma[5, 2] = np.nan
+    else:
+        sigma[3, 3] = np.inf
+    path = tmp_path / "sigma_average.npy"
+    write_npy(path, sigma)
+    (tmp_path / "sigma_average.json").write_text(
+        json.dumps({"n_samples": 10, "modality": "average", "trace_normalized": False})
+    )
+    assert main([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: non-finite entry in covariance" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sigma_average.json", "sigma_average.npy"]
 
 
 def test_accumulate_trace_normalizes_and_averages_the_modalities_it_has(tmp_path, caplog):

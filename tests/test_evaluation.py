@@ -606,6 +606,27 @@ def test_synth_benchmark_hands_its_corpus_over_without_a_copy(gap, handed_over):
         assert any(arr is h for h in handed_over)
 
 
+@pytest.mark.parametrize("d, p, n_classes, per_class", [(128, 20, 41, 100), (128, 20, 7, 1), (16, 4, 6, 5)])
+def test_synth_queries_equal_the_whole_array_formula(d, p, n_classes, per_class):
+    # the queries are summed in place; the whole-array formula, evaluated
+    # here from the same seeded draws, gives the same bits
+    n, seed = 30, 5
+    bench = synth_benchmark(n=n, d=d, p=p, n_classes=n_classes, queries_per_class=per_class, seed=seed)
+    rng = np.random.Generator(np.random.Philox([seed]))
+    rotation = evaluation._orthonormal(rng.standard_normal((d, d)))
+    signal, noise = rotation[:, : d - p], rotation[:, d - p :]
+    rng.standard_normal((n, d)), rng.standard_normal((n, d))  # the corpus
+    protos = rng.standard_normal((n_classes, d - p))
+    protos = (protos / np.linalg.norm(protos, axis=1)[:, None]) @ signal.T
+    labels = np.repeat(np.arange(n_classes), per_class)
+    jitter = rng.standard_normal((labels.size, d - p)) * (3.5 / np.sqrt(d - p))
+    noise_part = rng.standard_normal((labels.size, p)) * (evaluation.QUERY_NOISE / np.sqrt(p))
+    expected = protos[labels] + jitter @ signal.T + noise_part @ noise.T
+    assert np.array_equal(bench.task.class_prototypes.data, protos)
+    assert np.array_equal(bench.task.queries.labels, labels)
+    assert np.array_equal(bench.task.queries.data, expected)
+
+
 def test_synth_gap_shifts_the_means():
     rng = np.random.default_rng(66)
     d, n, var = 32, 20_000, 1.0

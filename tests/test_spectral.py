@@ -129,6 +129,30 @@ def test_decompose_rejects_visible_asymmetry():
                        rtol=0.0, atol=1e-15)
 
 
+def test_symmetry_is_enforced_once_where_the_covariance_is_stored(handed_over):
+    x = np.random.default_rng(31).standard_normal((40, 24))
+    exact = x.T @ x / 40  # syrk: exactly symmetric
+    exact.flags.writeable = False
+    near = exact.copy()
+    near[3, 7] += 1e-13 * np.abs(exact).max()
+    # within the 1e-12 tolerance: stored as its exactly symmetric part, built
+    # in the check's own buffer and handed over without a further copy
+    c = cov(near)
+    assert np.array_equal(c.sigma, c.sigma.T)
+    assert np.array_equal(c.sigma, (near + near.T) * 0.5)
+    assert any(c.sigma is h for h in handed_over)
+    # the eigensolver reads the stored matrix: the same eigenpairs, bit for
+    # bit, as eigh of the symmetrized input under the sign convention
+    w, v = np.linalg.eigh((near + near.T) * 0.5)
+    v *= np.where(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0, -1.0, 1.0)
+    s = decompose(c)
+    assert np.array_equal(s.eigenvalues, np.where(w < 0.0, 0.0, w))
+    assert np.array_equal(s.eigenvectors, v)
+    # an exactly symmetric input is kept as it is
+    assert cov(exact).sigma is exact
+    assert any(exact is h for h in handed_over)
+
+
 def test_spectrum_type_validation():
     with pytest.raises(PreconditionError):
         Spectrum(np.array([2.0, 1.0]), np.eye(2))  # not ascending

@@ -144,7 +144,7 @@ def test_accumulate_holds_two_block_sized_arrays(tmp_path, d, n):
     assert peak <= bound, peak / bound
 
 
-@pytest.mark.parametrize("command", ["accumulate", "project", "eval", "spectrum"])
+@pytest.mark.parametrize("command", ["accumulate", "project", "eval", "spectrum", "threshold"])
 def test_each_stage_holds_each_of_its_arrays_once(tmp_path, command):
     d, n_classes = 256, 1024
     tile = SCORE_TILE_BYTES // (8 * n_classes)  # eval's rows per score tile
@@ -155,7 +155,7 @@ def test_each_stage_holds_each_of_its_arrays_once(tmp_path, command):
     save_subspace(_basis(d, 16, 2), tmp_path / "noise_basis.npy")
     _write_eval_inputs(tmp_path, d, np.arange(rows.shape[0]) % n_classes)
     accumulate = ["accumulate", "--manifest", str(manifest), "--out", str(tmp_path), "--kernel"]
-    if command == "spectrum":
+    if command in ("spectrum", "threshold"):
         assert main(accumulate) == 0
     argv = {
         "accumulate": accumulate,
@@ -163,8 +163,10 @@ def test_each_stage_holds_each_of_its_arrays_once(tmp_path, command):
         "eval": ["eval", "--out", str(tmp_path), "--queries", str(tmp_path / "img.npy"),
                  "--sigma", str(tmp_path / "cov.npy"), "--trials", "3"],
         "spectrum": ["spectrum", "--out", str(tmp_path)],
+        "threshold": ["threshold", "--out", str(tmp_path)],
     }[command]
-    block, tile_rows, dd = BLOCK_ROWS * d * 8, tile * d * 8, d * d * 8
+    block, dd = BLOCK_ROWS * d * 8, d * d * 8
+    m = 3 * 16  # eval's drawn columns: 3 trials of the 16-column basis, at most
     bound = {
         # a block's raw or unit rows and their centered copy; the running m2
         # of both tags, the block's m2 that the fold builds in, the outer
@@ -173,13 +175,23 @@ def test_each_stage_holds_each_of_its_arrays_once(tmp_path, command):
         # a block and its projection, plus a quarter block for the finiteness
         # masks and the coordinates x B; a third block is over
         "project": 2.5 * block,
-        # the prototypes and P frame; a tile's G, its scores and the tie
-        # check's copy of them; the tile's rows and Q frame; the eigenvectors
-        # and the frame drawn from them. A whole block of queries is over
-        "eval": 2 * n_classes * d * 8 + 3 * SCORE_TILE_BYTES + 2 * tile_rows + 2 * dd,
-        # the covariance in hand, the one before it and its spectrum, and the
-        # solver's input, eigenvectors and workspace, with one d x d to spare
-        "spectrum": 8 * dd,
+        # the prototypes and P frame; a tile's G and scores, and the tie
+        # check's copy of the scores and its mask (an eighth of them); the
+        # tile's rows, Q frame and one removal's Q B; the d x m frame of
+        # drawn columns; with 0.75 d x d to spare. The eigenvectors kept
+        # beside the frame while the queries are scored are over, and so is
+        # a whole block of queries
+        "eval": n_classes * (d + m) * 8 + 3.125 * SCORE_TILE_BYTES + tile * (d + m + 16) * 8
+        + d * m * 8 + 0.75 * dd,
+        # the covariance in hand, its eigenvectors and the sign convention's
+        # |V^T|, and the noise spans (about a fifth of d x d each) of the
+        # files before it. The covariance before it and its spectrum, kept
+        # through the next decomposition, are over
+        "spectrum": 5 * dd,
+        # the covariance, its eigenvectors and |V^T|, with a quarter d x d for
+        # the noise span. A symmetrized copy of the covariance beside them,
+        # or a copy of |V| for the argmax down its columns, is over
+        "threshold": 3.5 * dd,
     }[command]
     peak = _peak_alloc(argv)
     assert peak <= bound, peak / bound
