@@ -41,11 +41,11 @@ avg = average(
     normalize_trace(covariance_of(bench.txt, "text")),
 )
 spectrum = decompose(avg)
-threshold = noise_threshold([spectrum])
-print(f"knee threshold: 10^{threshold.log10_value:.2f}")
-print(f"flagged noise dimensions: {threshold.noise_count} (planted: 20)")
+cutoff, _ = noise_threshold([spectrum])
+recovered = noise_subspace(spectrum, cutoff)
+print(f"knee cutoff: 10^{cutoff:.2f}")
+print(f"flagged noise dimensions: {recovered.p} (planted: 20)")
 
-recovered = noise_subspace(spectrum, threshold)
 overlap = mscsa(recovered, bench.planted).mscsa
 print(f"overlap between recovered and planted span: {overlap:.6f}")
 
@@ -59,7 +59,7 @@ print(f"vectors the removal leaves at norm ~0 (scored as zero): {zeroed}")
 # Downstream effect 2: removing the same number of RANDOM directions from
 # the eigenbasis is not harmless. 500 seeded trials.
 samples = random_ablation(
-    bench.task, spectrum, p=threshold.noise_count, trials=500, seed=0
+    bench.task, spectrum, p=recovered.p, trials=500, seed=0
 )
 print(
     f"top-5 accuracy, random removal over 500 trials: "

@@ -53,12 +53,9 @@ from spectrune.evaluation import (
     zero_shot_topk,
 )
 from spectrune.spectral import (
-    NoiseThreshold,
     Spectrum,
-    count_noise,
     decompose,
     detect_knee,
-    fixed_threshold,
     log_spectrum,
     noise_threshold,
 )

@@ -55,8 +55,10 @@ from spectrune.covariance import (
     save_covariance,
 )
 from spectrune.errors import (
+    EmptySubspaceError,
     IoError,
     NoKneeError,
+    PreconditionError,
     SpectruneError,
 )
 from spectrune.evaluation import (
@@ -69,12 +71,9 @@ from spectrune.evaluation import (
 )
 from spectrune.npy import json_text, replace_on_success, write_json, write_npy_rows, write_text
 from spectrune.spectral import (
-    NoiseThreshold,
     Spectrum,
-    count_noise,
     decompose,
     detect_knee,
-    fixed_threshold,
     log_spectrum,
     noise_threshold,
 )
@@ -259,8 +258,16 @@ def cmd_accumulate(args) -> int:
 
 
 def _spectrum_inputs(args, out: Path) -> list[Path]:
+    """The covariances ``spectrum`` reads: those listed, or every
+    ``sigma_*.npy`` in ``out``. Each output is named by its file's stem, so
+    two listed files with one stem are refused before either is read."""
     if args.sigmas:
-        return [Path(p) for p in args.sigmas]
+        paths: dict[str, Path] = {}
+        for path in map(Path, args.sigmas):
+            if (first := paths.setdefault(path.stem, path)) is not path:
+                raise PreconditionError(f"{first} and {path} share the stem {path.stem!r}, "
+                                        f"which names spectrum_{path.stem}.csv and its knees.json entry")
+        return list(paths.values())
     found = [out / _sigma_file(tag) for tag in COV_MODALITIES if (out / _sigma_file(tag)).is_file()]
     if not found:
         raise IoError(f"no covariance files found under {out}")
@@ -285,11 +292,12 @@ def cmd_spectrum(args) -> int:
         try:
             index = detect_knee(curve)
             knee.update(knee_index=index, log10_value=float(curve[index]))
-            if width := count_noise(spectrum, float(curve[index])):
-                span = Subspace(spectrum.eigenvectors[:, :width])
-                spans.setdefault(cov.modality, []).append((path.stem, span))
+            span = noise_subspace(spectrum, knee["log10_value"])
+            spans.setdefault(cov.modality, []).append((path.stem, span))
         except NoKneeError as exc:
             knee["error"] = str(exc)
+        except EmptySubspaceError:
+            pass  # nothing lies below the knee: no span to compare
         knees[path.stem] = knee
         del cov, spectrum, curve, eigs_desc  # before the next file is read, not after
     cross_modal = {  # the mSCSA of each image/text pair's own noise spans
@@ -305,19 +313,20 @@ def cmd_spectrum(args) -> int:
 def cmd_threshold(args) -> int:
     out = _out_dir(args)
     paths = [Path(p) for p in args.sigmas] or [out / _sigma_file("average")]
-    spectra: list[Spectrum] = [decompose(load_covariance(p)) for p in paths]
-
-    if args.fixed_log10 is not None:
-        threshold: NoiseThreshold = fixed_threshold(args.fixed_log10, spectra[0])
+    method = "knee" if args.fixed_log10 is None else "fixed"
+    if method == "fixed":  # a pinned cutoff reads the target alone
+        target, cutoff, knees = decompose(load_covariance(paths[0])), args.fixed_log10, ()
     else:
-        threshold = noise_threshold(spectra)
+        spectra = [decompose(load_covariance(p)) for p in paths]
+        target = spectra[0]
+        cutoff, knees = noise_threshold(spectra)
 
-    basis = noise_subspace(spectra[0], threshold)
+    basis = noise_subspace(target, cutoff)
     save_subspace(basis, out / "noise_basis.npy")
     config = {
         "out": str(args.out),
         "sigmas": [str(p) for p in paths],
-        "threshold_mode": threshold.method,
+        "threshold_mode": method,
         "fixed_log10": args.fixed_log10,
     }
     write_json(
@@ -325,18 +334,13 @@ def cmd_threshold(args) -> int:
         _report(
             "threshold",
             config,
-            log10_value=threshold.log10_value,
-            noise_count=threshold.noise_count,
-            method=threshold.method,
-            per_spectrum_knees=list(threshold.knees),
+            log10_value=cutoff,
+            noise_count=basis.p,
+            method=method,
+            per_spectrum_knees=list(knees),
         ),
     )
-    logger.info(
-        "threshold 10^%.4f flags %d of %d dimensions as noise",
-        threshold.log10_value,
-        threshold.noise_count,
-        spectra[0].d,
-    )
+    logger.info("threshold 10^%.4f flags %d of %d dimensions as noise", cutoff, basis.p, basis.d)
     return 0
 
 

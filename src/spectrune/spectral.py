@@ -1,9 +1,11 @@
-"""Eigendecomposition of covariance matrices and noise-threshold detection.
+"""Eigendecomposition of covariance matrices and noise-cutoff detection.
 
-The threshold sits at the knee of the descending log10 eigenvalue curve:
+The cutoff sits at the knee of the descending log10 eigenvalue curve:
 the point of maximal distance to the chord joining the curve's endpoints.
-When several spectra are analyzed together (several models), the final
-threshold is the minimum of their knee values.
+When several spectra are analyzed together (several models), the cutoff
+is the minimum of their knee values. ``count_noise`` is the one rule that
+turns a cutoff into a noise count; ``subspaces.noise_subspace`` applies it
+to take the noise span.
 """
 
 from __future__ import annotations
@@ -125,18 +127,21 @@ def detect_knee(curve: np.ndarray) -> int:
     Ties resolve to the larger index, which flags fewer dimensions as noise.
 
     Args:
-        curve: non-increasing values, length >= 3.
+        curve: 1-D non-increasing values.
 
     Raises:
-        PreconditionError: curve too short or increasing somewhere.
-        NoKneeError: curve deviates from its chord by <= 1e-6 everywhere
-            (straight or constant: no regime change to find).
+        PreconditionError: curve not 1-D, or increasing somewhere.
+        NoKneeError: curve shorter than 3 points (no interior point), or
+            deviating from its chord by <= 1e-6 everywhere (straight or
+            constant: no regime change to find).
     """
     curve = np.asarray(curve, dtype=np.float64)
-    if curve.ndim != 1 or curve.size < 3:
-        raise PreconditionError("knee detection needs a 1-D curve of length >= 3")
+    if curve.ndim != 1:
+        raise PreconditionError(f"knee detection needs a 1-D curve, got shape {curve.shape}")
     if np.any(np.diff(curve) > 0.0):
         raise PreconditionError("knee detection expects a non-increasing curve")
+    if curve.size < 3:
+        raise NoKneeError(f"a curve of {curve.size} points has no interior point")
 
     m = curve.size - 1
     drop = curve[-1] - curve[0]
@@ -151,41 +156,21 @@ def detect_knee(curve: np.ndarray) -> int:
     return int(np.flatnonzero(dist == best)[-1])
 
 
-@dataclass(frozen=True)
-class NoiseThreshold:
-    """A log10 eigenvalue cutoff plus the noise count it induces on the
-    target spectrum. Membership is strict: eigenvalues exactly at the
-    threshold are signal."""
-
-    log10_value: float
-    noise_count: int
-    method: str
-    knees: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.method not in ("knee", "fixed"):
-            raise PreconditionError(f"unknown threshold method {self.method!r}")
-        if self.noise_count < 0:
-            raise PreconditionError("noise_count must be >= 0")
-
-
 def count_noise(s: Spectrum, log10_value: float) -> int:
-    """How many eigenvalues fall strictly below a log10 cutoff."""
+    """How many eigenvalues fall strictly below a log10 cutoff: an
+    eigenvalue exactly at the cutoff is signal."""
     logs = np.log10(np.maximum(s.eigenvalues, LOG_FLOOR))
     return int(np.sum(logs < log10_value))
 
 
-def noise_threshold(spectra: Sequence[Spectrum]) -> NoiseThreshold:
-    """Knee-based threshold: minimum knee value across spectra.
-
-    Each spectrum contributes the log10 eigenvalue at its own knee; the
-    final cutoff is the minimum of those, and the noise count is evaluated
-    on ``spectra[0]``, the target.
+def noise_threshold(spectra: Sequence[Spectrum]) -> tuple[float, tuple[float, ...]]:
+    """Knee-based cutoff: ``(cutoff, knees)``, where ``knees`` holds each
+    spectrum's log10 eigenvalue at its own knee, in order, and ``cutoff``
+    is their minimum.
 
     Raises:
         NoKneeError: some spectrum has no knee (its identity is named).
-        PreconditionError: empty input, or a cutoff that would flag the
-            target's entire spectrum as noise.
+        PreconditionError: empty input.
     """
     if not spectra:
         raise PreconditionError("noise_threshold needs at least one spectrum")
@@ -198,31 +183,4 @@ def noise_threshold(spectra: Sequence[Spectrum]) -> NoiseThreshold:
         except NoKneeError as exc:
             raise NoKneeError(f"spectrum {i} ({s.source or 'unnamed'}): {exc}") from exc
         knees.append(float(curve[k]))
-
-    cutoff = min(knees)
-    count = count_noise(spectra[0], cutoff)
-    if count >= spectra[0].d:
-        raise PreconditionError(
-            f"cutoff {cutoff} lies above the whole target spectrum "
-            f"({count} of {spectra[0].d} flagged)"
-        )
-    return NoiseThreshold(
-        log10_value=cutoff,
-        noise_count=count,
-        method="knee",
-        knees=tuple(knees),
-    )
-
-
-def fixed_threshold(log10_value: float, spectrum: Spectrum) -> NoiseThreshold:
-    """Threshold pinned by the caller instead of detected."""
-    count = count_noise(spectrum, log10_value)
-    if count >= spectrum.d:
-        raise PreconditionError(
-            f"cutoff {log10_value} lies above the whole spectrum"
-        )
-    return NoiseThreshold(
-        log10_value=float(log10_value),
-        noise_count=count,
-        method="fixed",
-    )
+    return min(knees), tuple(knees)

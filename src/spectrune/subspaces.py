@@ -25,7 +25,6 @@ from spectrune.errors import (
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
 from spectrune.spectral import (
     LOG_FLOOR,
-    NoiseThreshold,
     Spectrum,
     clamp_psd_eigenvalues,
     count_noise,
@@ -85,21 +84,26 @@ class OverlapReport:
         }
 
 
-def noise_subspace(s: Spectrum, t: NoiseThreshold) -> Subspace:
-    """Eigenvectors of all eigenvalues strictly below the threshold.
+def noise_subspace(s: Spectrum, log10_cutoff: float) -> Subspace:
+    """Eigenvectors of all eigenvalues strictly below a log10 cutoff: the
+    noise span, whose width ``p`` is the noise count ``count_noise`` gives.
 
     Raises:
         EmptySubspaceError: nothing falls below the cutoff.
+        PreconditionError: everything does: the cutoff lies above the whole
+            spectrum.
     """
-    p = count_noise(s, t.log10_value)
+    p = count_noise(s, log10_cutoff)
+    name = s.source or "spectrum"
     if p == 0:
-        raise EmptySubspaceError(
-            f"no eigenvalue of {s.source or 'spectrum'} lies below "
-            f"10^{t.log10_value}"
+        raise EmptySubspaceError(f"no eigenvalue of {name} lies below 10^{log10_cutoff}")
+    if p == s.d:
+        raise PreconditionError(
+            f"cutoff 10^{log10_cutoff} lies above the whole spectrum of {name} ({p} of {s.d} flagged)"
         )
     return Subspace(
         basis=s.eigenvectors[:, :p],
-        origin=f"{s.source} eigenvalues[0:{p}] below 10^{t.log10_value:.6g}",
+        origin=f"{s.source} eigenvalues[0:{p}] below 10^{log10_cutoff:.6g}",
     )
 
 

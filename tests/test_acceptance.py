@@ -176,9 +176,9 @@ def _planted_pipeline(seed=2026):
             normalize_trace(covariance_of(bench.txt, "text")),
         )
     )
-    threshold = noise_threshold([spectrum])
-    recovered = noise_subspace(spectrum, threshold)
-    return bench, spectrum, threshold, recovered
+    cutoff, _ = noise_threshold([spectrum])
+    recovered = noise_subspace(spectrum, cutoff)
+    return bench, spectrum, recovered
 
 
 def test_planted_subspace_recovery():
@@ -186,10 +186,10 @@ def test_planted_subspace_recovery():
     noise count within 20 +/- 2 and planted-vs-recovered overlap >= 0.99,
     in under 30 seconds."""
     start = time.perf_counter()
-    bench, _, threshold, recovered = _planted_pipeline()
+    bench, _, recovered = _planted_pipeline()
     overlap = mscsa(bench.planted, recovered).mscsa
     elapsed = time.perf_counter() - start
-    assert abs(threshold.noise_count - 20) <= 2
+    assert abs(recovered.p - 20) <= 2
     assert overlap >= 0.99
     assert elapsed < 30.0, f"planted recovery took {elapsed:.2f}s"
 
@@ -199,12 +199,12 @@ def test_harmless_pruning_vs_random_removal():
     points on the 50-class planted task, while 500 seeded random removals
     of 20 basis directions average strictly below baseline with nonzero
     variance."""
-    bench, spectrum, threshold, recovered = _planted_pipeline()
+    bench, spectrum, recovered = _planted_pipeline()
     baseline = zero_shot_topk(bench.task)[0]
     noise_free = zero_shot_topk(bench.task, recovered)[0]
     assert abs(noise_free - baseline) <= 0.001
     samples = random_ablation(
-        bench.task, spectrum, p=threshold.noise_count, trials=500, seed=2026
+        bench.task, spectrum, p=recovered.p, trials=500, seed=2026
     )
     assert samples.shape == (500,)
     assert samples.mean() < baseline
@@ -214,7 +214,7 @@ def test_harmless_pruning_vs_random_removal():
 def test_alignment_delta_is_positive_on_shared_signal_pairs():
     """Pairs sharing their signal component with independent noise: mean
     cosine delta after noise projection > 0 and the per-pair median >= 0."""
-    bench, _, _, recovered = _planted_pipeline()
+    bench, _, recovered = _planted_pipeline()
     report = alignment_delta(bench.pairs_img, bench.pairs_txt, recovered)
     assert report.n_undefined == 0
     assert report.mean_delta > 0.0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spectrune
-from spectrune import evaluation, store
+from spectrune import cli, evaluation, store
 from spectrune.cli import main
 from spectrune.covariance import CovarianceMatrix, load_covariance, save_covariance
 from spectrune.evaluation import trial_rng
@@ -128,6 +128,41 @@ def test_spectrum_reports_cross_modal_noise_span_agreement(pipeline_dir, tmp_pat
     cross = json.loads((pipeline_dir / "knees.json").read_text())["cross_modal"]
     assert sorted(cross) == ["sigma_image|sigma_text", "sigma_kernel_image|sigma_kernel_text"]
     assert all(pair["mscsa"] > 0.99 for pair in cross.values())
+
+
+def test_spectrum_refuses_two_listed_files_with_one_stem(tmp_path, capsys):
+    # both outputs are named by the stem, so the second file would silently
+    # overwrite the first's curve and knees.json entry
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "sigma_average.npy")
+        save_covariance(CovarianceMatrix(np.diag([0.5, 0.25, 0.25]), 100, "average", True), paths[-1])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["spectrum", "--out", str(out), *map(str, paths)]) == 1
+    assert f"{paths[0]} and {paths[1]} share the stem 'sigma_average'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_spectrum_records_a_covariance_too_small_for_a_knee_and_goes_on(tmp_path, capsys):
+    # a 2-point curve has no interior point: no knee, as for a flat spectrum
+    small = tmp_path / "small.npy"
+    save_covariance(CovarianceMatrix(np.diag([0.75, 0.25]), 100, "image", True), small)
+    q, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((16, 16)))
+    normal = tmp_path / "normal.npy"
+    _sigma_with_noise_span(q, [12, 13, 14, 15], -1.0, "image", normal)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out", str(out), str(small), str(normal)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["knees.json", "spectrum_normal.csv", "spectrum_small.csv"]
+    knees = json.loads((out / "knees.json").read_text())["knees"]
+    assert knees["small"]["knee_index"] is None and knees["small"]["log10_value"] is None
+    assert "no interior point" in knees["small"]["error"]
+    assert knees["normal"]["knee_index"] is not None
+    # threshold needs a knee: it names the spectrum that has none
+    assert main(["threshold", "--out", str(out), str(small)]) == 1
+    assert "spectrum 0 (image(n=100, trace=1)): a curve of 2 points" in capsys.readouterr().err
+    assert not (out / "threshold.json").exists()
 
 
 def test_mscsa_command_reports_high_overlap(pipeline_dir, capsys):
@@ -782,6 +817,31 @@ def test_fixed_threshold_mode(tmp_path):
     assert doc["config"]["fixed_log10"] == -3.6
     assert doc["log10_value"] == -3.6
     assert doc["noise_count"] == 4
+
+
+def test_fixed_threshold_decomposes_only_its_target(tmp_path, monkeypatch):
+    q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((16, 16)))
+    paths = [tmp_path / f"sigma_{tag}.npy" for tag in ("average", "image", "text")]
+    for path, top in zip(paths, (-1.0, -1.2, -1.4)):
+        _sigma_with_noise_span(q, [12, 13, 14, 15], top, path.stem[len("sigma_"):], path)
+    decomposed = []
+
+    def counted(c):
+        decomposed.append(c.modality)
+        return decompose(c)
+
+    monkeypatch.setattr(cli, "decompose", counted)
+    written = {}
+    for sigmas in (paths[:1], paths):
+        decomposed.clear()
+        assert main(["threshold", "--out", str(tmp_path), "--fixed-log10", "-5.5", *map(str, sigmas)]) == 0
+        assert decomposed == ["average"]
+        doc = json.loads((tmp_path / "threshold.json").read_text())
+        assert doc["config"].pop("sigmas") == [str(p) for p in sigmas]
+        assert doc["noise_count"] == 4 and doc["per_spectrum_knees"] == []
+        written[len(sigmas)] = [doc] + [(tmp_path / name).read_bytes() for name in ("noise_basis.npy", "noise_basis.json")]
+    # the listed covariances beyond the target change only config.sigmas
+    assert written[3] == written[1]
 
 
 def test_threshold_targets_the_first_sigma_it_is_given(tmp_path):

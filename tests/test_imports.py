@@ -8,8 +8,10 @@ module imports a thread or process pool, only ``npy.py`` turns an
 only ``npy.py`` and ``store.py`` name ``NpyReader``, so every embedding row
 is read through ``store.EmbeddingDump`` and its checks, only
 ``EmbeddingDump``'s own methods touch its ``_reader``, so ``take`` stays the
-one wrapper of freshly read rows, and only ``npy.py`` reaches
-``numpy.lib.format``, so the file format is decided in one module."""
+one wrapper of freshly read rows, only ``npy.py`` reaches
+``numpy.lib.format``, so the file format is decided in one module, and
+only ``spectral.py`` and ``subspaces.py`` name ``count_noise``, so a
+cutoff becomes a noise count in one place: ``noise_subspace``."""
 
 from __future__ import annotations
 
@@ -305,3 +307,43 @@ def test_npy_format_uses_are_found():
 def test_only_npy_reaches_numpy_lib_format(module):
     # every header is read and written by npy.py, behind spectrune's own checks
     assert npy_format_uses(module.read_text(encoding="utf-8")) == []
+
+
+def count_noise_uses(source: str) -> list[int]:
+    """Lines that define, import or name ``count_noise``, directly or as an
+    attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = any(alias.name == "count_noise" for alias in node.names)
+        elif isinstance(node, ast.FunctionDef):
+            named = node.name == "count_noise"
+        else:
+            named = "count_noise" in (getattr(node, "id", None), getattr(node, "attr", None))
+        if named:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_count_noise_uses_are_found():
+    source = (
+        "from spectrune.spectral import count_noise, decompose\n"
+        "import spectrune.spectral as spectral\n"
+        "p = spectral.count_noise(s, -3.6)\n"
+        "'count_noise in a string'\n"
+        "def count_noise(s, cutoff):\n"
+        "    return noise_subspace(s, cutoff).p\n"
+        "rule = count_noise\n"
+    )
+    assert count_noise_uses(source) == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("spectral.py", "subspaces.py")),
+    ids=lambda path: path.name,
+)
+def test_only_spectral_and_subspaces_name_count_noise(module):
+    # every other module takes a noise count as the width of
+    # noise_subspace's span, so the cutoff rule and its guards stay in one place
+    assert count_noise_uses(module.read_text(encoding="utf-8")) == []

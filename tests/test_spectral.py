@@ -16,11 +16,11 @@ from spectrune.spectral import (
     count_noise,
     decompose,
     detect_knee,
-    fixed_threshold,
     log_spectrum,
     noise_threshold,
 )
 from spectrune.store import EmbeddingMatrix
+from spectrune.subspaces import noise_subspace
 
 
 def cov(sigma, modality="average", normalized=False):
@@ -186,13 +186,19 @@ def test_knee_rejects_straight_and_constant_curves():
         detect_knee(np.linspace(5.0, -5.0, 40))
     with pytest.raises(NoKneeError):
         detect_knee(np.zeros(10))
+    # under 3 points there is no interior point to be a knee
+    for short in ([1.0, 0.0], [1.0], []):
+        with pytest.raises(NoKneeError, match="no interior point"):
+            detect_knee(np.array(short))
 
 
 def test_knee_preconditions():
     with pytest.raises(PreconditionError):
-        detect_knee(np.array([1.0, 0.0]))
-    with pytest.raises(PreconditionError):
         detect_knee(np.array([0.0, 1.0, 0.5]))
+    with pytest.raises(PreconditionError):
+        detect_knee(np.array([0.0, 1.0]))  # increasing, however short
+    with pytest.raises(PreconditionError):
+        detect_knee(np.zeros((3, 3)))
 
 
 def test_knee_invariant_to_vertical_shift():
@@ -210,33 +216,40 @@ def test_knee_recovers_planted_noise_count():
     q = random_rotation(64, 39)
     m = EmbeddingMatrix(x @ q.T)
     s = decompose(normalize_trace(covariance_of(m, "image")))
-    threshold = noise_threshold([s])
-    assert abs(threshold.noise_count - 10) <= 2
+    cutoff, _ = noise_threshold([s])
+    assert abs(count_noise(s, cutoff) - 10) <= 2
 
 
 def test_threshold_single_spectrum_is_its_own_knee():
     s = spectrum_of_eigenvalues([1e-9] * 5 + [10 ** -3.2] * 20)
     curve = log_spectrum(s)
     knee = detect_knee(curve)
-    threshold = noise_threshold([s])
-    assert threshold.log10_value == pytest.approx(curve[knee], abs=1e-12)
-    assert threshold.method == "knee"
-    assert threshold.noise_count == 5
+    cutoff, knees = noise_threshold([s])
+    assert cutoff == pytest.approx(curve[knee], abs=1e-12)
+    assert knees == (cutoff,)
+    assert count_noise(s, cutoff) == 5
 
 
 def test_threshold_takes_minimum_across_spectra():
     a = spectrum_of_eigenvalues([1e-9] * 5 + [10 ** -3.2] * 20)
     b = spectrum_of_eigenvalues([1e-9] * 5 + [10 ** -3.8] * 20)
-    threshold = noise_threshold([a, b])
-    assert threshold.log10_value == pytest.approx(-3.8, abs=1e-9)
-    assert threshold.noise_count == 5  # five target eigenvalues below -3.8
-    assert threshold.knees == pytest.approx((-3.2, -3.8), abs=1e-9)
+    cutoff, knees = noise_threshold([a, b])
+    assert cutoff == pytest.approx(-3.8, abs=1e-9)
+    assert cutoff == min(knees)
+    assert count_noise(a, cutoff) == 5  # five target eigenvalues below -3.8
+    assert knees == pytest.approx((-3.2, -3.8), abs=1e-9)
 
 
 def test_threshold_propagates_no_knee_with_identity():
     flat = spectrum_of_eigenvalues([0.25, 0.25, 0.25, 0.25], modality="image")
     with pytest.raises(NoKneeError, match="spectrum 0"):
         noise_threshold([flat])
+    # a spectrum too short for a knee is named too, at its place in the list
+    short = spectrum_of_eigenvalues([0.9, 0.1], modality="text")
+    with pytest.raises(NoKneeError, match=r"spectrum 1 \(text\(n=100\)\): a curve of 2 points"):
+        noise_threshold([spectrum_of_eigenvalues([1e-9] * 5 + [1e-3] * 20), short])
+    with pytest.raises(PreconditionError):
+        noise_threshold([])
 
 
 def test_noise_count_monotone_in_threshold():
@@ -246,11 +259,10 @@ def test_noise_count_monotone_in_threshold():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_fixed_threshold_counts_strictly_below():
+def test_count_noise_counts_strictly_below():
     s = spectrum_of_eigenvalues([1.0, 1e-4, 1e-5])
-    t = fixed_threshold(-3.6, s)
-    assert t.method == "fixed"
-    assert t.noise_count == 2
+    assert count_noise(s, -3.6) == 2
+    assert noise_subspace(s, -3.6).p == 2
     # an eigenvalue exactly at the cutoff is signal
     exact = spectrum_of_eigenvalues([1.0, 10 ** -3.6])
     assert count_noise(exact, np.log10(10 ** -3.6)) == 0

@@ -21,7 +21,7 @@ from spectrune.errors import (
 )
 from spectrune.cli import _cell, main
 from spectrune.npy import read_npy, write_npy
-from spectrune.spectral import LOG_FLOOR, decompose, fixed_threshold
+from spectrune.spectral import LOG_FLOOR, decompose
 from spectrune.store import EmbeddingMatrix, save_label_file
 from spectrune.subspaces import (
     Subspace,
@@ -159,16 +159,19 @@ def test_noise_subspace_from_threshold():
     s = decompose(
         CovarianceMatrix(np.diag([1.0, 1e-6]), n_samples=10, modality="average")
     )
-    t = fixed_threshold(-3.6, s)
-    sub = noise_subspace(s, t)
+    sub = noise_subspace(s, -3.6)
     assert sub.p == 1
     assert np.allclose(np.abs(sub.basis[:, 0]), [0.0, 1.0], atol=1e-12)
+    assert sub.origin == f"{s.source} eigenvalues[0:1] below 10^-3.6"
 
     high = decompose(
         CovarianceMatrix(np.diag([1.0, 0.5]), n_samples=10, modality="average")
     )
     with pytest.raises(EmptySubspaceError):
-        noise_subspace(high, fixed_threshold(-3.6, high))
+        noise_subspace(high, -3.6)
+    # a cutoff above the whole spectrum would flag every dimension
+    with pytest.raises(PreconditionError, match=r"lies above the whole spectrum .*\(2 of 2 flagged\)"):
+        noise_subspace(high, 0.5)
 
 
 def test_per_class_overlap_reads_the_lowest_k_eigenvectors():
