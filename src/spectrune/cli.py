@@ -16,9 +16,11 @@ All reports are machine-readable (JSON with sorted keys, plus CSV for
 plot-ready curves); rerunning a command overwrites its outputs with
 identical bytes, and a failed command leaves no partial output behind.
 Each output rule lives in one place: ``_report`` builds every JSON
-report's envelope, ``_cells`` writes every CSV float (NaN, an undefined
-value, as the empty cell), and ``npy.replace_on_success`` turns every
-failed write into an ``IoError`` naming the destination (exit code 2).
+report's envelope, whose config is every option the command ran with,
+each input path as read (``_inputs`` resolves one left unset against
+``--out``); ``_cells`` writes every CSV float (NaN, an undefined value, as
+the empty cell), and ``npy.replace_on_success`` turns every failed write
+into an ``IoError`` naming the destination (exit code 2).
 ``accumulate``, ``project``, ``activations`` and ``eval`` (its queries)
 read embedding dumps in blocks of rows, and ``class-overlap`` reads one
 class's rows at a time, so their memory does not grow with the dump's
@@ -128,10 +130,20 @@ def _cell(x: float) -> str:
     return _cells((x,))[0]
 
 
-def _report(command: str, config: dict, **fields) -> dict:
-    """A JSON report: the schema version, the command and its config, then
-    the command's own fields."""
-    return {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **fields}
+def _report(args, **fields) -> dict:
+    """A JSON report: the schema version, the command and its config (every
+    parsed option), then the command's own fields."""
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    return {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config, **fields}
+
+
+def _inputs(args, basis: str = "noise_basis.npy", **names: str) -> None:
+    """Resolve each input-path option left unset, ``basis`` and those in
+    ``names``, to its default file in ``--out``, in place, so that the
+    report's config names the file the command reads."""
+    for key, name in {"basis": basis, **names}.items():
+        if not getattr(args, key):
+            setattr(args, key, str(Path(args.out) / name))
 
 
 def _out_dir(args) -> Path:
@@ -180,19 +192,7 @@ def cmd_synth(args) -> int:
         ),
         out / "manifest.json",
     )
-    config = {
-        "n": args.n,
-        "d": args.d,
-        "p": args.p,
-        "signal_var": args.signal_var,
-        "noise_var": args.noise_var,
-        "classes": args.classes,
-        "queries_per_class": args.queries_per_class,
-        "top_k": args.top_k,
-        "gap_scale": args.gap_scale,
-        "seed": args.seed,
-    }
-    write_json(out / "synth.json", _report("synth", config, planted_noise_dims=args.p))
+    write_json(out / "synth.json", _report(args, planted_noise_dims=args.p))
     logger.info("synthetic dataset written to %s", out)
     return 0
 
@@ -244,13 +244,8 @@ def cmd_accumulate(args) -> int:
             covs[f"{prefix}average"] = average(covs[f"{prefix}image"], covs[f"{prefix}text"])
     for tag, cov in covs.items():
         save_covariance(cov, out / _sigma_file(tag))
-    config = {
-        "manifest": str(args.manifest),
-        "out": str(args.out),
-        "kernel": args.kernel,
-    }
     written = {tag: {"file": _sigma_file(tag), "n_samples": cov.n_samples} for tag, cov in covs.items()}
-    write_json(out / "accumulate.json", _report("accumulate", config, written=written))
+    write_json(out / "accumulate.json", _report(args, written=written))
     return 0
 
 
@@ -305,35 +300,27 @@ def cmd_spectrum(args) -> int:
         for img, txt in (("image", "text"), ("kernel-image", "kernel-text"))
         for a, span_a in spans.get(img, []) for b, span_b in spans.get(txt, [])
     }
-    config = {"out": str(args.out), "sigmas": [str(p) for p in args.sigmas]}
-    write_json(out / "knees.json", _report("spectrum", config, knees=knees, cross_modal=cross_modal))
+    write_json(out / "knees.json", _report(args, knees=knees, cross_modal=cross_modal))
     return 0
 
 
 def cmd_threshold(args) -> int:
     out = _out_dir(args)
-    paths = [Path(p) for p in args.sigmas] or [out / _sigma_file("average")]
+    args.sigmas = args.sigmas or [str(out / _sigma_file("average"))]
     method = "knee" if args.fixed_log10 is None else "fixed"
     if method == "fixed":  # a pinned cutoff reads the target alone
-        target, cutoff, knees = decompose(load_covariance(paths[0])), args.fixed_log10, ()
+        target, cutoff, knees = decompose(load_covariance(args.sigmas[0])), args.fixed_log10, ()
     else:
-        spectra = [decompose(load_covariance(p)) for p in paths]
+        spectra = [decompose(load_covariance(p)) for p in args.sigmas]
         target = spectra[0]
         cutoff, knees = noise_threshold(spectra)
 
     basis = noise_subspace(target, cutoff)
     save_subspace(basis, out / "noise_basis.npy")
-    config = {
-        "out": str(args.out),
-        "sigmas": [str(p) for p in paths],
-        "threshold_mode": method,
-        "fixed_log10": args.fixed_log10,
-    }
     write_json(
         out / "threshold.json",
         _report(
-            "threshold",
-            config,
+            args,
             log10_value=cutoff,
             noise_count=basis.p,
             method=method,
@@ -349,8 +336,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_mscsa(args) -> int:
     report = mscsa(load_subspace(args.subspace_a), load_subspace(args.subspace_b))
-    config = {"subspace_a": str(args.subspace_a), "subspace_b": str(args.subspace_b)}
-    text = json_text(_report("mscsa", config, **report.to_dict()))
+    text = json_text(_report(args, **report.to_dict()))
     print(text, end="")
     if args.out is not None:
         write_text(_out_dir(args) / "mscsa.json", text)
@@ -358,7 +344,8 @@ def cmd_mscsa(args) -> int:
 
 
 def cmd_project(args) -> int:
-    subspace = load_subspace(_default(args.basis, Path(args.out), "noise_basis.npy"))
+    _inputs(args)
+    subspace = load_subspace(args.basis)
     with EmbeddingDump(args.input) as dump:
         write_npy_rows(
             args.output,
@@ -379,15 +366,11 @@ def cmd_project(args) -> int:
 # --- eval ---
 
 
-def _default(path_arg: str | None, out: Path, name: str) -> Path:
-    return Path(path_arg) if path_arg else out / name
-
-
 def _labels_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + "_labels.npy")
 
 
-def _ablation_spectrum(sigma_path: Path, basis: Subspace) -> Spectrum:
+def _ablation_spectrum(sigma_path: str, basis: Subspace) -> Spectrum:
     """The spectrum that ``eval``'s random removals draw from, with a warning
     when the noise basis came from another covariance."""
     spectrum = decompose(load_covariance(sigma_path))
@@ -398,21 +381,25 @@ def _ablation_spectrum(sigma_path: Path, basis: Subspace) -> Spectrum:
 
 
 def cmd_eval(args) -> int:
+    # only the default pair files may be absent, which skips the cosine deltas
+    for given in (args.pairs_img, args.pairs_txt):
+        if given and not Path(given).is_file():
+            raise IoError(f"pair file {given} does not exist")
+    _inputs(args, prototypes="prototypes.npy", queries="queries.npy", sigma=_sigma_file("average"),
+            pairs_img="pairs_img.npy", pairs_txt="pairs_txt.npy")
     out = _out_dir(args)
-    protos_path = _default(args.prototypes, out, "prototypes.npy")
-    queries_path = _default(args.queries, out, "queries.npy")
+    protos_path, queries_path = Path(args.prototypes), Path(args.queries)
     protos = load_array_file(protos_path, labels=load_label_file(_labels_sidecar(protos_path)))
     # every score reads the queries one block at a time, and every output is
     # written only after the last score
     with EmbeddingDump(queries_path, labels=load_label_file(_labels_sidecar(queries_path))) as queries:
         task = ZeroShotTask(class_prototypes=protos, queries=queries, k=args.top_k)
-        basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-        sigma_path = _default(args.sigma, out, _sigma_file("average"))
+        basis = load_subspace(args.basis)
         # first, so that a bad --trials is refused before any query is scored;
         # the spectrum is no local here, so its eigenvectors go once the
         # drawn columns are taken from them
         ablation = random_ablation(
-            task, _ablation_spectrum(sigma_path, basis), p=basis.p, trials=args.trials,
+            task, _ablation_spectrum(args.sigma, basis), p=basis.p, trials=args.trials,
             seed=args.seed, project_prototypes=not args.query_only,
         )
         baseline = zero_shot_topk(task)[0]
@@ -420,10 +407,8 @@ def cmd_eval(args) -> int:
 
     mean_delta: float | None = None
     n_undefined: int | None = None
-    pairs_img_path = _default(args.pairs_img, out, "pairs_img.npy")
-    pairs_txt_path = _default(args.pairs_txt, out, "pairs_txt.npy")
-    if pairs_img_path.is_file() and pairs_txt_path.is_file():
-        delta = alignment_delta(load_array_file(pairs_img_path), load_array_file(pairs_txt_path), basis)
+    if Path(args.pairs_img).is_file() and Path(args.pairs_txt).is_file():
+        delta = alignment_delta(load_array_file(args.pairs_img), load_array_file(args.pairs_txt), basis)
         # NaN when no pair survived the projection: undefined, like no pairs
         mean_delta = None if math.isnan(delta.mean_delta) else delta.mean_delta
         n_undefined = delta.n_undefined
@@ -441,21 +426,12 @@ def cmd_eval(args) -> int:
         enumerate(_cells(ablation)),
     )
     std_trials = float(ablation.std(ddof=1)) if ablation.size > 1 else 0.0
-    config = {
-        "out": str(args.out),
-        "seed": args.seed,
-        "trials": args.trials,
-        "top_k": args.top_k,
-        "query_only": args.query_only,
-        "removed_dimensions": basis.p,
-        "sigma": str(sigma_path),
-        "basis_origin": basis.origin,
-    }
     write_json(
         out / "eval_report.json",
         _report(
-            "eval",
-            config,
+            args,
+            removed_dimensions=basis.p,
+            basis_origin=basis.origin,
             baseline_top_k=baseline,
             alignment_pairs_undefined=n_undefined,
             projected_undefined=undefined,
@@ -486,17 +462,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_class_overlap(args) -> int:
+    _inputs(args, embeddings="queries.npy")
     out = _out_dir(args)
-    embeddings = _default(args.embeddings, out, "queries.npy")
-    labels = load_label_file(Path(args.labels) if args.labels else _labels_sidecar(embeddings))
-    basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
+    labels = load_label_file(args.labels or _labels_sidecar(Path(args.embeddings)))
+    basis = load_subspace(args.basis)
 
     # every class gets a row and a column; one without a covariance (under 2
     # rows, or every row equal) has empty mscsa and distance cells. Only the
     # overlap and the eigenvalues outlive a class: its rows, factor and
     # eigenvectors are dropped before the next class is read
     classes = []
-    with EmbeddingDump(embeddings, labels=labels) as dump:
+    with EmbeddingDump(args.embeddings, labels=labels) as dump:
         for label, n, factor in per_class_covariances(dump):
             classes.append((label, n, *class_overlap(factor, basis)))
             del factor
@@ -520,10 +496,10 @@ def cmd_class_overlap(args) -> int:
 
 
 def cmd_activations(args) -> int:
+    _inputs(args, embeddings="img.npy")
     out = _out_dir(args)
-    data_path = _default(args.embeddings, out, "img.npy")
-    basis = load_subspace(_default(args.basis, out, "noise_basis.npy"))
-    with EmbeddingDump(data_path) as dump:
+    basis = load_subspace(args.basis)
+    with EmbeddingDump(Path(args.embeddings)) as dump:  # the source column spells it as pathlib does
         ranked = rank_activations(dump, basis, top=args.top)
     _write_csv(
         out / "activations.csv",

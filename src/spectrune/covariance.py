@@ -12,9 +12,8 @@ array and leaves both inputs as they were.
 
 The running m2 stays exactly symmetric: numpy forms ``c.T @ c`` with
 ``syrk`` and mirrors the triangle, and a sum of exactly symmetric terms is
-exactly symmetric. Finalized matrices use the unbiased 1/(n-1) divisor and
-are symmetrized once more, so an accumulator built by hand (or by a BLAS
-without that path) still finalizes to an exactly symmetric matrix.
+exactly symmetric. Finalized matrices use the unbiased 1/(n-1) divisor,
+which keeps that symmetry.
 
 Symmetry is enforced in one place, ``CovarianceMatrix``: it rejects an
 asymmetry above 1e-12 relative, stores a smaller one as the symmetric part
@@ -196,7 +195,6 @@ def finalize(acc: CovarianceAccumulator, modality: str) -> CovarianceMatrix:
             f"covariance needs at least 2 samples, accumulator has {acc.count}"
         )
     sigma = acc.m2 / (acc.count - 1)
-    sigma = (sigma + sigma.T) * 0.5
     sigma.flags.writeable = False  # a fresh array: hand it over
     return CovarianceMatrix(sigma=sigma, n_samples=acc.count, modality=modality)
 

@@ -25,6 +25,7 @@ from spectrune.errors import (
 from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
 from spectrune.spectral import (
     LOG_FLOOR,
+    _ORTHO_TOL,
     Spectrum,
     clamp_psd_eigenvalues,
     count_noise,
@@ -32,7 +33,6 @@ from spectrune.spectral import (
 )
 from spectrune.store import EmbeddingMatrix, _frozen
 
-_ORTHO_TOL = 1e-8
 _COSINE_SLACK = 1e-8
 
 

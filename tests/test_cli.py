@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -557,6 +558,21 @@ def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path,
     assert "no alignment pairs found" in caplog.text
 
 
+def test_eval_refuses_a_named_pair_file_that_does_not_exist(pipeline_dir, tmp_path, capsys):
+    # only the default pair files may be absent: a named one that is missing
+    # is an I/O error, before anything is read or written
+    missing = tmp_path / "pairs_txt_typo.npy"
+    out = tmp_path / "run"
+    argv = ["eval", "--out", str(out), "--seed", "5", "--trials", "3"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy"),
+                       ("--pairs-img", "pairs_img.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv + ["--pairs-txt", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_records_where_its_basis_and_its_trials_come_from(pipeline_dir, tmp_path, caplog):
     shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
     kernel_average = [str(tmp_path / "sigma_kernel_average.npy")]
@@ -564,11 +580,13 @@ def test_eval_records_where_its_basis_and_its_trials_come_from(pipeline_dir, tmp
         caplog.clear()
         assert main(["threshold", "--out", str(tmp_path), *kernel]) == 0
         assert main(["eval", "--out", str(tmp_path), "--trials", "3"]) == 0
-        config = json.loads((tmp_path / "eval_report.json").read_text())["config"]
+        doc = json.loads((tmp_path / "eval_report.json").read_text())
         origin = json.loads((tmp_path / "noise_basis.json").read_text())["origin"]
         assert origin.startswith(target)
-        assert config["sigma"] == str(tmp_path / "sigma_average.npy")
-        assert config["basis_origin"] == origin
+        assert doc["config"]["sigma"] == str(tmp_path / "sigma_average.npy")
+        assert doc["config"]["basis"] == str(tmp_path / "noise_basis.npy")
+        assert doc["basis_origin"] == origin
+        assert doc["removed_dimensions"] == json.loads((tmp_path / "threshold.json").read_text())["noise_count"]
         # the trials come from the plain average, the kernel basis does not
         assert ("but the noise basis from" in caplog.text) == bool(kernel)
 
@@ -813,7 +831,7 @@ def test_fixed_threshold_mode(tmp_path):
     # giving --fixed-log10 selects fixed mode
     assert main(["threshold", "--out", str(tmp_path), "--fixed-log10", "-3.6"]) == 0
     doc = json.loads((tmp_path / "threshold.json").read_text())
-    assert doc["method"] == doc["config"]["threshold_mode"] == "fixed"
+    assert doc["method"] == "fixed"
     assert doc["config"]["fixed_log10"] == -3.6
     assert doc["log10_value"] == -3.6
     assert doc["noise_count"] == 4
@@ -867,3 +885,48 @@ def test_threshold_targets_the_first_sigma_it_is_given(tmp_path):
         target = decompose(load_covariance(sigmas[0]))
         basis = read_npy(tmp_path / "noise_basis.npy", FLOAT_DESCRS, ndim=2)
         assert np.array_equal(basis, target.eigenvectors[:, :doc["noise_count"]])
+
+
+# each reporting command's input-path options
+INPUT_PATHS = {
+    "synth": [],
+    "accumulate": ["manifest"],
+    "spectrum": ["sigmas"],
+    "threshold": ["sigmas"],
+    "mscsa": ["subspace_a", "subspace_b"],
+    "eval": ["basis", "pairs_img", "pairs_txt", "prototypes", "queries", "sigma"],
+}
+
+
+def test_every_report_records_the_options_its_command_ran_with(tmp_path, monkeypatch):
+    # config holds exactly the subcommand's options, and each input-path
+    # option holds the file the command read: defaults resolved against --out
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    read = []
+    for name in ("load_manifest", "load_covariance", "load_subspace", "load_array_file", "EmbeddingDump"):
+        monkeypatch.setattr(cli, name, lambda path, *a, _real=getattr(cli, name), **kw:
+                            read.append(str(path)) or _real(path, *a, **kw))
+    out = tmp_path / "run"
+    entries = {str(out / "img.npy"), str(out / "txt.npy")}  # read through the manifest
+    runs = [
+        ("synth.json", ["synth", "--out", str(out), "--n", "400", "--d", "12", "--p", "3", "--classes", "4",
+                        "--queries-per-class", "3", "--top-k", "2", "--seed", "3"]),
+        ("accumulate.json", ["accumulate", "--manifest", str(out / "manifest.json"), "--out", str(out)]),
+        ("knees.json", ["spectrum", "--out", str(out), str(out / "sigma_image.npy"), str(out / "sigma_text.npy")]),
+        ("threshold.json", ["threshold", "--out", str(out), "--fixed-log10", "-3"]),
+        ("threshold.json", ["threshold", "--out", str(out)]),
+        ("mscsa.json", ["mscsa", str(out / "planted_basis.npy"), str(out / "noise_basis.npy"), "--out", str(out)]),
+        ("eval_report.json", ["eval", "--out", str(out), "--trials", "3", "--top-k", "2",
+                              "--pairs-txt", str(out / "pairs_txt.npy")]),
+    ]
+    for report, argv in runs:
+        read.clear()
+        assert main(argv) == 0, argv
+        doc = json.loads((out / report).read_text())
+        assert doc["command"] == argv[0]
+        dests = [a.dest for a in commands.choices[argv[0]]._actions if a.dest != "help"]
+        assert sorted(doc["config"]) == sorted(dests), argv[0]
+        recorded = [doc["config"][key] for key in INPUT_PATHS[argv[0]]]
+        recorded = {path for value in recorded for path in ([value] if isinstance(value, str) else value)}
+        assert recorded == set(read) - entries, argv[0]
+    assert json.loads((out / "threshold.json").read_text())["config"]["sigmas"] == [str(out / "sigma_average.npy")]

@@ -27,6 +27,7 @@ from spectrune.errors import (
     DegenerateCovarianceError,
     DimError,
     InsufficientSamplesError,
+    NumericalError,
     PreconditionError,
 )
 from spectrune.npy import BLOCK_ROWS, read_npy, write_npy
@@ -158,6 +159,21 @@ def test_m2_is_exactly_symmetric_after_dump_blocks_and_merge(tmp_path):
     for p, (mean, m2) in zip(parts, before):  # the inputs are left as they were
         assert np.array_equal(p.mean, mean) and np.array_equal(p.m2, m2)
 
+
+
+def test_finalize_leaves_symmetry_to_the_covariance_check(handed_over):
+    # finalize only divides m2: an exactly symmetric m2 gives an exactly
+    # symmetric sigma, handed over without a copy, and a hand-built m2 beyond
+    # 1e-12 relative asymmetry is refused like any other covariance
+    rng = np.random.default_rng(18)
+    acc = accumulate(CovarianceAccumulator.empty(), as_matrix(rng.standard_normal((30, 7))))
+    cov = finalize(acc, "image")
+    assert np.array_equal(cov.sigma, acc.m2 / 29)
+    assert any(cov.sigma is h for h in handed_over)
+    m2 = acc.m2.copy()
+    m2[0, 1] += 1e-9 * np.abs(m2).max()
+    with pytest.raises(NumericalError, match="asymmetry"):
+        finalize(CovarianceAccumulator(acc.count, acc.mean, m2), "image")
 
 def test_accumulate_releases_the_centered_copy_before_merging():
     d = 128
