@@ -25,8 +25,8 @@ from spectrune import (
     save_array_file,
     save_label_file,
     save_manifest,
-    split_by_label,
 )
+from spectrune.store import iter_blocks, iter_classes
 
 tmp = tempfile.TemporaryDirectory(prefix="spectrune-demo-")
 workdir = Path(tmp.name)
@@ -67,7 +67,7 @@ print((workdir / "manifest.json").read_text())
 
 # Loading resolves and validates paths. Opening a dump reads only its
 # header and the labels it is handed, here from the sidecar beside it, and
-# its rows then stream in blocks.
+# its rows then stream in blocks, cut as a matrix in memory would be.
 loaded = load_manifest(workdir / "manifest.json")
 for entry in loaded.entries:
     if entry.modality != "image":
@@ -76,11 +76,12 @@ for entry in loaded.entries:
     labels = load_label_file(sidecar) if sidecar.is_file() else None
     with EmbeddingDump(entry.path, labels=labels) as dump:
         tagged = "labeled" if dump.labels is not None else "unlabeled"
-        rows = sum(block.n for block in dump.blocks())
+        rows = sum(block.n for block in iter_blocks(dump))
         print(f"  image shard: {rows} rows x {dump.d} cols, {tagged}")
 
-# Labeled shards split cleanly into per-class parts.
-parts = split_by_label(back)
-print(f"\nclass parts of the labeled shard: { {k: v.n for k, v in sorted(parts.items())} }")
+# Labeled shards split cleanly into per-class parts, in class id order, each
+# read only when it is reached.
+parts = {label: part.n for label, part in iter_classes(back)}
+print(f"\nclass parts of the labeled shard: {parts}")
 
 tmp.cleanup()

@@ -83,7 +83,7 @@ from spectrune.store import (
     DatasetManifest,
     EmbeddingDump,
     ManifestEntry,
-    check_widths,
+    iter_blocks,
     load_array_file,
     load_label_file,
     load_manifest,
@@ -209,7 +209,7 @@ def _accumulate_entry(entry: ManifestEntry, kernel: bool) -> dict[str, Covarianc
     raw, ker = entry.modality, f"kernel-{entry.modality}"
     accs = dict.fromkeys([raw, ker] if kernel else [raw], CovarianceAccumulator.empty())
     with EmbeddingDump(entry.path) as dump:
-        for block in dump.blocks():
+        for block in iter_blocks(dump):
             accs[raw] = accumulate(accs[raw], block)
             if kernel:
                 block = normalize_rows(block)  # the raw rows are done
@@ -220,7 +220,6 @@ def _accumulate_entry(entry: ManifestEntry, kernel: bool) -> dict[str, Covarianc
 
 def cmd_accumulate(args) -> int:
     manifest = load_manifest(args.manifest)
-    check_widths(manifest)
     out = _out_dir(args)
 
     # a left fold in manifest order, each entry merged as soon as it is read
@@ -352,7 +351,7 @@ def cmd_project(args) -> int:
             (dump.n, dump.d),
             np.float64,
             # map, unlike a generator expression, keeps no block while the next is read
-            map(lambda block: apply_removal(subspace, block).data, dump.blocks()),
+            map(lambda block: apply_removal(subspace, block).data, iter_blocks(dump)),
         )
     logger.info(
         "projected %s away from %d dimensions -> %s",
@@ -381,12 +380,15 @@ def _ablation_spectrum(sigma_path: str, basis: Subspace) -> Spectrum:
 
 
 def cmd_eval(args) -> int:
-    # only the default pair files may be absent, which skips the cosine deltas
-    for given in (args.pairs_img, args.pairs_txt):
-        if given and not Path(given).is_file():
-            raise IoError(f"pair file {given} does not exist")
+    # a named pair file needs both; an absent default skips the deltas, recording no pair file
+    named = bool(args.pairs_img or args.pairs_txt)
     _inputs(args, prototypes="prototypes.npy", queries="queries.npy", sigma=_sigma_file("average"),
             pairs_img="pairs_img.npy", pairs_txt="pairs_txt.npy")
+    missing = [path for path in (args.pairs_img, args.pairs_txt) if not Path(path).is_file()]
+    if missing and named:
+        raise IoError(f"pair file {missing[0]} does not exist")
+    if missing:
+        args.pairs_img = args.pairs_txt = None
     out = _out_dir(args)
     protos_path, queries_path = Path(args.prototypes), Path(args.queries)
     protos = load_array_file(protos_path, labels=load_label_file(_labels_sidecar(protos_path)))
@@ -407,7 +409,7 @@ def cmd_eval(args) -> int:
 
     mean_delta: float | None = None
     n_undefined: int | None = None
-    if Path(args.pairs_img).is_file() and Path(args.pairs_txt).is_file():
+    if args.pairs_img:
         delta = alignment_delta(load_array_file(args.pairs_img), load_array_file(args.pairs_txt), basis)
         # NaN when no pair survived the projection: undefined, like no pairs
         mean_delta = None if math.isnan(delta.mean_delta) else delta.mean_delta

@@ -41,7 +41,7 @@ from spectrune.errors import (
     PreconditionError,
     in_file,
 )
-from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
+from spectrune.npy import FLOAT_DESCRS, read_json_object, read_npy, write_json, write_npy
 from spectrune.store import EmbeddingDump, EmbeddingMatrix, _frozen, iter_classes
 
 COV_MODALITIES = (
@@ -320,14 +320,14 @@ def load_covariance(npy_path: Path | str) -> CovarianceMatrix:
     sigma = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
     sigma.flags.writeable = False  # a fresh array: hand it over
     side = sidecar_path(npy_path)
-    meta = read_json(side)
+    meta = read_json_object(side, n_samples=int, modality=str, trace_normalized=bool)
     for key in ("n_samples", "modality", "trace_normalized"):
         if key not in meta:
             raise FormatError(f"{side}: missing key {key!r}")
     with in_file(npy_path):
         return CovarianceMatrix(
             sigma=sigma,
-            n_samples=int(meta["n_samples"]),
-            modality=str(meta["modality"]),
-            trace_normalized=bool(meta["trace_normalized"]),
+            n_samples=meta["n_samples"],
+            modality=meta["modality"],
+            trace_normalized=meta["trace_normalized"],
         )

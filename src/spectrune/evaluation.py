@@ -15,7 +15,7 @@ import numpy as np
 from spectrune.covariance import normalize_rows
 from spectrune.errors import DimError, PreconditionError
 from spectrune.spectral import Spectrum
-from spectrune.store import EmbeddingDump, EmbeddingMatrix
+from spectrune.store import EmbeddingDump, EmbeddingMatrix, iter_blocks
 from spectrune.subspaces import Subspace, remove_component
 
 # projected vectors shorter than this have no defined cosine
@@ -127,13 +127,13 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
     is formed once per call. The removals are scored in chunks, one pass
     over the queries each, whose prototype inverse norms fill about
     ``SCORE_TILE_BYTES`` (one chunk unless removals x classes exceeds it).
-    A pass reads the queries one tile of rows at a time, never more than a
-    block: a tile fills ``G = Q P^T`` and ``Q frame`` once, and each removal
-    gathers its columns from them and from ``P frame``: O(nq nc p) per
-    removal; the frame's own columns only for rows whose projected norm may
-    be cancellation roundoff. The tile's G, ``Q frame`` and score buffers,
-    about ``SCORE_TILE_BYTES`` each whatever the class count, are sized by
-    the first (largest) tile and reused."""
+    A pass reads the queries, in memory or a dump, one ``iter_blocks`` tile
+    of rows at a time: a tile fills ``G = Q P^T`` and ``Q frame`` once, and
+    each removal gathers its columns from them and from ``P frame``:
+    O(nq nc p) per removal; the frame's own columns only for rows whose
+    projected norm may be cancellation roundoff. The tile's G, ``Q frame``
+    and score buffers, about ``SCORE_TILE_BYTES`` each whatever the class
+    count, are sized by the first (largest) tile and reused."""
     p, labels = task.class_prototypes.data, task.class_prototypes.labels
     if (labels[1:] < labels[:-1]).any():  # columns in class-id order, for the tie-break
         order = np.argsort(labels)
@@ -151,28 +151,25 @@ def _scores(task: ZeroShotTask, frame: np.ndarray, removals: list[np.ndarray],
                                          if project_prototypes else p_sq) for cols in part])
         if project_prototypes:
             zeroed[first:first + len(part)] = np.count_nonzero(p_inv == 0.0, axis=1)
-        # a dump's blocks are tile-sized; a matrix in memory is one block
-        for block in task.queries.blocks(tile):
-            for start in range(0, block.n, tile):
-                q = block.data[start:start + tile]
-                rows = q.shape[0]
-                if buffers is None:  # the first tile is the largest
-                    buffers = [np.empty((rows, w)) for w in (nc, m, nc)]
-                g = np.matmul(q, p.T, out=buffers[0][:rows])
-                qf = np.matmul(q, frame, out=buffers[1][:rows])
-                scores = buffers[2][:rows]  # one buffer for every removal
-                q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels[start:start + tile])
-                for i, cols in enumerate(part):
-                    zq = qf[:, cols]
-                    q_proj_sq = _project(q, q_sq, frame, cols, zq)
-                    np.matmul(zq, pf[:, cols].T, out=scores)
-                    np.subtract(g, scores, out=scores)
-                    scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
-                    zero = _inverse_norms(q_proj_sq) == 0.0
-                    scores[zero] = 0.0
-                    zeroed[first + i] += np.count_nonzero(zero)
-                    hits[first + i] += _hits(scores, true_col, task.k)
-            del block, q  # released before the next block is read
+        for block in iter_blocks(task.queries, tile):
+            q, rows = block.data, block.n
+            if buffers is None:  # the first tile is the largest
+                buffers = [np.empty((rows, w)) for w in (nc, m, nc)]
+            g = np.matmul(q, p.T, out=buffers[0][:rows])
+            qf = np.matmul(q, frame, out=buffers[1][:rows])
+            scores = buffers[2][:rows]  # one buffer for every removal
+            q_sq, true_col = _sq_norms(q), np.searchsorted(labels, block.labels)
+            for i, cols in enumerate(part):
+                zq = qf[:, cols]
+                q_proj_sq = _project(q, q_sq, frame, cols, zq)
+                np.matmul(zq, pf[:, cols].T, out=scores)
+                np.subtract(g, scores, out=scores)
+                scores *= p_inv[i]  # a query's own norm would scale its row: no rank moves
+                zero = _inverse_norms(q_proj_sq) == 0.0
+                scores[zero] = 0.0
+                zeroed[first + i] += np.count_nonzero(zero)
+                hits[first + i] += _hits(scores, true_col, task.k)
+            del block, q  # released before the next tile is read
     return hits / task.queries.n, zeroed
 
 
@@ -284,6 +281,8 @@ def random_ablation(
         raise PreconditionError(f"need trials >= 1, got {trials}")
     if not 1 <= p < task.d:
         raise PreconditionError(f"need 1 <= p < d={task.d}, got p={p}")
+    if seed < 0:  # Philox would refuse it with a bare ValueError
+        raise PreconditionError(f"need seed >= 0, got {seed}")
     draws = [np.sort(trial_rng(seed, t).choice(task.d, size=p, replace=False)) for t in range(trials)]
     used = np.flatnonzero(np.bincount(np.concatenate(draws), minlength=task.d))
     frame = spectrum.eigenvectors[:, used]
@@ -307,8 +306,8 @@ def rank_activations(
 
     Rows are unit-normalized, scored by the norm of their component inside
     the span, and returned in descending score order (ties: ascending row
-    index). A dump is scored one block at a time, so only the n scores
-    are held whole.
+    index). Rows are scored one block at a time, so only the n scores are
+    held whole.
 
     Raises:
         DataError: a row has zero norm.
@@ -318,12 +317,8 @@ def rank_activations(
         raise PreconditionError(f"need 1 <= top <= {m.n}, got {top}")
     if m.d != noise.d:
         raise DimError(f"embedding width {m.d} != subspace width {noise.d}")
-    scores = np.concatenate(
-        [
-            np.linalg.norm(normalize_rows(block).data @ noise.basis, axis=1)
-            for block in m.blocks()
-        ]
-    )
+    scores = np.concatenate([np.linalg.norm(normalize_rows(block).data @ noise.basis, axis=1)
+                             for block in iter_blocks(m)])
     order = np.lexsort((np.arange(m.n), -scores))
     return [Activation(int(i), float(scores[i])) for i in order[:top]]
 
@@ -385,6 +380,8 @@ def synth_benchmark(
         )
     if n_classes < 2 or queries_per_class < 1:
         raise PreconditionError("need at least 2 classes and 1 query per class")
+    if seed < 0:
+        raise PreconditionError(f"need seed >= 0, got {seed}")
     rng = np.random.Generator(np.random.Philox([seed]))
     rotation = _orthonormal(rng.standard_normal((d, d)))
     signal_basis = rotation[:, : d - p]

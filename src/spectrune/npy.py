@@ -113,6 +113,18 @@ def read_json(path: Path | str):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def read_json_object(path: Path | str, **types: type) -> dict:
+    """The JSON object in ``path``; a FormatError unless each key of ``types``
+    that it holds has exactly that type (so ``true`` is no int)."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key, kind in types.items():
+        if key in doc and type(doc[key]) is not kind:
+            raise FormatError(f"{path}: {key!r} must be {kind.__name__}, got {doc[key]!r}")
+    return doc
+
+
 def write_npy(path: Path | str, array: np.ndarray) -> None:
     """Write ``array`` to ``path`` as NPY v1.0 (little-endian, C order).
 

@@ -9,7 +9,7 @@ accumulation is unsafe.
 
 Loaded matrices are immutable (read-only buffers). Every embedding row is
 read through ``EmbeddingDump.take``: whole (``load_array_file``), one
-block of rows at a time (``blocks``), or one class at a time
+block of rows at a time (``iter_blocks``), or one class at a time
 (``iter_classes``, which reads each class's rows only when it is reached).
 Each read lands in a fresh array that the matrix takes over without a copy.
 """
@@ -109,20 +109,16 @@ class EmbeddingMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def blocks(self, rows: int = BLOCK_ROWS) -> Iterator["EmbeddingMatrix"]:
-        """The matrix as a stream of row blocks: the one-block case of
-        ``EmbeddingDump.blocks``, whatever ``rows`` asks for."""
-        yield self
-
-    def take(self, rows: np.ndarray, source: str) -> "EmbeddingMatrix":
+    def take(self, rows: np.ndarray, source: str, first_row: int = 0) -> "EmbeddingMatrix":
         """The rows at ascending indices ``rows``, in that order, as a new
-        matrix named ``source``: the in-memory case of ``EmbeddingDump.take``."""
+        matrix named ``source`` whose rows run on from ``first_row``: the
+        in-memory case of ``EmbeddingDump.take``."""
         data = self.data[rows]
         data.flags.writeable = False  # fancy indexing copied them: hand them over
         labels = None if self.labels is None else self.labels[rows]
         if labels is not None:
             labels.flags.writeable = False
-        return EmbeddingMatrix(data, labels, source)
+        return EmbeddingMatrix(data, labels, source, first_row)
 
 
 class EmbeddingDump:
@@ -131,8 +127,8 @@ class EmbeddingDump:
 
     Opening reads and checks only the header, the size and the labels.
     ``take`` then reads the rows asked for into a fresh array, widened to
-    float64 and checked as one EmbeddingMatrix; ``blocks`` takes blocks of
-    at most ``npy.BLOCK_ROWS`` consecutive rows (fewer on request), and
+    float64 and checked as one EmbeddingMatrix; ``iter_blocks`` takes blocks
+    of at most ``npy.BLOCK_ROWS`` consecutive rows (fewer on request), and
     ``load_array_file`` takes every row at once. Errors name the path and
     the row's index in the dump. A pass holds O(BLOCK_ROWS * d) of the dump in
     memory, whatever its size. Close the dump, or use it as a context
@@ -164,14 +160,6 @@ class EmbeddingDump:
     @property
     def d(self) -> int:
         return self._reader.shape[1]
-
-    def blocks(self, rows: int = BLOCK_ROWS) -> Iterator[EmbeddingMatrix]:
-        """Consecutive blocks of at most ``rows`` rows, cut from the fixed
-        ``BLOCK_ROWS`` grid: a block never spans two of its cells."""
-        for cell in range(0, self.n, BLOCK_ROWS):
-            end = min(cell + BLOCK_ROWS, self.n)
-            for start in range(cell, end, rows):
-                yield self.take(np.arange(start, min(start + rows, end)), self.source, start)
 
     def take(self, rows: np.ndarray, source: str, first_row: int = 0) -> EmbeddingMatrix:
         """The rows at ascending indices ``rows``, in that order, read from
@@ -226,6 +214,16 @@ def save_label_file(labels: np.ndarray, path: Path | str) -> None:
     write_npy(path, np.asarray(labels, dtype=np.int64))
 
 
+def iter_blocks(m: EmbeddingMatrix | EmbeddingDump, rows: int = BLOCK_ROWS) -> Iterator[EmbeddingMatrix]:
+    """Consecutive blocks of at most ``rows`` rows, each taken only when
+    reached and cut from the fixed ``BLOCK_ROWS`` grid: a block never spans
+    two of its cells, so a matrix and its dump yield the same blocks."""
+    for cell in range(0, m.n, BLOCK_ROWS):
+        end = min(cell + BLOCK_ROWS, m.n)
+        for start in range(cell, end, rows):
+            yield m.take(np.arange(start, min(start + rows, end)), m.source, start)
+
+
 def iter_classes(m: EmbeddingMatrix | EmbeddingDump) -> Iterator[tuple[int, EmbeddingMatrix]]:
     """Each class's rows as its own matrix, in ascending class id order and
     taken only when reached (from a dump, read from the file only then):
@@ -273,7 +271,8 @@ def load_manifest(path: Path | str) -> DatasetManifest:
 
     Schema: ``{"name": str, "entries": [{"path": str, "modality":
     "image"|"text"}]}``; any other key is ignored. Entry paths are resolved
-    relative to the manifest's directory and must exist.
+    relative to the manifest's directory and must exist; their headers,
+    read as ``EmbeddingDump`` reads them, must give the first entry's width.
     """
     path = Path(path)
     doc = read_json(path)
@@ -287,7 +286,7 @@ def load_manifest(path: Path | str) -> DatasetManifest:
         raise FormatError(f"{path}: manifest has no entries")
 
     base = path.parent
-    entries = []
+    entries: list[ManifestEntry] = []
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict) or not isinstance(raw.get("path"), str):
             raise FormatError(f"{path}: entry {i} must be an object with a 'path'")
@@ -300,6 +299,10 @@ def load_manifest(path: Path | str) -> DatasetManifest:
         entry_path = (base / raw["path"]).resolve()
         if not entry_path.is_file():
             raise IoError(f"{path}: entry {i} file does not exist: {entry_path}")
+        with EmbeddingDump(entry_path) as dump:
+            if entries and dump.d != width:
+                raise ShapeError(f"{entry_path}: width {dump.d} differs from manifest width {width}")
+            width = dump.d
         entries.append(ManifestEntry(entry_path, modality))
     return DatasetManifest(name=doc["name"], entries=tuple(entries))
 
@@ -320,22 +323,4 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
         "entries": [{"path": rel(e.path), "modality": e.modality} for e in manifest.entries],
     }
     write_json(path, doc)
-
-
-def check_widths(manifest: DatasetManifest) -> None:
-    """Every entry's width, read from its header before any payload is read
-    or any output is written, must be the first entry's.
-
-    Raises:
-        ShapeError: naming the first entry whose width differs.
-    """
-    width: int | None = None
-    for entry in manifest.entries:
-        with EmbeddingDump(entry.path) as dump:
-            if width is None:
-                width = dump.d
-            elif dump.d != width:
-                raise ShapeError(
-                    f"{entry.path}: width {dump.d} differs from manifest width {width}"
-                )
 

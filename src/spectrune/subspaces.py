@@ -22,7 +22,7 @@ from spectrune.errors import (
     PreconditionError,
     in_file,
 )
-from spectrune.npy import FLOAT_DESCRS, read_json, read_npy, write_json, write_npy
+from spectrune.npy import FLOAT_DESCRS, read_json_object, read_npy, write_json, write_npy
 from spectrune.spectral import (
     LOG_FLOOR,
     _ORTHO_TOL,
@@ -265,6 +265,6 @@ def load_subspace(npy_path: Path | str) -> Subspace:
     basis = read_npy(npy_path, FLOAT_DESCRS, ndim=2).astype(np.float64, copy=False)
     basis.flags.writeable = False  # a fresh array: hand it over
     side = sidecar_path(npy_path)
-    origin = str(read_json(side).get("origin", "")) if side.is_file() else ""
+    origin = read_json_object(side, origin=str).get("origin", "") if side.is_file() else ""
     with in_file(npy_path):
         return Subspace(basis=basis, origin=origin)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import spectrune
-from spectrune import cli, evaluation, store
+from spectrune import cli, evaluation
 from spectrune.cli import main
 from spectrune.covariance import CovarianceMatrix, load_covariance, save_covariance
 from spectrune.evaluation import trial_rng
@@ -529,8 +529,8 @@ def test_eval_reads_the_queries_three_times_and_counts_zero_vectors_in_the_noise
     write_npy(tmp_path / "queries.npy", queries)
     save_label_file(np.load(pipeline_dir / "queries_labels.npy"), tmp_path / "queries_labels.npy")
     passes = []
-    blocks = store.EmbeddingDump.blocks
-    monkeypatch.setattr(store.EmbeddingDump, "blocks",
+    blocks = evaluation.iter_blocks
+    monkeypatch.setattr(evaluation, "iter_blocks",
                         lambda dump, *rows: passes.append(Path(dump.path).name) or blocks(dump, *rows))
     argv = ["eval", "--out", str(tmp_path), "--seed", "5", "--trials", "3",
             "--queries", str(tmp_path / "queries.npy")]
@@ -556,6 +556,8 @@ def test_eval_without_alignment_pairs_reports_null_delta(pipeline_dir, tmp_path,
     assert doc["alignment_pairs_undefined"] is None
     assert not (tmp_path / "alignment_deltas.csv").exists()
     assert "no alignment pairs found" in caplog.text
+    # no pair file was read, so none is recorded
+    assert doc["config"]["pairs_img"] is None and doc["config"]["pairs_txt"] is None
 
 
 def test_eval_refuses_a_named_pair_file_that_does_not_exist(pipeline_dir, tmp_path, capsys):
@@ -570,6 +572,20 @@ def test_eval_refuses_a_named_pair_file_that_does_not_exist(pipeline_dir, tmp_pa
         argv += [flag, str(pipeline_dir / name)]
     assert main(argv + ["--pairs-txt", str(missing)]) == 2
     assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_named_pair_file_whose_default_partner_is_absent(pipeline_dir, tmp_path, capsys):
+    # pair files are read as a pair: naming one needs the other, named or
+    # its default in --out, before anything is read or written
+    out = tmp_path / "run"
+    argv = ["eval", "--out", str(out), "--seed", "5", "--trials", "3"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy"),
+                       ("--pairs-txt", "pairs_txt.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 2
+    assert f"pair file {out / 'pairs_img.npy'} does not exist" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -602,6 +618,52 @@ def test_eval_refuses_zero_trials_before_scoring_any_query(pipeline_dir, tmp_pat
     assert main(argv) == 1
     assert scored == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_seed_is_refused_before_anything_is_drawn(pipeline_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--n", "50", "--d", "8", "--p", "2", "--seed", "-1"]) == 1
+    assert "error: need seed >= 0, got -1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # eval draws its trials first, so it refuses before scoring any query
+    scored = []
+    real = evaluation._scores
+    monkeypatch.setattr(evaluation, "_scores", lambda *a, **kw: scored.append(1) or real(*a, **kw))
+    out = tmp_path / "eval"
+    argv = ["eval", "--out", str(out), "--seed", "-2", "--trials", "3"]
+    for flag, name in (("--prototypes", "prototypes.npy"), ("--queries", "queries.npy"),
+                       ("--basis", "noise_basis.npy"), ("--sigma", "sigma_average.npy")):
+        argv += [flag, str(pipeline_dir / name)]
+    assert main(argv) == 1
+    assert "error: need seed >= 0, got -2" in capsys.readouterr().err
+    assert scored == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sidecar, edit, message", [
+    ("noise_basis.json", lambda meta: [], "expected a JSON object, got list"),
+    ("noise_basis.json", lambda meta: {**meta, "origin": 5}, "'origin' must be str, got 5"),
+    ("sigma_average.json", lambda meta: 7, "expected a JSON object, got int"),
+    ("sigma_average.json", lambda meta: {**meta, "n_samples": "x"}, "'n_samples' must be int, got 'x'"),
+    ("sigma_average.json", lambda meta: {**meta, "n_samples": True}, "'n_samples' must be int, got True"),
+    ("sigma_average.json", lambda meta: {**meta, "modality": 3}, "'modality' must be str, got 3"),
+    ("sigma_average.json", lambda meta: {**meta, "trace_normalized": "false"},
+     "'trace_normalized' must be bool, got 'false'"),
+], ids=["basis-list", "basis-origin", "sigma-int", "n_samples-str", "n_samples-bool", "modality-int",
+        "trace_normalized-str"])
+def test_a_malformed_sidecar_is_a_format_error_naming_it(pipeline_dir, tmp_path, capsys, sidecar, edit, message):
+    for name in ("img.npy", "noise_basis.npy", "noise_basis.json", "sigma_average.npy", "sigma_average.json"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    side = tmp_path / sidecar
+    side.write_text(json.dumps(edit(json.loads(side.read_text()))))
+    if sidecar == "noise_basis.json":
+        argv = ["project", "--out", str(tmp_path), str(tmp_path / "img.npy"), str(tmp_path / "clean.npy")]
+    else:
+        argv = ["threshold", "--out", str(tmp_path), "--fixed-log10", "-3"]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert f"error: {side}: {message}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_synth_rerun_overwrites_identically(tmp_path):
@@ -682,6 +744,45 @@ def test_chain_writes_the_same_bytes_in_fresh_processes(tmp_path):
             p.unlink()
     assert len(runs[0]) == 42
     assert runs[0] == runs[1]
+
+
+_CHAIN_IN_ONE_PROCESS = """\
+import json, sys
+from spectrune.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_chain_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # outputs do not depend on the BLAS thread count: a multi-block --kernel
+    # chain, run in one interpreter with one OpenBLAS thread and in another
+    # with two, into the same directory, writes the same files byte for byte
+    out = str(tmp_path / "run")
+    chain = [
+        ["synth", "--out", out, "--n", "4500", "--d", "64", "--p", "8", "--classes", "12",
+         "--queries-per-class", "40"],
+        ["accumulate", "--manifest", f"{out}/manifest.json", "--out", out, "--kernel"],
+        ["spectrum", "--out", out],
+        ["threshold", "--out", out],
+        ["project", "--out", out, f"{out}/img.npy", f"{out}/img_clean.npy"],
+        ["eval", "--out", out, "--trials", "20"],
+        ["class-overlap", "--out", out],
+        ["activations", "--out", out],
+    ]
+    src = str(Path(spectrune.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", _CHAIN_IN_ONE_PROCESS, json.dumps(chain)],
+                       env=env, check=True, capture_output=True)
+        runs.append({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())})
+        shutil.rmtree(out)
+    assert len(runs[0]) == 42
+    assert sorted(runs[0]) == sorted(runs[1])
+    assert [name for name in runs[0] if runs[0][name] != runs[1][name]] == []
 
 
 _SPY_ON_NUMPY_LOAD = """\

@@ -31,7 +31,7 @@ from spectrune.errors import (
     PreconditionError,
 )
 from spectrune.npy import BLOCK_ROWS, read_npy, write_npy
-from spectrune.store import EmbeddingDump, EmbeddingMatrix, iter_classes
+from spectrune.store import EmbeddingDump, EmbeddingMatrix, iter_blocks, iter_classes
 
 
 def two_pass_covariance(x: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def test_m2_is_exactly_symmetric_after_dump_blocks_and_merge(tmp_path):
     with EmbeddingDump(path) as dump:
         for half in (0, 1):
             acc = CovarianceAccumulator.empty()
-            for i, block in enumerate(dump.blocks()):
+            for i, block in enumerate(iter_blocks(dump)):
                 if i % 2 == half:
                     acc = accumulate(acc, block)
             assert np.array_equal(acc.m2, acc.m2.T)
@@ -337,7 +337,7 @@ def test_fresh_results_are_handed_over_without_a_copy(tmp_path, handed_over):
     spectrum = spectral.decompose(mean)
     write_npy(tmp_path / "img.npy", rng.standard_normal((20, 6)))
     with EmbeddingDump(tmp_path / "img.npy", labels=np.arange(20) % 3) as dump:
-        block = next(dump.blocks())
+        block = next(iter_blocks(dump))
         _, part = next(iter_classes(dump))
     # the in-memory case takes over every class's rows and labels as well
     classes = [m for _, m in iter_classes(as_matrix(rng.standard_normal((6, 6)), np.arange(6) % 2))]

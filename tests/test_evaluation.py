@@ -195,7 +195,7 @@ def _dump_task(path, task):
 
 
 def test_a_dump_backed_task_scores_as_the_in_memory_task(tmp_path):
-    # three blocks, the last one short; in memory the queries are one block
+    # three blocks, the last one short, cut alike in memory and from the dump
     bench = synth_benchmark(n=50, d=16, p=4, n_classes=6, queries_per_class=700, k=2, seed=3)
     rows = slice(0, 2 * BLOCK_ROWS + 3)
     task = make_task(bench.task.class_prototypes.data, bench.task.class_prototypes.labels,

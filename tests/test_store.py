@@ -17,13 +17,13 @@ from spectrune.errors import (
     MissingLabelsError,
     ShapeError,
 )
-from spectrune.npy import write_npy
+from spectrune.npy import BLOCK_ROWS, write_npy
 from spectrune.store import (
     DatasetManifest,
     EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
-    check_widths,
+    iter_blocks,
     iter_classes,
     load_array_file,
     load_label_file,
@@ -140,6 +140,27 @@ def test_split_requires_labels():
         split_by_label(EmbeddingMatrix(np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 37, 6])
+def test_a_matrix_and_its_dump_yield_the_same_blocks(tmp_path, rows):
+    # one grid for both row sources: blocks of at most ``rows`` rows that
+    # never span two BLOCK_ROWS cells, the last cell 3 rows short of one block
+    rng = np.random.default_rng(12)
+    n, path = 2 * BLOCK_ROWS + 3, tmp_path / "img.npy"
+    m = EmbeddingMatrix(rng.standard_normal((n, 5)), labels=rng.integers(0, 9, n), source=str(path))
+    save_array_file(m, path)
+    with EmbeddingDump(path, labels=m.labels) as dump:
+        streamed = list(iter_blocks(dump, rows))
+    in_memory = list(iter_blocks(m, rows))
+    starts = [cell + start for cell in (0, BLOCK_ROWS) for start in range(0, BLOCK_ROWS, rows)]
+    assert len(in_memory) == len(streamed) == len(starts) + 1
+    for a, b, first_row in zip(in_memory, streamed, starts + [2 * BLOCK_ROWS]):
+        assert (a.n, a.first_row, a.source) == (b.n, b.first_row, b.source)
+        assert a.first_row == first_row and a.n == min(rows, BLOCK_ROWS - first_row % BLOCK_ROWS, n - first_row)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.labels, m.labels[first_row:first_row + a.n])
+    assert np.vstack([a.data for a in in_memory]).tobytes() == m.data.tobytes()
+
+
 def test_iter_classes_yields_classes_in_id_order_on_demand():
     m = EmbeddingMatrix(np.arange(10.0).reshape(5, 2), labels=[3, 1, 3, 0, 1])
     classes = iter_classes(m)
@@ -214,7 +235,7 @@ def test_manifest_loads_and_iterates(tmp_path):
     for entry, rows in zip(manifest.entries, (10, 8)):
         with EmbeddingDump(entry.path) as dump:
             assert (dump.n, dump.d) == (rows, 4)
-            blocks = list(dump.blocks())
+            blocks = list(iter_blocks(dump))
         assert [b.n for b in blocks] == [rows]
 
 
@@ -275,7 +296,7 @@ def test_iter_entries_enforces_consistent_width(tmp_path):
         )
     )
     with pytest.raises(ShapeError, match="b.npy: width 5 differs from manifest width 4"):
-        check_widths(load_manifest(path))
+        load_manifest(path)
 
 
 def test_save_manifest_round_trip(tmp_path):

@@ -23,6 +23,7 @@ from spectrune.store import (
     EmbeddingDump,
     EmbeddingMatrix,
     ManifestEntry,
+    iter_blocks,
     iter_classes,
     load_array_file,
     save_label_file,
@@ -291,7 +292,7 @@ def test_errors_name_the_global_row_in_a_later_block(tmp_path, capsys):
     # read after classes 0-3 are finished
     labels = np.arange(rows.shape[0]) % 7
     message = f"{path}: non-finite entry in row {bad}"
-    for read in (lambda dump: list(dump.blocks()), lambda dump: list(iter_classes(dump)),
+    for read in (lambda dump: list(iter_blocks(dump)), lambda dump: list(iter_classes(dump)),
                  lambda dump: load_array_file(path)):
         with EmbeddingDump(path, labels) as dump, pytest.raises(DataError) as exc:
             read(dump)
@@ -327,7 +328,7 @@ def test_dump_blocks_are_fresh_arrays_and_a_pass_holds_few_blocks(tmp_path):
     with EmbeddingDump(tmp_path / "img.npy") as dump:
         tracemalloc.start()
         try:
-            for _ in dump.blocks():
+            for _ in iter_blocks(dump):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -335,7 +336,7 @@ def test_dump_blocks_are_fresh_arrays_and_a_pass_holds_few_blocks(tmp_path):
         # the block in hand, the next one being read and its finiteness mask;
         # reading into a shared buffer and copying out would add a third block
         assert peak <= 2.5 * block_bytes, peak / block_bytes
-        kept = list(dump.blocks())
+        kept = list(iter_blocks(dump))
     assert np.array_equal(np.vstack([block.data for block in kept]), rows)
 
 
